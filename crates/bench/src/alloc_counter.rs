@@ -1,21 +1,22 @@
 //! A counting global allocator for debug-assert builds.
 //!
-//! The PR-8 hot-loop work (arena-rebound [`propagation::link::PreparedLink`]s,
-//! scratch-buffer probes, the SoA batch kernel) is only verifiable if the
+//! The hot-loop work (arena-rebound [`propagation::link::PreparedLink`]s,
+//! cached probes, the SoA batch kernel) is only verifiable if the
 //! repository can *count* allocations: "allocation-free" claimed in a doc
 //! comment regresses silently, a counter asserted in CI does not.
 //!
 //! In builds with `debug_assertions` the [`CountingAllocator`] is installed
-//! as the global allocator: every `alloc`/`alloc_zeroed`/`realloc` bumps a
-//! relaxed atomic before deferring to the system allocator. Release builds
-//! compile the hook out entirely — the system allocator is used directly
-//! and [`enabled`] reports `false`, so perf artifacts stamp
+//! as the global allocator: every `alloc`/`alloc_zeroed`/`realloc` bumps
+//! the calling thread's counter before deferring to the system allocator.
+//! Release builds compile the hook out entirely — the system allocator is
+//! used directly and [`enabled`] reports `false`, so perf artifacts stamp
 //! `"allocs_per_tick": null` instead of a number measured with counting
 //! overhead.
 //!
-//! The counter is process-global: a measurement is only meaningful when no
-//! other thread allocates concurrently (run measuring tests with a filter,
-//! as CI does).
+//! The counter is per thread: a measurement sees exactly the allocations
+//! its own thread makes, however much other threads (sibling tests, a
+//! server's workers) allocate meanwhile. Work a measured closure hands to
+//! other threads is not counted.
 
 // The one crate-sanctioned use of `unsafe`: `GlobalAlloc` is an unsafe
 // trait by definition. Everything else in the workspace stays under
@@ -23,18 +24,25 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Heap allocations observed since process start (debug-assert builds
-/// only; stays zero in release).
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations this thread made since it started (debug-assert
+    /// builds only; stays zero in release). Const-initialised with no
+    /// destructor, so reading or bumping it never allocates itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// System-allocator wrapper that counts allocation calls.
+fn count_one() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+/// System-allocator wrapper that counts allocation calls per thread.
 pub struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -43,12 +51,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -63,15 +71,14 @@ pub fn enabled() -> bool {
     cfg!(debug_assertions)
 }
 
-/// Total allocation calls observed so far (0 when counting is compiled
-/// out).
+/// Allocation calls the calling thread made so far (0 when counting is
+/// compiled out).
 pub fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Runs `f` and returns its result plus the number of allocation calls
-/// it made. Only meaningful when [`enabled`] and no other thread
-/// allocates concurrently.
+/// it made on the calling thread. Only meaningful when [`enabled`].
 pub fn allocs_during<O>(f: impl FnOnce() -> O) -> (O, u64) {
     let before = alloc_count();
     let out = f();

@@ -80,10 +80,10 @@ const ALLOC_MEASURED_TICKS: usize = 8;
 const ALLOC_KERNEL_DEVICES: usize = 8;
 
 /// Steady-state heap allocations per simulated tick of the per-device
-/// mobility hot kernel: one scratch-buffer power probe plus a memoized
-/// bias sweep through the compiled plan for each of
-/// [`ALLOC_KERNEL_DEVICES`] devices — the per-tick work PR 8 moved onto
-/// arena rebinds, scratch probes and plan memos. Measured after
+/// mobility hot kernel: one cached [`PreparedLink`] power probe plus a
+/// memoized bias sweep through the compiled plan for each of
+/// [`ALLOC_KERNEL_DEVICES`] devices — the per-tick work that runs on
+/// arena rebinds, cached probes and plan memos. Measured after
 /// [`ALLOC_WARMUP_TICKS`] warm-up ticks (buffers grown, memos
 /// populated), averaged over [`ALLOC_MEASURED_TICKS`] ticks, and cached
 /// for the process. `None` when the counting allocator is compiled out
@@ -102,13 +102,12 @@ fn measure_allocs_per_tick() -> Option<f64> {
     let plan = StackEvaluator::new(&design.stack, F);
     let response = SurfaceResponse::new(F, plan.response(BiasState::new(6.0, 6.0)));
     let link = PreparedLink::new(Scenario::transmissive_default().link());
-    let mut scratch = Vec::new();
     let biases: Vec<BiasState> = (0..9)
         .map(|i| BiasState::new(3.0 * (i % 3) as f64, 3.0 * (i / 3) as f64))
         .collect();
-    let mut tick = || {
+    let tick = || {
         for _ in 0..ALLOC_KERNEL_DEVICES {
-            std::hint::black_box(link.received_dbm_scratch(Some(&response), &mut scratch));
+            std::hint::black_box(link.received_dbm_with(Some(&response)));
             for &bias in &biases {
                 std::hint::black_box(plan.response(bias));
             }
@@ -1611,10 +1610,9 @@ mod tests {
     }
 
     /// The CI zero-alloc assertion: after warm-up, the per-tick hot
-    /// kernel (scratch probes + memoized plan sweeps) must not touch
-    /// the heap at all in debug-assert builds. Run filtered
-    /// (`cargo test -p llama-bench steady_state`) so no sibling test
-    /// allocates concurrently against the process-global counter.
+    /// kernel (cached probes + memoized plan sweeps) must not touch the
+    /// heap at all in debug-assert builds. The counter is per thread, so
+    /// sibling tests allocating concurrently do not disturb it.
     #[test]
     fn steady_state_tick_is_allocation_free() {
         match allocs_per_tick() {

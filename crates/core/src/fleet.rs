@@ -377,23 +377,10 @@ impl FleetEvaluator {
             .iter()
             .map(|p| SurfaceResponse::new(p.frequency(), p.response(bias)))
             .collect();
-        if self.reference_batch {
-            // Baseline arm: the pre-optimization allocating probe.
-            return self
-                .links
-                .iter()
-                .zip(&self.plan_of)
-                .map(|(link, &k)| link.received_dbm_with(Some(&responses[k])).0)
-                .collect();
-        }
-        let mut scratch = Vec::new();
         self.links
             .iter()
             .zip(&self.plan_of)
-            .map(|(link, &k)| {
-                link.received_dbm_scratch(Some(&responses[k]), &mut scratch)
-                    .0
-            })
+            .map(|(link, &k)| probe_dbm(link, &responses[k], self.reference_batch))
             .collect()
     }
 
@@ -435,35 +422,14 @@ impl FleetEvaluator {
         } else {
             rfmath::par::available_threads()
         };
+        let reference = self.reference_batch;
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); n];
-        if self.reference_batch {
-            // Baseline arm: per-bias closure with the allocating probe,
-            // exactly the pre-optimization fan-out.
-            let row = move |b: usize| -> Vec<f64> {
-                links
-                    .iter()
-                    .zip(plan_of)
-                    .map(|(link, &k)| link.received_dbm_with(Some(&responses[k][b])).0)
-                    .collect()
-            };
-            rfmath::par::par_fill(&mut out, threads, row);
-            return out;
-        }
-        // Chunked fan-out so each worker keeps one path scratch buffer
-        // across its whole range of biases: zero per-probe allocation.
-        rfmath::par::par_fill_chunked(&mut out, threads, |offset, chunk| {
-            let mut scratch = Vec::new();
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                let b = offset + j;
-                let mut row = Vec::with_capacity(links.len());
-                for (link, &k) in links.iter().zip(plan_of) {
-                    row.push(
-                        link.received_dbm_scratch(Some(&responses[k][b]), &mut scratch)
-                            .0,
-                    );
-                }
-                *slot = row;
-            }
+        rfmath::par::par_fill(&mut out, threads, move |b: usize| -> Vec<f64> {
+            links
+                .iter()
+                .zip(plan_of)
+                .map(|(link, &k)| probe_dbm(link, &responses[k][b], reference))
+                .collect()
         });
         out
     }
@@ -478,6 +444,17 @@ impl FleetEvaluator {
                 link.received_dbm(None).0
             })
             .collect()
+    }
+}
+
+/// One device's power under one response, dBm: the cached probe, or on
+/// the bench-only reference arm the path-by-path projection it replaced
+/// (bit-identical either way).
+fn probe_dbm(link: &PreparedLink, response: &SurfaceResponse, reference: bool) -> f64 {
+    if reference {
+        link.received_dbm_by_paths(Some(response)).0
+    } else {
+        link.received_dbm_with(Some(response)).0
     }
 }
 

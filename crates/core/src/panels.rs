@@ -72,7 +72,7 @@ use metasurface::stack::{BiasState, SUPPLY_CEILING};
 use propagation::capacity::capacity_bits;
 use propagation::coupling::{CouplingConfig, MultiSurfaceField};
 use propagation::link::PreparedLink;
-use propagation::rays::{Deployment, Path};
+use propagation::rays::Deployment;
 use rfmath::complex::Complex;
 use rfmath::units::{Dbm, Degrees, Hertz, Seconds, Watts};
 use rfmath::vec2::Point2;
@@ -1098,7 +1098,6 @@ pub struct CoupledEvaluator {
     coupling: CouplingConfig,
     /// `responses[k][c]`, refilled per bias vector.
     responses: Vec<Vec<SurfaceResponse>>,
-    scratch: Vec<Path>,
 }
 
 impl CoupledEvaluator {
@@ -1188,7 +1187,6 @@ impl CoupledEvaluator {
             plans,
             coupling,
             responses,
-            scratch: Vec::new(),
         }
     }
 
@@ -1220,22 +1218,17 @@ impl CoupledEvaluator {
     /// Device `d`'s superposed amplitude from the filled responses —
     /// the canonical association: home first, cross terms in panel
     /// order.
-    fn amplitude_of(&mut self, d: usize) -> Complex {
+    fn amplitude_of(&self, d: usize) -> Complex {
         let field = &self.fields[d];
         let c = self.carrier_of[d];
         let home = self.home_of[d];
-        let mut amp = field.home_amplitude(Some(&self.responses[home][c]), &mut self.scratch);
+        let mut amp = field.home_amplitude(Some(&self.responses[home][c]));
         if !self.coupling.is_disabled() {
             for k in 0..field.panel_count() {
                 if k == home {
                     continue;
                 }
-                amp += field.cross_amplitude(
-                    k,
-                    Some(&self.responses[k][c]),
-                    &self.coupling,
-                    &mut self.scratch,
-                );
+                amp += field.cross_amplitude(k, Some(&self.responses[k][c]), &self.coupling);
             }
         }
         amp
@@ -1272,8 +1265,7 @@ impl CoupledEvaluator {
             let amp = self.amplitude_of(d);
             let c = self.carrier_of[d];
             let home_idx = self.home_of[d];
-            let home = self.fields[d]
-                .home_amplitude(Some(&self.responses[home_idx][c]), &mut self.scratch);
+            let home = self.fields[d].home_amplitude(Some(&self.responses[home_idx][c]));
             cross += (amp - home).norm_sqr();
             total += amp.norm_sqr();
         }
@@ -1301,18 +1293,13 @@ impl CoupledEvaluator {
                 let mut amp = if home == swept {
                     Complex::ZERO
                 } else {
-                    field.home_amplitude(Some(&self.responses[home][c]), &mut self.scratch)
+                    field.home_amplitude(Some(&self.responses[home][c]))
                 };
                 for k in 0..field.panel_count() {
                     if k == home || k == swept {
                         continue;
                     }
-                    amp += field.cross_amplitude(
-                        k,
-                        Some(&self.responses[k][c]),
-                        &self.coupling,
-                        &mut self.scratch,
-                    );
+                    amp += field.cross_amplitude(k, Some(&self.responses[k][c]), &self.coupling);
                 }
                 amp
             })
@@ -1340,15 +1327,13 @@ impl CoupledEvaluator {
                 let c = self.carrier_of[d];
                 let home = self.home_of[d];
                 let amp = if home == swept {
-                    field.home_amplitude(Some(&self.responses[swept][c]), &mut self.scratch)
-                        + fixed[d]
+                    field.home_amplitude(Some(&self.responses[swept][c])) + fixed[d]
                 } else {
                     fixed[d]
                         + field.cross_amplitude(
                             swept,
                             Some(&self.responses[swept][c]),
                             &self.coupling,
-                            &mut self.scratch,
                         )
                 };
                 Watts(amp.norm_sqr()).to_dbm().0

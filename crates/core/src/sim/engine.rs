@@ -606,7 +606,6 @@ impl MobilitySim {
         let mut is_dirty = vec![false; fleet.len()];
         let mut kinds: Vec<SearchKind> = Vec::with_capacity(array.len());
         let mut airtimes: Vec<f64> = Vec::with_capacity(array.len());
-        let mut probe_scratch: Vec<propagation::rays::Path> = Vec::new();
         let recorder = &self.recorder;
         let traced = recorder.enabled();
         let mut prev_outaged = vec![false; array.len()];
@@ -886,21 +885,18 @@ impl MobilitySim {
                     }
                     let bits = fleet.fleet().devices()[d].scenario.frequency.0.to_bits();
                     let churn_baseline = self.config.churn_baseline;
-                    let probe_scratch = &mut probe_scratch;
-                    let mut power_on = |k: usize| {
+                    let power_on = |k: usize| {
                         let response = ref_responses[k]
                             .iter()
                             .find(|(b, _)| *b == bits)
                             .map(|(_, r)| r)
                             .expect("reference responses prebuilt for every carrier");
                         if churn_baseline {
-                            // Baseline arm: the allocating probe the
-                            // engine used before the scratch fast path.
-                            ref_links[d][k].received_dbm_with(Some(response)).0
+                            // Baseline arm: the allocating path-by-path
+                            // probe the engine used before the cache.
+                            ref_links[d][k].received_dbm_by_paths(Some(response)).0
                         } else {
-                            ref_links[d][k]
-                                .received_dbm_scratch(Some(response), probe_scratch)
-                                .0
+                            ref_links[d][k].received_dbm_with(Some(response)).0
                         }
                     };
                     let cur = assignment[d];

@@ -15,6 +15,7 @@ use devices::usrp::{UsrpConfig, UsrpReceiver};
 use metasurface::evaluator::StackEvaluator;
 use metasurface::response::{Metasurface, SurfaceResponse};
 use metasurface::stack::BiasState;
+use propagation::link::PreparedLink;
 use propagation::signal::rssi_reading;
 use rand::rngs::StdRng;
 use rfmath::rng::SeedSplitter;
@@ -266,7 +267,10 @@ impl LlamaSystem {
     ///
     /// Runs on the batched engine: one [`StackEvaluator`] grid pass
     /// (`O(steps)` per-axis branch solves, parallel rows) feeds a single
-    /// prebuilt link, instead of `steps²` full cascade-and-link rebuilds.
+    /// [`PreparedLink`], so each cell costs one cached probe instead of
+    /// a full cascade-and-link rebuild. Bit-identical to
+    /// [`Link::received_dbm_with`](propagation::link::Link::received_dbm_with)
+    /// per cell.
     pub fn power_heatmap(&mut self, steps: usize) -> (Vec<f64>, Vec<f64>) {
         let steps = steps.max(2);
         let volts: Vec<f64> = (0..steps)
@@ -279,7 +283,7 @@ impl LlamaSystem {
             .map(|v| v.clamp(0.0, self.surface.v_max.0))
             .collect();
         let f = self.scenario.frequency;
-        let link = self.scenario.link();
+        let link = PreparedLink::new(self.scenario.link());
         let evaluator = StackEvaluator::new(&self.surface.design().stack, f);
         let grid = evaluator
             .eval_grid(&applied, &applied)
@@ -392,6 +396,41 @@ mod tests {
             grid[top * volts.len() + top],
             expected
         );
+    }
+
+    #[test]
+    fn heatmap_is_bitwise_the_per_cell_link_projection() {
+        // The Figure 15/21 grid through one prepared link must equal the
+        // reference projection cell by cell, on both mounts and in a
+        // multipath room.
+        for scenario in [
+            Scenario::transmissive_default(),
+            Scenario::reflective_default(),
+            Scenario::wifi_iot_default(),
+        ] {
+            let mut sys = LlamaSystem::new(scenario);
+            let (volts, grid) = sys.power_heatmap(31);
+            let applied: Vec<f64> = volts
+                .iter()
+                .map(|v| v.clamp(0.0, sys.surface.v_max.0))
+                .collect();
+            let f = sys.scenario.frequency;
+            let link = sys.scenario.link();
+            let want: Vec<f64> = StackEvaluator::new(&sys.surface.design().stack, f)
+                .eval_grid(&applied, &applied)
+                .into_iter()
+                .map(|r| link.received_dbm_with(Some(&SurfaceResponse::new(f, r))).0)
+                .collect();
+            assert_eq!(grid.len(), want.len());
+            for (i, (got, want)) in grid.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{:?} cell {i}: {got} vs {want}",
+                    sys.scenario.deployment.surface
+                );
+            }
+        }
     }
 
     #[test]

@@ -487,10 +487,7 @@ impl StackEvaluator {
     /// rows are evaluated in parallel with `std::thread::scope` when the
     /// grid is large enough to amortize thread spawn.
     pub fn eval_grid(&self, vxs: &[f64], vys: &[f64]) -> Vec<Option<PolarizedS>> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.eval_grid_threaded(vxs, vys, threads)
+        self.eval_grid_threaded(vxs, vys, rfmath::par::available_threads())
     }
 
     /// [`StackEvaluator::eval_grid`] with an explicit worker count

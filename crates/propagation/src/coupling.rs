@@ -13,7 +13,7 @@
 //! where `a_home` is the full single-surface amplitude the independent
 //! scheduler already optimizes, `s_k` is panel k's engineered *scattered*
 //! amplitude toward this receiver
-//! ([`PreparedLink::scattered_amplitude_scratch`] — the surface-dependent
+//! ([`PreparedLink::scattered_amplitude`] — the surface-dependent
 //! paths minus the static direct ray and environment tail, so the direct
 //! field is never double counted), `γ` ([`CouplingConfig::gain`]) is the
 //! fraction of a foreign panel's scattered field that reaches a receiver
@@ -30,11 +30,10 @@
 
 use metasurface::response::SurfaceResponse;
 use rfmath::complex::Complex;
-use rfmath::units::{Dbm, Meters, Seconds, Watts};
+use rfmath::units::{Dbm, Meters, Watts};
 
 use crate::friis;
 use crate::link::PreparedLink;
-use crate::rays::Path;
 
 /// Strength of inter-panel coupling in a [`MultiSurfaceField`].
 ///
@@ -159,13 +158,9 @@ impl MultiSurfaceField {
     }
 
     /// The full single-surface amplitude from the serving panel — exactly
-    /// what [`PreparedLink::received_amplitude_scratch`] returns at t = 0.
-    pub fn home_amplitude(
-        &self,
-        response: Option<&SurfaceResponse>,
-        scratch: &mut Vec<Path>,
-    ) -> Complex {
-        self.links[self.home].received_amplitude_scratch(response, Seconds(0.0), scratch)
+    /// what [`PreparedLink::received_amplitude`] returns.
+    pub fn home_amplitude(&self, response: Option<&SurfaceResponse>) -> Complex {
+        self.links[self.home].received_amplitude(response)
     }
 
     /// Foreign panel k's cross-term contribution: scattered leakage plus
@@ -176,12 +171,11 @@ impl MultiSurfaceField {
         k: usize,
         response: Option<&SurfaceResponse>,
         coupling: &CouplingConfig,
-        scratch: &mut Vec<Path>,
     ) -> Complex {
         if k == self.home || coupling.is_disabled() {
             return Complex::ZERO;
         }
-        let scattered = self.links[k].scattered_amplitude_scratch(response, scratch);
+        let scattered = self.links[k].scattered_amplitude(response);
         let mut term = scattered * coupling.gain;
         if coupling.cascade_gain != 0.0 {
             term += self.hops[k] * scattered * coupling.cascade_gain;
@@ -197,10 +191,9 @@ impl MultiSurfaceField {
         &self,
         responses: &[Option<&SurfaceResponse>],
         coupling: &CouplingConfig,
-        scratch: &mut Vec<Path>,
     ) -> Complex {
         debug_assert_eq!(responses.len(), self.links.len());
-        let home = self.home_amplitude(responses[self.home], scratch);
+        let home = self.home_amplitude(responses[self.home]);
         if coupling.is_disabled() {
             return home;
         }
@@ -209,7 +202,7 @@ impl MultiSurfaceField {
             if k == self.home {
                 continue;
             }
-            total += self.cross_amplitude(k, *response, coupling, scratch);
+            total += self.cross_amplitude(k, *response, coupling);
         }
         total
     }
@@ -219,9 +212,8 @@ impl MultiSurfaceField {
         &self,
         responses: &[Option<&SurfaceResponse>],
         coupling: &CouplingConfig,
-        scratch: &mut Vec<Path>,
     ) -> Dbm {
-        Watts(self.amplitude(responses, coupling, scratch).norm_sqr()).to_dbm()
+        Watts(self.amplitude(responses, coupling).norm_sqr()).to_dbm()
     }
 }
 
@@ -267,13 +259,8 @@ mod tests {
         let field = two_panel_field();
         let ra = response(BiasState::new(9.0, 3.0));
         let rb = response(BiasState::new(21.0, 27.0));
-        let mut scratch = Vec::new();
-        let home = field.home_amplitude(Some(&ra), &mut scratch);
-        let coupled = field.amplitude(
-            &[Some(&ra), Some(&rb)],
-            &CouplingConfig::disabled(),
-            &mut scratch,
-        );
+        let home = field.home_amplitude(Some(&ra));
+        let coupled = field.amplitude(&[Some(&ra), Some(&rb)], &CouplingConfig::disabled());
         assert_eq!(home.re.to_bits(), coupled.re.to_bits());
         assert_eq!(home.im.to_bits(), coupled.im.to_bits());
     }
@@ -283,13 +270,8 @@ mod tests {
         let field = two_panel_field();
         let ra = response(BiasState::new(9.0, 3.0));
         let rb = response(BiasState::new(21.0, 27.0));
-        let mut scratch = Vec::new();
-        let home = field.home_amplitude(Some(&ra), &mut scratch);
-        let coupled = field.amplitude(
-            &[Some(&ra), Some(&rb)],
-            &CouplingConfig::indoor_default(),
-            &mut scratch,
-        );
+        let home = field.home_amplitude(Some(&ra));
+        let coupled = field.amplitude(&[Some(&ra), Some(&rb)], &CouplingConfig::indoor_default());
         assert!(
             (coupled - home).abs() > 1e-12,
             "a biased foreign panel must perturb the field"
@@ -297,11 +279,7 @@ mod tests {
         // And the foreign bias matters: a different foreign response
         // lands at a different superposed amplitude.
         let rc = response(BiasState::new(3.0, 15.0));
-        let other = field.amplitude(
-            &[Some(&ra), Some(&rc)],
-            &CouplingConfig::indoor_default(),
-            &mut scratch,
-        );
+        let other = field.amplitude(&[Some(&ra), Some(&rc)], &CouplingConfig::indoor_default());
         assert!((coupled - other).abs() > 1e-12);
     }
 
@@ -310,9 +288,8 @@ mod tests {
         let home = PreparedLink::new(base_link());
         let field = MultiSurfaceField::new(0, vec![home]);
         let r = response(BiasState::new(9.0, 3.0));
-        let mut scratch = Vec::new();
-        let alone = field.home_amplitude(Some(&r), &mut scratch);
-        let coupled = field.amplitude(&[Some(&r)], &CouplingConfig::indoor_default(), &mut scratch);
+        let alone = field.home_amplitude(Some(&r));
+        let coupled = field.amplitude(&[Some(&r)], &CouplingConfig::indoor_default());
         assert_eq!(alone.re.to_bits(), coupled.re.to_bits());
         assert_eq!(alone.im.to_bits(), coupled.im.to_bits());
     }
@@ -321,7 +298,6 @@ mod tests {
     fn cascade_hop_uses_the_inter_panel_separation() {
         let field = two_panel_field();
         let rb = response(BiasState::new(21.0, 27.0));
-        let mut scratch = Vec::new();
         let direct_only = field.cross_amplitude(
             1,
             Some(&rb),
@@ -329,7 +305,6 @@ mod tests {
                 gain: 0.2,
                 cascade_gain: 0.0,
             },
-            &mut scratch,
         );
         let with_cascade = field.cross_amplitude(
             1,
@@ -338,19 +313,13 @@ mod tests {
                 gain: 0.2,
                 cascade_gain: 0.5,
             },
-            &mut scratch,
         );
         assert!(
             (with_cascade - direct_only).abs() > 1e-15,
             "cascade term must add a hop contribution"
         );
         // The home panel never contributes a cross term.
-        let home_cross = field.cross_amplitude(
-            0,
-            Some(&rb),
-            &CouplingConfig::indoor_default(),
-            &mut scratch,
-        );
+        let home_cross = field.cross_amplitude(0, Some(&rb), &CouplingConfig::indoor_default());
         assert_eq!(home_cross.re.to_bits(), 0.0f64.to_bits());
         assert_eq!(home_cross.im.to_bits(), 0.0f64.to_bits());
     }

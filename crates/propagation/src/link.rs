@@ -13,11 +13,15 @@
 
 use metasurface::response::{Metasurface, SurfaceResponse};
 use rfmath::complex::Complex;
+use rfmath::jones::{JonesMatrix, JonesVector};
 use rfmath::units::{Dbm, Hertz, Seconds, Watts};
 
 use crate::antenna::OrientedAntenna;
 use crate::environment::{Environment, ScatterDraw};
-use crate::rays::{engineered_paths, engineered_paths_into, Deployment, Path, SurfaceMount};
+use crate::rays::{
+    direct_path, engineered_paths, engineered_paths_into, Deployment, Path, SurfaceLegs,
+    SurfaceMount,
+};
 
 /// Calibration knobs of the link model — the parameters the Figure 20
 /// fidelity sweep (`expts --calibrate-fig20`) explores. Defaults
@@ -356,24 +360,93 @@ impl ProjTerm {
     }
 }
 
-/// A link with its bias-independent paths precomputed: the fleet
-/// engine's per-device probe handle.
+/// A surface-interacting path's part of the `t = 0` projection that no
+/// bias changes: the leg's scalar transfer and its excess-loss penalty.
+/// A probe applies only the response's Jones block.
+#[derive(Clone, Copy, Debug)]
+struct LegTerm {
+    transfer: Complex,
+    pen: f64,
+}
+
+/// Every bias-independent factor of the `t = 0` projection onto the
+/// link's own receive mount: both polarization states, the amplitude
+/// scale, the direct ray's whole term and the surface legs' transfers.
+#[derive(Clone, Copy, Debug)]
+struct ProbeConstants {
+    tx_state: JonesVector,
+    rx_state: JonesVector,
+    amp_scale: f64,
+    /// The direct ray's term: the only engineered path of a probe with
+    /// no response or no mount, and the first of a reflective probe.
+    direct: ProjTerm,
+    surface: SurfaceLegs<LegTerm>,
+}
+
+impl ProbeConstants {
+    fn new(link: &Link) -> Self {
+        let tx_state = link.tx.polarization();
+        let rx_state = link.rx.polarization();
+        let direct = link.path_term(
+            &direct_path(link.deployment, link.frequency),
+            &link.rx,
+            &tx_state,
+            &rx_state,
+            link.deployment.tx_rx_distance().0,
+            0.0,
+        );
+        let surface = SurfaceLegs::new(link.deployment, link.frequency).map(|leg| LegTerm {
+            transfer: leg.transfer,
+            pen: link.tuning.surface_loss_amp(leg.label),
+        });
+        Self {
+            tx_state,
+            rx_state,
+            amp_scale: link.amp_scale(&link.rx),
+            direct,
+            surface,
+        }
+    }
+
+    /// One surface leg's contribution under `jones`, in the direct
+    /// projection's operation order: `(transfer × coupled) × pen`.
+    fn leg(&self, leg: LegTerm, jones: JonesMatrix) -> Complex {
+        let coupled = self.rx_state.0.dot(jones.apply(self.tx_state).0);
+        (leg.transfer * coupled) * leg.pen
+    }
+
+    /// Adds the surface-interacting terms under `surface` to `total`, in
+    /// [`engineered_paths_into`]'s path order.
+    fn add_surface_terms(&self, surface: &SurfaceResponse, total: &mut Complex) {
+        self.surface
+            .for_each_jones(surface, |leg, jones| *total += self.leg(leg, jones));
+    }
+}
+
+/// A link with every bias-independent part of its probe precomputed: the
+/// fleet engine's per-device probe handle.
 ///
 /// Environment scatter and caller-injected extras never change across a
 /// bias sweep, so a fleet scheduler probing hundreds of bias states pays
 /// the scatter realization (RNG draws + allocation) once per device
-/// instead of once per `(device, bias)` probe. Only the one or two
-/// engineered paths are rebuilt per probe, against the surface response
-/// the shared evaluation plan already produced. On top of the cached
-/// paths, the `t = 0` projection *terms* of the static set are
-/// precomputed too — only the bias-dependent shadow factor and the
-/// engineered paths are evaluated per probe in the scratch fast path.
+/// instead of once per `(device, bias)` probe. The same holds for the
+/// rest of the `t = 0` projection: the static paths' terms, both
+/// antenna polarization states, the `√(Ptx·Gtx·Grx)` scale, the direct
+/// ray's term and the surface legs' scalar transfers are all computed
+/// once per bind ([`PreparedLink::new`], [`PreparedLink::rebind`],
+/// [`PreparedLink::rebind_in_place`],
+/// [`PreparedLink::with_surface_placement`]). A probe builds no paths:
+/// it applies the surface response's Jones blocks to the cached legs,
+/// the bias-dependent shadow to the cached terms, and sums in the
+/// direct projection's order, so [`PreparedLink::received_dbm_with`] is
+/// bit-identical to [`Link::received_dbm_with`] and touches no heap.
 #[derive(Clone, Debug)]
 pub struct PreparedLink {
     link: Link,
     static_paths: Vec<Path>,
     static_terms: Vec<ProjTerm>,
     scatter_draws: Vec<ScatterDraw>,
+    probe: ProbeConstants,
 }
 
 impl PreparedLink {
@@ -388,7 +461,14 @@ impl PreparedLink {
             &mut static_paths,
         );
         static_paths.extend(link.extra_paths.iter().cloned());
+        Self::from_parts(link, static_paths, scatter_draws)
+    }
+
+    /// Assembles a handle around already-realized static paths and
+    /// derives its probe cache.
+    fn from_parts(link: Link, static_paths: Vec<Path>, scatter_draws: Vec<ScatterDraw>) -> Self {
         let mut prepared = Self {
+            probe: ProbeConstants::new(&link),
             link,
             static_paths,
             static_terms: Vec::new(),
@@ -399,25 +479,22 @@ impl PreparedLink {
     }
 
     /// Re-derives the cached `t = 0` projection terms from the current
-    /// link and static paths. Reuses the term vector's storage, so the
-    /// steady-state rebind path stays allocation-free once the capacity
-    /// has grown to the path-set size.
+    /// link, probe constants and static paths. Reuses the term vector's
+    /// storage, so the steady-state rebind path stays allocation-free
+    /// once the capacity has grown to the path-set size.
     fn rebuild_static_terms(&mut self) {
         let Self {
             link,
             static_paths,
             static_terms,
+            probe,
             ..
         } = self;
-        let tx_state = link.tx.polarization();
-        let rx_state = link.rx.polarization();
         let tx_rx = link.deployment.tx_rx_distance().0;
         static_terms.clear();
-        static_terms.extend(
-            static_paths
-                .iter()
-                .map(|path| link.path_term(path, &link.rx, &tx_state, &rx_state, tx_rx, 0.0)),
-        );
+        static_terms.extend(static_paths.iter().map(|path| {
+            link.path_term(path, &link.rx, &probe.tx_state, &probe.rx_state, tx_rx, 0.0)
+        }));
     }
 
     /// The underlying link.
@@ -446,14 +523,7 @@ impl PreparedLink {
         );
         let mut link = self.link.clone();
         link.deployment = deployment;
-        let mut prepared = Self {
-            link,
-            static_paths: self.static_paths.clone(),
-            static_terms: Vec::new(),
-            scatter_draws: self.scatter_draws.clone(),
-        };
-        prepared.rebuild_static_terms();
-        prepared
+        Self::from_parts(link, self.static_paths.clone(), self.scatter_draws.clone())
     }
 
     /// True when `link`'s bias-independent paths are bit-identical to
@@ -484,14 +554,7 @@ impl PreparedLink {
     /// mobility simulator's per-device update path.
     pub fn rebind(&self, link: Link) -> Self {
         if self.static_paths_reusable(&link) {
-            let mut prepared = Self {
-                link,
-                static_paths: self.static_paths.clone(),
-                static_terms: Vec::new(),
-                scatter_draws: self.scatter_draws.clone(),
-            };
-            prepared.rebuild_static_terms();
-            prepared
+            Self::from_parts(link, self.static_paths.clone(), self.scatter_draws.clone())
         } else {
             Self::new(link)
         }
@@ -540,8 +603,10 @@ impl PreparedLink {
         }
         self.link = link;
         // Rotation, power and re-mounting all perturb the projection
-        // geometry even when the ray set survives, so the term table is
-        // always re-derived (in place — its storage is reused).
+        // geometry even when the ray set survives, so the probe cache is
+        // always re-derived (in place — the term table's storage is
+        // reused).
+        self.probe = ProbeConstants::new(&self.link);
         self.rebuild_static_terms();
     }
 
@@ -550,70 +615,44 @@ impl PreparedLink {
     /// [`Link::paths_with`].
     fn paths_with(&self, surface: Option<&SurfaceResponse>) -> Vec<Path> {
         let mut paths = Vec::with_capacity(2 + self.static_paths.len());
-        self.paths_into(surface, &mut paths);
+        engineered_paths_into(
+            self.link.deployment,
+            surface,
+            self.link.frequency,
+            &mut paths,
+        );
+        paths.extend_from_slice(&self.static_paths);
         paths
     }
 
-    /// [`PreparedLink::paths_with`] into a caller-owned scratch buffer
-    /// (cleared first) — no allocation once the buffer has grown to the
-    /// path-set size.
-    fn paths_into(&self, surface: Option<&SurfaceResponse>, out: &mut Vec<Path>) {
-        out.clear();
-        engineered_paths_into(self.link.deployment, surface, self.link.frequency, out);
-        out.extend_from_slice(&self.static_paths);
-    }
-
-    /// Receive-port amplitude at time `t`; equals
-    /// [`Link::received_amplitude_with`] on the wrapped link.
-    pub fn received_amplitude_with(
-        &self,
-        surface: Option<&SurfaceResponse>,
-        t: Seconds,
-    ) -> Complex {
-        let paths = self.paths_with(surface);
-        self.link.project_onto(&paths, surface, &self.link.rx, t)
-    }
-
-    /// [`PreparedLink::received_amplitude_with`] against a reusable
-    /// scratch buffer — the allocation-free probe loop: a caller
-    /// evaluating N devices × B biases keeps one `Vec<Path>` per worker
-    /// and pays zero heap traffic per probe. Bitwise equal to the
-    /// allocating variant.
-    ///
-    /// At `t = 0` (every power probe) only the engineered paths are
-    /// projected in full; the static tail is summed from the cached
-    /// [`ProjTerm`]s — same contributions in the same order, so the
-    /// result is still bit-identical, at a fraction of the per-probe
-    /// trigonometry.
-    pub fn received_amplitude_scratch(
-        &self,
-        surface: Option<&SurfaceResponse>,
-        t: Seconds,
-        scratch: &mut Vec<Path>,
-    ) -> Complex {
-        if t.0 != 0.0 {
-            // The term cache is a t = 0 snapshot; time-series callers
-            // take the direct projection.
-            self.paths_into(surface, scratch);
-            return self.link.project_onto(scratch, surface, &self.link.rx, t);
+    /// Receive-port amplitude at `t = 0` from the probe cache: the
+    /// response's Jones blocks applied to the cached surface legs, plus
+    /// the cached direct and static terms under the bias-dependent
+    /// shadow. Same contributions in the same order as
+    /// [`Link::received_amplitude_with`], so bit-identical to it; builds
+    /// no paths and touches no heap.
+    pub fn received_amplitude(&self, surface: Option<&SurfaceResponse>) -> Complex {
+        if let Some(surface) = surface {
+            debug_assert!(
+                surface.frequency().0.to_bits() == self.link.frequency.0.to_bits(),
+                "surface response evaluated at {:?} but the link carrier is {:?}",
+                surface.frequency(),
+                self.link.frequency
+            );
         }
-        scratch.clear();
-        engineered_paths_into(self.link.deployment, surface, self.link.frequency, scratch);
+        let probe = &self.probe;
         let shadow = self.link.shadow_factor(surface);
-        let tx_state = self.link.tx.polarization();
-        let rx_state = self.link.rx.polarization();
-        let tx_rx = self.link.deployment.tx_rx_distance().0;
         let mut total = Complex::ZERO;
-        for path in scratch.iter() {
-            total += self
-                .link
-                .path_term(path, &self.link.rx, &tx_state, &rx_state, tx_rx, 0.0)
-                .contribution(shadow);
+        if surface.is_none() || !probe.surface.intercepts_direct() {
+            total += probe.direct.contribution(shadow);
+        }
+        if let Some(surface) = surface {
+            probe.add_surface_terms(surface, &mut total);
         }
         for term in &self.static_terms {
             total += term.contribution(shadow);
         }
-        total * self.link.amp_scale(&self.link.rx)
+        total * probe.amp_scale
     }
 
     /// The *surface-scattered* part of the receive-port amplitude at
@@ -631,57 +670,32 @@ impl PreparedLink {
     /// link's full amplitude with each extra panel's scattered term, so
     /// direct and environment energy are never double-counted. `None`
     /// (panel dark / no response) yields exactly `Complex::ZERO`.
-    pub fn scattered_amplitude_scratch(
-        &self,
-        surface: Option<&SurfaceResponse>,
-        scratch: &mut Vec<Path>,
-    ) -> Complex {
+    pub fn scattered_amplitude(&self, surface: Option<&SurfaceResponse>) -> Complex {
         let Some(surface) = surface else {
             return Complex::ZERO;
         };
-        scratch.clear();
-        engineered_paths_into(
-            self.link.deployment,
-            Some(surface),
-            self.link.frequency,
-            scratch,
-        );
-        let tx_state = self.link.tx.polarization();
-        let rx_state = self.link.rx.polarization();
-        let tx_rx = self.link.deployment.tx_rx_distance().0;
         let mut total = Complex::ZERO;
-        for path in scratch.iter() {
-            if path.label == "direct" {
-                // A reflective deployment's direct ray never touches the
-                // surface; the home link already carries it.
-                continue;
-            }
-            total += self
-                .link
-                .path_term(path, &self.link.rx, &tx_state, &rx_state, tx_rx, 0.0)
-                .contribution(1.0);
-        }
-        total * self.link.amp_scale(&self.link.rx)
+        self.probe.add_surface_terms(surface, &mut total);
+        total * self.probe.amp_scale
     }
 
-    /// Received power in dBm at `t = 0` against a reusable scratch
-    /// buffer; bitwise equal to [`PreparedLink::received_dbm_with`].
-    pub fn received_dbm_scratch(
-        &self,
-        surface: Option<&SurfaceResponse>,
-        scratch: &mut Vec<Path>,
-    ) -> Dbm {
-        Watts(
-            self.received_amplitude_scratch(surface, Seconds(0.0), scratch)
-                .norm_sqr(),
-        )
-        .to_dbm()
-    }
-
-    /// Received power in dBm at `t = 0`.
+    /// Received power in dBm at `t = 0` from the probe cache
+    /// ([`PreparedLink::received_amplitude`]); bit-identical to
+    /// [`Link::received_dbm_with`] on the wrapped link.
     pub fn received_dbm_with(&self, surface: Option<&SurfaceResponse>) -> Dbm {
+        Watts(self.received_amplitude(surface).norm_sqr()).to_dbm()
+    }
+
+    /// [`PreparedLink::received_dbm_with`] the way it was computed before
+    /// the probe cache: the engineered paths rebuilt into a fresh path
+    /// set and every path projected in full. Bit-identical to the cached
+    /// probe; kept only for the fleet evaluator's reference-batch arm,
+    /// the baseline the mobility benchmarks time against.
+    pub fn received_dbm_by_paths(&self, surface: Option<&SurfaceResponse>) -> Dbm {
+        let paths = self.paths_with(surface);
         Watts(
-            self.received_amplitude_with(surface, Seconds(0.0))
+            self.link
+                .project_onto(&paths, surface, &self.link.rx, Seconds(0.0))
                 .norm_sqr(),
         )
         .to_dbm()
@@ -964,28 +978,21 @@ mod tests {
     }
 
     #[test]
-    fn scratch_probe_is_bitwise_equal_to_allocating_probe() {
+    fn cached_probe_is_bitwise_equal_to_the_path_projection() {
         let mut link = base_link(25.0);
         link.environment = Environment::laboratory(29);
         let prepared = PreparedLink::new(link.clone());
         let surface = Metasurface::llama();
         let response = surface.response(link.frequency);
-
-        // One scratch buffer across mixed probes (with and without a
-        // surface) — reuse must not leak paths between probes.
-        let mut scratch = Vec::new();
         for surface in [Some(&response), None] {
+            let cached = prepared.received_dbm_with(surface).0;
             assert_eq!(
-                prepared.received_dbm_scratch(surface, &mut scratch).0,
-                prepared.received_dbm_with(surface).0
+                cached.to_bits(),
+                prepared.received_dbm_by_paths(surface).0.to_bits()
             );
             assert_eq!(
-                prepared
-                    .received_amplitude_scratch(surface, Seconds(0.0), &mut scratch)
-                    .norm_sqr(),
-                prepared
-                    .received_amplitude_with(surface, Seconds(0.0))
-                    .norm_sqr()
+                cached.to_bits(),
+                link.received_dbm_with(surface).0.to_bits()
             );
         }
     }
@@ -994,9 +1001,7 @@ mod tests {
     fn scattered_amplitude_is_zero_without_a_surface() {
         let mut link = base_link(40.0);
         link.environment = Environment::laboratory(31);
-        let prepared = PreparedLink::new(link);
-        let mut scratch = Vec::new();
-        let amp = prepared.scattered_amplitude_scratch(None, &mut scratch);
+        let amp = PreparedLink::new(link).scattered_amplitude(None);
         assert_eq!(amp.re.to_bits(), 0.0f64.to_bits());
         assert_eq!(amp.im.to_bits(), 0.0f64.to_bits());
     }
@@ -1011,9 +1016,8 @@ mod tests {
         busy.environment = Environment::laboratory(13);
         let surface = Metasurface::llama();
         let response = surface.response(clean.frequency);
-        let mut scratch = Vec::new();
-        let a = PreparedLink::new(clean).scattered_amplitude_scratch(Some(&response), &mut scratch);
-        let b = PreparedLink::new(busy).scattered_amplitude_scratch(Some(&response), &mut scratch);
+        let a = PreparedLink::new(clean).scattered_amplitude(Some(&response));
+        let b = PreparedLink::new(busy).scattered_amplitude(Some(&response));
         assert_eq!(a.re.to_bits(), b.re.to_bits());
         assert_eq!(a.im.to_bits(), b.im.to_bits());
     }
@@ -1028,10 +1032,9 @@ mod tests {
         let surface = Metasurface::llama();
         let response = surface.response(link.frequency);
         let prepared = PreparedLink::new(link.clone());
-        let mut scratch = Vec::new();
-        let full = prepared.received_amplitude_with(Some(&response), Seconds(0.0));
-        let direct = prepared.received_amplitude_with(None, Seconds(0.0));
-        let scattered = prepared.scattered_amplitude_scratch(Some(&response), &mut scratch);
+        let full = prepared.received_amplitude(Some(&response));
+        let direct = prepared.received_amplitude(None);
+        let scattered = prepared.scattered_amplitude(Some(&response));
         let resid = full - (direct + scattered);
         assert!(
             resid.abs() < 1e-15,

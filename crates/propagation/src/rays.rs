@@ -369,6 +369,157 @@ impl Path {
 /// surface↔antenna standing-wave term). Empirically small.
 pub const ANTENNA_RESCATTER: f64 = 0.35;
 
+/// The direct endpoint-to-endpoint path: no surface interaction.
+pub(crate) fn direct_path(deployment: Deployment, f: Hertz) -> Path {
+    let tx_rx = deployment.tx_rx_distance();
+    Path {
+        transfer: field_transfer(f, tx_rx),
+        jones: JonesMatrix::identity(),
+        length: tx_rx,
+        modulation: None,
+        label: "direct",
+    }
+}
+
+/// The bias-independent half of one surface-interacting path: its scalar
+/// field transfer (Friis amplitude and propagation phase, with the
+/// aperture obliquity and antenna re-scatter already applied), its
+/// length and its label. Pairing a leg with the surface's Jones block
+/// gives the [`Path`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Leg {
+    /// Scalar field transfer.
+    pub transfer: Complex,
+    /// Geometric length.
+    pub length: Meters,
+    /// The path's label.
+    pub label: &'static str,
+}
+
+impl Leg {
+    fn path(self, jones: JonesMatrix) -> Path {
+        Path {
+            transfer: self.transfer,
+            jones,
+            length: self.length,
+            modulation: None,
+            label: self.label,
+        }
+    }
+}
+
+/// The surface-interacting legs of a deployment, by how the mount makes
+/// the wave meet the surface. All the geometry of the engineered paths
+/// lives here and in [`direct_path`]: [`engineered_paths_into`] pairs the
+/// legs with a response's Jones blocks per call, and
+/// [`crate::link::PreparedLink`] computes them once per bind (mapping
+/// each [`Leg`] to its cached projection factors).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum SurfaceLegs<L = Leg> {
+    /// No surface mounted: the direct ray alone reaches the receiver.
+    None,
+    /// The through-surface main path and the antenna↔surface bounce
+    /// (no separate direct ray: the surface intercepts it).
+    Transmissive {
+        /// Crosses the surface once.
+        main: L,
+        /// Reflects off the surface front, re-scatters off the Tx
+        /// antenna and crosses the surface.
+        bounce: L,
+    },
+    /// The specular fold off the surface front, next to the direct ray.
+    Reflective {
+        /// Tx → surface → Rx.
+        fold: L,
+    },
+}
+
+impl<L: Copy> SurfaceLegs<L> {
+    /// True when the surface intercepts the direct ray (a transmissive
+    /// mount): the path set then has no separate direct path.
+    pub fn intercepts_direct(&self) -> bool {
+        matches!(self, Self::Transmissive { .. })
+    }
+
+    /// Calls `f` on every leg, in path order, with the Jones block
+    /// `surface` applies along it. The reflection applies the surface's
+    /// S11 block expressed in the incident frame (mirror conjugation:
+    /// the reflected wave's frame flips handedness, which is the §5.2
+    /// rotation-cancellation mechanism as seen by the receiver).
+    pub fn for_each_jones(&self, surface: &SurfaceResponse, mut f: impl FnMut(L, JonesMatrix)) {
+        match *self {
+            Self::None => {}
+            Self::Transmissive { main, bounce } => {
+                let trans = surface.transmission();
+                f(main, trans);
+                f(bounce, trans * surface.reflection());
+            }
+            Self::Reflective { fold } => f(fold, JonesMatrix::mirror_x() * surface.reflection()),
+        }
+    }
+
+    /// Applies `f` to every leg, keeping the mount kind.
+    pub fn map<M>(self, f: impl Fn(L) -> M) -> SurfaceLegs<M> {
+        match self {
+            Self::None => SurfaceLegs::None,
+            Self::Transmissive { main, bounce } => SurfaceLegs::Transmissive {
+                main: f(main),
+                bounce: f(bounce),
+            },
+            Self::Reflective { fold } => SurfaceLegs::Reflective { fold: f(fold) },
+        }
+    }
+}
+
+impl SurfaceLegs {
+    /// Derives the surface legs of `deployment` at carrier `f` from the
+    /// room coordinates.
+    pub fn new(deployment: Deployment, f: Hertz) -> Self {
+        let tx_rx = deployment.tx_rx_distance();
+        match deployment.surface {
+            SurfaceMount::None => Self::None,
+            SurfaceMount::Transmissive { position } => {
+                // Tx→surface leg: sets the standing-wave round trip. For
+                // an off-axis mount the panel aperture is foreshortened
+                // by the illumination cosine (exactly 1 on the link line).
+                let d1 = Meters(deployment.tx.distance(position));
+                let obliquity = deployment.aperture_obliquity();
+                // One surface→antenna→surface bounce: the wave reflected
+                // from the surface front travels back 2·d1 (picking up
+                // the antenna's re-scatter) and crosses again. This is
+                // the term that drags the optimum bias with distance.
+                let bounce_length = Meters(tx_rx.0 + 2.0 * d1.0);
+                Self::Transmissive {
+                    main: Leg {
+                        transfer: field_transfer(f, tx_rx) * obliquity,
+                        length: tx_rx,
+                        label: "through-surface",
+                    },
+                    bounce: Leg {
+                        transfer: field_transfer(f, bounce_length) * ANTENNA_RESCATTER * obliquity,
+                        length: bounce_length,
+                        label: "antenna-surface bounce",
+                    },
+                }
+            }
+            SurfaceMount::Reflective { position } => {
+                // Specular fold: Tx → surface → Rx, image theory over the
+                // coordinate-derived legs (for the legacy symmetric
+                // layout this is exactly 2·√(d² + (sep/2)²)).
+                let fold =
+                    Meters(deployment.tx.distance(position) + position.distance(deployment.rx));
+                Self::Reflective {
+                    fold: Leg {
+                        transfer: field_transfer(f, fold),
+                        length: fold,
+                        label: "surface-reflection",
+                    },
+                }
+            }
+        }
+    }
+}
+
 /// Enumerates the engineered (deterministic) paths for a deployment,
 /// with every length and angle derived from the room coordinates.
 ///
@@ -387,10 +538,9 @@ pub fn engineered_paths(
     paths
 }
 
-/// [`engineered_paths`] appending into a caller-owned buffer — the
-/// allocation-free variant for probe loops that reuse one scratch `Vec`
-/// across thousands of `(device, bias)` evaluations. Does not clear
-/// `out`; pushes the same paths in the same order as
+/// [`engineered_paths`] appending into a caller-owned buffer, so a
+/// caller can assemble a full path set in one allocation. Does not
+/// clear `out`; pushes the same paths in the same order as
 /// [`engineered_paths`].
 pub fn engineered_paths_into(
     deployment: Deployment,
@@ -405,80 +555,15 @@ pub fn engineered_paths_into(
             surface.frequency()
         );
     }
-    let tx_rx = deployment.tx_rx_distance();
-    match (deployment.surface, surface) {
-        (SurfaceMount::None, _)
-        | (SurfaceMount::Transmissive { .. }, None)
-        | (SurfaceMount::Reflective { .. }, None) => {
-            out.push(Path {
-                transfer: field_transfer(f, tx_rx),
-                jones: JonesMatrix::identity(),
-                length: tx_rx,
-                modulation: None,
-                label: "direct",
-            });
-        }
-        (SurfaceMount::Transmissive { position }, Some(surface)) => {
-            // Tx→surface leg: sets the standing-wave round trip. For an
-            // off-axis mount the panel aperture is foreshortened by the
-            // illumination cosine (exactly 1 on the link line).
-            let d1 = Meters(deployment.tx.distance(position));
-            let obliquity = deployment.aperture_obliquity();
-            let trans = surface.transmission();
-            let refl = surface.reflection();
-            // Main through-surface path.
-            let main = Path {
-                transfer: field_transfer(f, tx_rx) * obliquity,
-                jones: trans,
-                length: tx_rx,
-                modulation: None,
-                label: "through-surface",
-            };
-            // One surface→antenna→surface bounce: the wave reflected from
-            // the surface front travels back 2·d1 (picking up the
-            // antenna's re-scatter) and crosses again. This is the term
-            // that drags the optimum bias with distance.
-            let bounce_scalar =
-                field_transfer(f, Meters(tx_rx.0 + 2.0 * d1.0)) * ANTENNA_RESCATTER * obliquity;
-            let bounce = Path {
-                transfer: bounce_scalar,
-                jones: trans * refl,
-                length: Meters(tx_rx.0 + 2.0 * d1.0),
-                modulation: None,
-                label: "antenna-surface bounce",
-            };
-            out.push(main);
-            out.push(bounce);
-        }
-        (SurfaceMount::Reflective { position }, Some(surface)) => {
-            // Direct endpoint-to-endpoint path (no surface interaction).
-            let direct = Path {
-                transfer: field_transfer(f, tx_rx),
-                jones: JonesMatrix::identity(),
-                length: tx_rx,
-                modulation: None,
-                label: "direct",
-            };
-            // Specular fold: Tx → surface → Rx, image theory over the
-            // coordinate-derived legs (for the legacy symmetric layout
-            // this is exactly 2·√(d² + (sep/2)²)); the reflection
-            // applies the surface's S11 Jones block expressed in the
-            // incident frame (mirror conjugation: the reflected wave's
-            // frame flips handedness, which is the §5.2
-            // rotation-cancellation mechanism as seen by the receiver).
-            let fold = deployment.tx.distance(position) + position.distance(deployment.rx);
-            let mirror = JonesMatrix::mirror_x();
-            let refl_in_rx_frame = mirror * surface.reflection();
-            let reflected = Path {
-                transfer: field_transfer(f, Meters(fold)),
-                jones: refl_in_rx_frame,
-                length: Meters(fold),
-                modulation: None,
-                label: "surface-reflection",
-            };
-            out.push(direct);
-            out.push(reflected);
-        }
+    let legs = match surface {
+        Some(_) => SurfaceLegs::new(deployment, f),
+        None => SurfaceLegs::None,
+    };
+    if !legs.intercepts_direct() {
+        out.push(direct_path(deployment, f));
+    }
+    if let Some(surface) = surface {
+        legs.for_each_jones(surface, |leg, jones| out.push(leg.path(jones)));
     }
 }
 
