@@ -64,7 +64,7 @@ fn server_8_fleets(c: &mut Criterion) {
         .map(|s| Fleet::mixed_wifi_ble(8, 3000 + s))
         .collect();
     let scheduler = Scheduler::max_min();
-    let workers = rfmath::par::available_threads().min(8);
+    let workers = rfmath::par::budget().min(8);
     let server = FleetServer::new(workers);
     let mut g = c.benchmark_group("server_8_fleets");
     g.warm_up_time(Duration::from_millis(500));

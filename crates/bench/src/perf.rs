@@ -47,7 +47,7 @@ pub fn machine_json() -> String {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        rfmath::par::available_threads()
+        rfmath::par::budget()
     )
 }
 
@@ -700,7 +700,7 @@ pub fn run_panels(quick: bool) -> PanelPerfReport {
         mean_ms: serial_mean,
         iters: serve_iters,
     });
-    let workers = rfmath::par::available_threads().min(SERVER_FLEETS);
+    let workers = rfmath::par::budget().min(SERVER_FLEETS);
     let server = FleetServer::new(workers);
     let (served_mean, served_min) =
         time_ms(serve_iters, || serve_fleets(&server, &scheduler, &fleets));

@@ -16,6 +16,11 @@
 //!   jobs and run a caller-supplied handler — the handler is where a
 //!   typed front (e.g. `llama_core`'s scheduler) plugs in a per-fleet
 //!   optimization;
+//! * **one thread budget**: the submitting thread's
+//!   [`rfmath::par::budget`] is split across the workers, and each job
+//!   runs under its share (`max(1, budget / workers)`), so the batch
+//!   kernels a job calls never fan out on top of busy siblings — with
+//!   one worker per core they run serially;
 //! * **corrupt-report rejection inherited from [`Controller`]**: report
 //!   ingest funnels through [`Objective::score_report`], the exact
 //!   admission rule [`Controller::step_fleet`] applies, so a server-side
@@ -136,11 +141,13 @@ pub enum JobError {
     /// The handler panicked; the worker caught the unwind, kept
     /// draining the shards, and recorded the panic payload here.
     Panicked(String),
-    /// The handler finished, but only after blowing the server's
-    /// per-job deadline — its result is discarded as stale (a fleet
-    /// optimization that outlives its tick serves nobody).
+    /// The handler returned, but only after the server's per-job
+    /// deadline had passed — its result is discarded as stale (a fleet
+    /// optimization that outlives its tick serves nobody). This is a
+    /// post-hoc staleness check: it is judged when the handler returns,
+    /// so it never interrupts a slow job.
     DeadlineExceeded {
-        /// The configured per-job wall-clock budget.
+        /// The configured per-job wall-clock limit.
         limit: Seconds,
         /// What the job actually took.
         took: Seconds,
@@ -211,11 +218,13 @@ pub struct FleetServer {
     /// Shard deques jobs are hashed across (≥ 1). More shards cut
     /// contention between workers; fewer shards cut steal traffic.
     pub shards: usize,
-    /// Optional per-job wall-clock budget. A job whose handler runs
-    /// longer comes back as [`JobError::DeadlineExceeded`] from
-    /// [`FleetServer::try_serve_with_stats`] — the worker is never
-    /// killed mid-job (cooperative model), but the stale result is
-    /// discarded instead of served. `None` (the default) disables it.
+    /// Optional per-job wall-clock limit, checked after the fact: when
+    /// a handler returns later than this, its result comes back as
+    /// [`JobError::DeadlineExceeded`] from
+    /// [`FleetServer::try_serve_with_stats`] instead of being served.
+    /// Nothing interrupts a running handler, so a hung handler keeps
+    /// its worker (and the serve call) until it returns. `None` (the
+    /// default) disables the check.
     pub deadline: Option<Seconds>,
     /// Telemetry sink. Defaults to the null recorder (zero overhead);
     /// with a ring attached the server emits `job_enqueued` /
@@ -246,7 +255,9 @@ impl FleetServer {
         self
     }
 
-    /// Sets the per-job deadline.
+    /// Sets the per-job deadline: a post-hoc staleness check that fails
+    /// a job whose handler returned late, without stopping it early
+    /// (see [`FleetServer::deadline`]).
     pub fn with_deadline(mut self, deadline: Seconds) -> Self {
         self.deadline = Some(deadline);
         self
@@ -264,7 +275,11 @@ impl FleetServer {
     /// that one job and keeps draining the shards, so one poisoned fleet
     /// cannot take down its siblings. With a
     /// [`deadline`](FleetServer::deadline) set, a job whose handler
-    /// outruns the budget is failed as stale.
+    /// returns after the deadline is failed as stale.
+    ///
+    /// Each job runs under `max(1, budget / workers)` of the calling
+    /// thread's [`rfmath::par::budget`], `workers` being the threads this
+    /// run spawns (never more than the job count).
     pub fn try_serve_with_stats<J, R>(
         &self,
         jobs: Vec<J>,
@@ -278,6 +293,7 @@ impl FleetServer {
         let shards = self.shards.max(1);
         let workers = self.workers.max(1).min(n.max(1));
         let deadline = self.deadline;
+        let job_budget = (rfmath::par::budget() / workers).max(1);
         let recorder = &self.recorder;
         let traced = recorder.enabled();
         let queue: ShardedQueue<(usize, J)> = ShardedQueue::new(shards);
@@ -333,7 +349,9 @@ impl FleetServer {
                             }
                         }
                         let started = Instant::now();
-                        let out = std::panic::catch_unwind(AssertUnwindSafe(|| handler(idx, job)));
+                        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            rfmath::par::with_budget(job_budget, || handler(idx, job))
+                        }));
                         let took = Seconds(started.elapsed().as_secs_f64());
                         let entry = match out {
                             Ok(result) => match deadline {
@@ -656,6 +674,45 @@ mod tests {
         let msg = out[2].as_ref().unwrap_err().to_string();
         assert!(msg.contains("deadline exceeded"), "{msg}");
         assert!(msg.contains("10.0 ms budget"), "{msg}");
+    }
+
+    #[test]
+    fn jobs_run_under_an_even_share_of_the_callers_budget() {
+        use rfmath::par::{budget, with_budget};
+        for outer in [1, 2, 4] {
+            for workers in [1, 2, 8] {
+                let server = FleetServer::new(workers);
+                let seen = with_budget(outer, || {
+                    let seen = server.serve((0..16u64).collect(), |_, _| budget());
+                    assert_eq!(budget(), outer, "caller's budget after the serve");
+                    seen
+                });
+                let share = (outer / workers).max(1);
+                assert!(
+                    seen.iter().all(|&b| b == share),
+                    "budget {outer} over {workers} workers: jobs saw {seen:?}, want {share}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_the_next_job_its_budget() {
+        // One worker runs every job in order on one thread: job 1 panics
+        // inside a budget scope of its own, and job 2 must still see the
+        // server's share, not the leaked inner value.
+        let server = FleetServer::new(1);
+        let (out, _) = rfmath::par::with_budget(4, || {
+            server.try_serve_with_stats((0..3u64).collect(), |_, n| {
+                if n == 1 {
+                    rfmath::par::with_budget(9, || panic!("fleet {n} is poisoned"));
+                }
+                rfmath::par::budget()
+            })
+        });
+        assert!(matches!(out[1], Err(JobError::Panicked(_))));
+        assert_eq!(out[0], Ok(4));
+        assert_eq!(out[2], Ok(4));
     }
 
     #[test]

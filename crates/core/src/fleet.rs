@@ -387,7 +387,8 @@ impl FleetEvaluator {
     /// The full probe matrix: `result[b][d]` is device `d`'s power under
     /// `biases[b]`. Each plan's cascades are evaluated in one batch
     /// (per-axis solves deduplicated across the whole probe list), then
-    /// per-bias device projections fan out across threads.
+    /// per-bias device projections fan out across the caller's
+    /// [`rfmath::par::budget`].
     pub fn powers_matrix(&self, biases: &[BiasState]) -> Vec<Vec<f64>> {
         let clamped: Vec<BiasState> = biases
             .iter()
@@ -420,7 +421,7 @@ impl FleetEvaluator {
         let threads = if n * self.links.len() < 64 {
             1
         } else {
-            rfmath::par::available_threads()
+            rfmath::par::budget()
         };
         let reference = self.reference_batch;
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); n];
@@ -931,6 +932,29 @@ mod tests {
         let single = evaluator.powers_dbm(biases[1]);
         for (a, b) in single.iter().zip(&fast[1]) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn threaded_matrix_matches_serial_bitwise() {
+        // 64 devices × 25 biases crosses the 64-probe fan-out threshold,
+        // so a budget of four runs the threaded projection on any host,
+        // behind both batch kernels.
+        let fleet = Fleet::mixed_wifi_ble(64, 41);
+        let biases: Vec<BiasState> = (0..25)
+            .map(|i| BiasState::new((i % 5) as f64 * 7.0, (i / 5) as f64 * 6.5))
+            .collect();
+        let mut evaluator = FleetEvaluator::new(&fleet);
+        for reference in [false, true] {
+            evaluator.set_reference_batch(reference);
+            let bits = |threads: usize| -> Vec<Vec<u64>> {
+                let matrix = rfmath::par::with_budget(threads, || evaluator.powers_matrix(&biases));
+                matrix
+                    .iter()
+                    .map(|row| row.iter().map(|p| p.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(4), bits(1), "reference batch: {reference}");
         }
     }
 

@@ -1790,20 +1790,33 @@ mod tests {
 
     #[test]
     fn served_panel_fleets_match_direct_runs() {
+        // 16 devices on 2 panels: a time-division panel's probe matrix
+        // crosses the 64-probe fan-out threshold. The direct runs fan it
+        // out over four threads, the served jobs run it under their share
+        // of the server's budget, and both must agree bit for bit.
         let jobs: Vec<(Fleet, PanelArray)> = (0..4)
             .map(|s| {
-                let fleet = Fleet::mixed_wifi_ble(4, 200 + s);
+                let fleet = Fleet::mixed_wifi_ble(16, 200 + s);
                 let array = PanelArray::uniform(fleet.design.clone(), 2);
                 (fleet, array)
             })
             .collect();
-        let scheduler = PanelScheduler::max_min();
-        let direct: Vec<PanelOutcome> = jobs.iter().map(|(f, a)| scheduler.run(f, a)).collect();
-        let served = serve_panel_fleets(&FleetServer::new(3), &scheduler, &jobs);
-        for (a, b) in served.iter().zip(&direct) {
-            assert_eq!(a.assignment, b.assignment);
-            assert_eq!(a.score, b.score);
-            assert_eq!(a.panel_biases(), b.panel_biases());
+        for scheduler in [PanelScheduler::max_min(), PanelScheduler::time_division()] {
+            let direct: Vec<PanelOutcome> = rfmath::par::with_budget(4, || {
+                jobs.iter().map(|(f, a)| scheduler.run(f, a)).collect()
+            });
+            let served = serve_panel_fleets(&FleetServer::new(3), &scheduler, &jobs);
+            for (a, b) in served.iter().zip(&direct) {
+                assert_eq!(a.assignment, b.assignment);
+                assert_eq!(a.score.to_bits(), b.score.to_bits());
+                assert_eq!(a.panel_biases(), b.panel_biases());
+                assert_eq!(a.per_device.len(), b.per_device.len());
+                for (x, y) in a.per_device.iter().zip(&b.per_device) {
+                    assert_eq!(x.power_dbm.to_bits(), y.power_dbm.to_bits());
+                    assert_eq!(x.bias.vx.0.to_bits(), y.bias.vx.0.to_bits());
+                    assert_eq!(x.bias.vy.0.to_bits(), y.bias.vy.0.to_bits());
+                }
+            }
         }
     }
 }

@@ -16,8 +16,8 @@
 //! handful of block multiplies. A `T×T` bias heatmap therefore costs
 //! `O(T)` per-axis ABCD evaluations instead of `O(T²)` full cascade
 //! rebuilds, and [`StackEvaluator::eval_grid`] additionally fans
-//! independent grid rows out across threads (`std::thread::scope` — no
-//! external dependencies).
+//! independent grid rows out across the caller's thread budget
+//! ([`rfmath::par`] — no external dependencies).
 //!
 //! Two layers sit on top of the per-point plan:
 //!
@@ -427,7 +427,7 @@ impl StackEvaluator {
         let threads = if biases.len() < 256 {
             1
         } else {
-            rfmath::par::available_threads()
+            rfmath::par::budget()
         };
         rfmath::par::par_fill(&mut out, threads, |i| {
             let (ix, iy) = cells[i];
@@ -469,7 +469,7 @@ impl StackEvaluator {
         let threads = if biases.len() < 256 {
             1
         } else {
-            rfmath::par::available_threads()
+            rfmath::par::budget()
         };
         rfmath::par::par_fill_chunked(&mut out, threads, |offset, chunk| {
             soa_fill(&ctx, offset, chunk)
@@ -484,21 +484,10 @@ impl StackEvaluator {
     ///
     /// Each tuned panel's branches are evaluated once per distinct axis
     /// voltage (`O(T)` instead of `O(T²)` ABCD solves), then independent
-    /// rows are evaluated in parallel with `std::thread::scope` when the
-    /// grid is large enough to amortize thread spawn.
+    /// rows are evaluated in parallel, up to the caller's
+    /// [`rfmath::par::budget`] workers, when the grid is large enough to
+    /// amortize thread spawn.
     pub fn eval_grid(&self, vxs: &[f64], vys: &[f64]) -> Vec<Option<PolarizedS>> {
-        self.eval_grid_threaded(vxs, vys, rfmath::par::available_threads())
-    }
-
-    /// [`StackEvaluator::eval_grid`] with an explicit worker count
-    /// (clamped to the row count; ≤ 1 evaluates sequentially). Exposed
-    /// so the threaded path stays testable on single-core hosts.
-    pub fn eval_grid_threaded(
-        &self,
-        vxs: &[f64],
-        vys: &[f64],
-        threads: usize,
-    ) -> Vec<Option<PolarizedS>> {
         let core = &*self.core;
         let nx = vxs.len();
         let ny = vys.len();
@@ -544,7 +533,11 @@ impl StackEvaluator {
         // Worker count tracks rows (the original row-fan-out
         // granularity); the shared helper chunks by cell, which is
         // equivalent for a pure kernel.
-        let threads = if nx * ny < 256 { 1 } else { threads.min(ny) };
+        let threads = if nx * ny < 256 {
+            1
+        } else {
+            rfmath::par::budget().min(ny)
+        };
         rfmath::par::par_fill(&mut out, threads, |i| cell(i % nx, i / nx));
         out
     }
@@ -919,27 +912,41 @@ mod tests {
         }
     }
 
+    /// Every response component's bit pattern, so two batches compare
+    /// bit for bit (`-0.0` and `NaN` included).
+    fn bits(batch: &[Option<PolarizedS>]) -> Vec<Option<Vec<u64>>> {
+        batch
+            .iter()
+            .map(|s| {
+                s.map(|s| {
+                    let parts = [s.s11, s.s12, s.s21, s.s22]
+                        .into_iter()
+                        .flat_map(|m| [m.a, m.b, m.c, m.d])
+                        .flat_map(|c| [c.re, c.im]);
+                    parts.chain([s.z0]).map(f64::to_bits).collect()
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn large_grid_takes_threaded_path_and_matches() {
-        // 31×31 exceeds the sequential cutoff; force four workers so the
-        // std::thread::scope row fan-out runs even on single-core hosts,
-        // and check it agrees with the auto-threaded and naive paths.
+        // 31×31 exceeds the sequential cutoff; a budget of four runs the
+        // row fan-out even on single-core hosts, and it must agree with
+        // the serial budget bitwise and with the naive path.
         let design = fr4_optimized();
         let ev = StackEvaluator::new(&design.stack, F);
         let volts: Vec<f64> = (0..31).map(|i| i as f64).collect();
-        let grid = ev.eval_grid_threaded(&volts, &volts, 4);
-        let auto = ev.eval_grid(&volts, &volts);
-        for (i, (cell, auto_cell)) in grid.iter().zip(&auto).enumerate() {
+        let grid = rfmath::par::with_budget(4, || ev.eval_grid(&volts, &volts));
+        let serial = rfmath::par::with_budget(1, || ev.eval_grid(&volts, &volts));
+        assert_eq!(bits(&grid), bits(&serial));
+        for (i, cell) in grid.iter().enumerate() {
             let (ix, iy) = (i % 31, i / 31);
             let naive = design
                 .stack
                 .response(F, BiasState::new(volts[ix], volts[iy]))
                 .unwrap();
             assert!(max_diff(naive, cell.unwrap()) < 1e-12, "cell {i}");
-            assert!(
-                max_diff(cell.unwrap(), auto_cell.unwrap()) == 0.0,
-                "cell {i}"
-            );
         }
     }
 
@@ -951,12 +958,11 @@ mod tests {
         let ev = StackEvaluator::new(&design.stack, F);
         let vxs: Vec<f64> = (0..20).map(|i| 1.5 * i as f64).collect();
         let vys = vxs.clone();
-        let threaded = ev.eval_grid_threaded(&vxs, &vys, 3);
-        let sequential = ev.eval_grid_threaded(&vxs, &vys, 1);
+        let threaded = rfmath::par::with_budget(3, || ev.eval_grid(&vxs, &vys));
+        let sequential = rfmath::par::with_budget(1, || ev.eval_grid(&vxs, &vys));
         assert_eq!(threaded.len(), 400);
-        for (a, b) in threaded.iter().zip(&sequential) {
-            assert!(max_diff(a.unwrap(), b.unwrap()) == 0.0);
-        }
+        assert!(threaded.iter().all(Option::is_some));
+        assert_eq!(bits(&threaded), bits(&sequential));
     }
 
     #[test]
@@ -1033,13 +1039,25 @@ mod tests {
 
     #[test]
     fn large_batch_takes_threaded_path_and_matches() {
+        // 300 biases cross the 256-bias fan-out threshold, so a budget of
+        // four runs both batch kernels threaded on any host; each must
+        // match its serial run bitwise, and the naive path.
         let design = fr4_optimized();
         let ev = StackEvaluator::new(&design.stack, F);
         let biases: Vec<BiasState> = (0..300)
             .map(|i| BiasState::new((i % 17) as f64 * 1.7, (i % 23) as f64 * 1.3))
             .collect();
-        let batch = ev.eval_batch(&biases);
-        for (b, fast) in biases.iter().zip(&batch) {
+        assert!(ev.soa_eligible());
+        let run = |threads: usize| {
+            rfmath::par::with_budget(threads, || {
+                (ev.eval_batch(&biases), ev.eval_batch_reference(&biases))
+            })
+        };
+        let (soa_serial, reference_serial) = run(1);
+        let (soa, reference) = run(4);
+        assert_eq!(bits(&soa), bits(&soa_serial));
+        assert_eq!(bits(&reference), bits(&reference_serial));
+        for (b, fast) in biases.iter().zip(&soa) {
             let naive = design.stack.response(F, *b).unwrap();
             assert!(max_diff(naive, fast.unwrap()) < 1e-12);
         }

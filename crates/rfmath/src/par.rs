@@ -5,6 +5,57 @@
 //! index with a pure function, chunked across a handful of scoped
 //! threads, no external dependencies. One helper keeps the chunk
 //! arithmetic (and its edge cases) in a single place.
+//!
+//! It also owns the process's one thread budget. Every kernel that fans
+//! out asks [`budget`] how many workers it may use; a caller that runs
+//! kernels from its own worker threads (the fleet server) scopes a
+//! smaller budget over each job with [`with_budget`], so nested fan-out
+//! never oversubscribes the host. The budget is per thread: a thread
+//! that never scopes one gets the machine's available parallelism.
+
+use std::cell::Cell;
+use std::sync::OnceLock;
+
+thread_local! {
+    /// This thread's scoped budget; 0 means unscoped (the machine's).
+    static BUDGET: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The calling thread's thread budget: the value of the innermost
+/// enclosing [`with_budget`], or the machine's available parallelism
+/// (1 when undetectable) outside any. Always ≥ 1.
+pub fn budget() -> usize {
+    match BUDGET.get() {
+        0 => machine_threads(),
+        n => n,
+    }
+}
+
+/// Runs `f` with the calling thread's [`budget`] set to `threads`
+/// (clamped to ≥ 1). The previous budget comes back when `f` returns or
+/// unwinds, so scopes nest and a panicking job cannot leak its budget.
+pub fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BUDGET.set(self.0);
+        }
+    }
+    let _restore = Restore(BUDGET.replace(threads.max(1)));
+    f()
+}
+
+/// The machine's available parallelism, queried once per process: the
+/// query reads cgroup limits and cost 16–19 µs a call on a 2-vCPU Linux
+/// VM, too slow to repeat on every kernel call.
+fn machine_threads() -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
 
 /// Fills `out[i] = f(i)` for every index, fanning contiguous chunks out
 /// across up to `threads` scoped workers. `threads <= 1` (or a slice
@@ -67,14 +118,6 @@ where
     });
 }
 
-/// The machine's available parallelism (1 when undetectable) — the
-/// conventional `threads` argument for [`par_fill`].
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,7 +172,39 @@ mod tests {
     }
 
     #[test]
-    fn available_threads_is_positive() {
-        assert!(available_threads() >= 1);
+    fn unscoped_budget_is_the_machine() {
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(budget(), machine);
+        // A fresh thread starts unscoped, whatever its spawner's scope.
+        let inner = with_budget(5, || {
+            std::thread::scope(|s| s.spawn(budget).join().unwrap())
+        });
+        assert_eq!(inner, machine);
+    }
+
+    #[test]
+    fn with_budget_nests_and_clamps() {
+        let outer = budget();
+        with_budget(4, || {
+            assert_eq!(budget(), 4);
+            with_budget(1, || assert_eq!(budget(), 1));
+            assert_eq!(with_budget(0, budget), 1);
+            assert_eq!(budget(), 4);
+        });
+        assert_eq!(budget(), outer);
+    }
+
+    #[test]
+    fn with_budget_restores_after_a_panic() {
+        let outer = budget();
+        with_budget(3, || {
+            let caught = std::panic::catch_unwind(|| with_budget(7, || panic!("job failed")));
+            assert!(caught.is_err());
+            assert_eq!(budget(), 3);
+        });
+        assert_eq!(budget(), outer);
+        let caught = std::panic::catch_unwind(|| with_budget(2, || panic!("job failed")));
+        assert!(caught.is_err());
+        assert_eq!(budget(), outer);
     }
 }
