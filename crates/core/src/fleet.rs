@@ -20,9 +20,11 @@
 //! [`StackEvaluator`] plan per distinct carrier is probed once per bias
 //! for the whole fleet (`O(plans)` cascades per probe instead of one
 //! per device), each device's bias-independent scatter paths are
-//! precomputed once ([`PreparedLink`]), and bias rows fan out across
-//! threads. [`Fleet::naive_powers_matrix`] keeps the per-device
-//! reference loop alive as the equivalence and perf baseline.
+//! precomputed once ([`PreparedLink`]), each response's link-independent
+//! probe factors are computed once per bias ([`ResponseFactors`]), and
+//! bias rows fan out across threads. [`Fleet::naive_powers_matrix`]
+//! keeps the per-device reference loop alive as the equivalence and perf
+//! baseline.
 //!
 //! ```
 //! use llama_core::fleet::{Fleet, FleetDevice, Scheduler};
@@ -39,6 +41,7 @@
 //! assert!(outcome.per_device.iter().all(|d| d.power_dbm.is_finite()));
 //! ```
 
+use std::collections::HashSet;
 use std::rc::Rc;
 
 use control::controller::Objective;
@@ -49,7 +52,7 @@ use metasurface::evaluator::{PlanCache, StackEvaluator};
 use metasurface::response::{Metasurface, SurfaceResponse};
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
 use propagation::capacity::{capacity_bits, duty_cycled_throughput};
-use propagation::link::PreparedLink;
+use propagation::link::{PreparedLink, ResponseFactors};
 use propagation::rays::Deployment;
 use rfmath::rng::SeedSplitter;
 use rfmath::units::{Dbm, Degrees, Meters, Seconds, Volts};
@@ -386,50 +389,67 @@ impl FleetEvaluator {
 
     /// The full probe matrix: `result[b][d]` is device `d`'s power under
     /// `biases[b]`. Each plan's cascades are evaluated in one batch
-    /// (per-axis solves deduplicated across the whole probe list), then
-    /// per-bias device projections fan out across the caller's
-    /// [`rfmath::par::budget`].
+    /// (per-axis solves deduplicated across the whole probe list), and
+    /// each response's link-independent probe factors
+    /// ([`ResponseFactors`]: its Jones products and mean efficiency) are
+    /// computed once per `(plan, bias)`. Per-bias device projections then
+    /// fan out across the caller's [`rfmath::par::budget`], each device
+    /// applying only its own link's terms and shadow tuning.
     pub fn powers_matrix(&self, biases: &[BiasState]) -> Vec<Vec<f64>> {
         let clamped: Vec<BiasState> = biases
             .iter()
             .map(|b| self.faulted(b.clamped(self.v_max)))
             .collect();
+        let reference = self.reference_batch;
         // One batched cascade pass per distinct carrier.
-        let responses: Vec<Vec<SurfaceResponse>> = self
-            .plans
-            .iter()
-            .map(|p| {
-                let batch = if self.reference_batch {
-                    p.eval_batch_reference(&clamped)
-                } else {
-                    p.eval_batch(&clamped)
-                };
-                batch
-                    .into_iter()
-                    .map(|r| SurfaceResponse::new(p.frequency(), r))
-                    .collect()
+        let responses = self.plans.iter().map(|p| {
+            let batch = if reference {
+                p.eval_batch_reference(&clamped)
+            } else {
+                p.eval_batch(&clamped)
+            };
+            let f = p.frequency();
+            batch.into_iter().map(move |r| SurfaceResponse::new(f, r))
+        });
+        if reference {
+            let responses: Vec<Vec<SurfaceResponse>> = responses.map(Iterator::collect).collect();
+            self.fan_out(clamped.len(), &responses, |link, r| {
+                link.received_dbm_by_paths(Some(r)).0
             })
-            .collect();
+        } else {
+            let factors: Vec<Vec<ResponseFactors>> = responses
+                .map(|batch| batch.map(|r| ResponseFactors::new(&r)).collect())
+                .collect();
+            self.fan_out(clamped.len(), &factors, |link, r| {
+                link.received_dbm_factored(r).0
+            })
+        }
+    }
 
-        // Capture only Sync pieces (the plans hold RefCell memos and
-        // must stay on this thread; the responses are already computed).
+    /// Fills `n` per-bias rows across the caller's
+    /// [`rfmath::par::budget`]: row `b` holds
+    /// `probe(link_d, &per_plan[plan_of[d]][b])` for every device `d`.
+    /// Captures only `Sync` pieces — the plans hold `RefCell` memos and
+    /// stay on this thread; their responses are already computed.
+    fn fan_out<R: Sync>(
+        &self,
+        n: usize,
+        per_plan: &[Vec<R>],
+        probe: impl Fn(&PreparedLink, &R) -> f64 + Sync,
+    ) -> Vec<Vec<f64>> {
         let links = &self.links;
         let plan_of = &self.plan_of;
-        let responses = &responses;
-
-        let n = clamped.len();
-        let threads = if n * self.links.len() < 64 {
+        let threads = if n * links.len() < 64 {
             1
         } else {
             rfmath::par::budget()
         };
-        let reference = self.reference_batch;
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); n];
-        rfmath::par::par_fill(&mut out, threads, move |b: usize| -> Vec<f64> {
+        rfmath::par::par_fill(&mut out, threads, |b| {
             links
                 .iter()
                 .zip(plan_of)
-                .map(|(link, &k)| probe_dbm(link, &responses[k][b], reference))
+                .map(|(link, &k)| probe(link, &per_plan[k][b]))
                 .collect()
         });
         out
@@ -817,7 +837,7 @@ impl Scheduler {
         let mut step = (self.sweep.v_max.0 - self.sweep.v_min.0) / (t - 1) as f64;
         for _ in 1..self.sweep.iterations {
             let mut refined: Vec<BiasState> = Vec::new();
-            let mut seen: Vec<(u64, u64)> = history
+            let mut seen: HashSet<(u64, u64)> = history
                 .iter()
                 .map(|(b, _)| (b.vx.0.to_bits(), b.vy.0.to_bits()))
                 .collect();
@@ -831,8 +851,7 @@ impl Scheduler {
                     for iy in 0..t {
                         let b = BiasState::new(grid(lo_x, hi_x, ix), grid(lo_y, hi_y, iy));
                         let key = (b.vx.0.to_bits(), b.vy.0.to_bits());
-                        if !seen.contains(&key) {
-                            seen.push(key);
+                        if seen.insert(key) {
                             refined.push(b);
                         }
                     }

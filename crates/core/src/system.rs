@@ -266,9 +266,13 @@ impl LlamaSystem {
     /// powers)` with rows indexed by Vy.
     ///
     /// Runs on the batched engine: one [`StackEvaluator`] grid pass
-    /// (`O(steps)` per-axis branch solves, parallel rows) feeds a single
-    /// [`PreparedLink`], so each cell costs one cached probe instead of
-    /// a full cascade-and-link rebuild. Bit-identical to
+    /// (`O(steps)` per-axis branch solves, then the structure-of-arrays
+    /// kernel across the thread budget) feeds a single [`PreparedLink`],
+    /// so each cell costs one cached probe instead of a full
+    /// cascade-and-link rebuild. With one link per cell, the probe
+    /// derives each response factor once, and only those its mount reads
+    /// (a reflective heatmap never takes the shadow's logarithms).
+    /// Bit-identical to
     /// [`Link::received_dbm_with`](propagation::link::Link::received_dbm_with)
     /// per cell.
     pub fn power_heatmap(&mut self, steps: usize) -> (Vec<f64>, Vec<f64>) {
@@ -414,10 +418,17 @@ mod tests {
                 .iter()
                 .map(|v| v.clamp(0.0, sys.surface.v_max.0))
                 .collect();
+            // The reference never touches the grid kernel: the per-cell
+            // reference fold over the same row-major cells, projected by
+            // the unprepared link.
+            let cells: Vec<BiasState> = applied
+                .iter()
+                .flat_map(|&vy| applied.iter().map(move |&vx| BiasState::new(vx, vy)))
+                .collect();
             let f = sys.scenario.frequency;
             let link = sys.scenario.link();
             let want: Vec<f64> = StackEvaluator::new(&sys.surface.design().stack, f)
-                .eval_grid(&applied, &applied)
+                .eval_batch_reference(&cells)
                 .into_iter()
                 .map(|r| link.received_dbm_with(Some(&SurfaceResponse::new(f, r))).0)
                 .collect();

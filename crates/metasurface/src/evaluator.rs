@@ -15,20 +15,22 @@
 //! bias only evaluates the tuned branches (memoized per voltage) and a
 //! handful of block multiplies. A `T×T` bias heatmap therefore costs
 //! `O(T)` per-axis ABCD evaluations instead of `O(T²)` full cascade
-//! rebuilds, and [`StackEvaluator::eval_grid`] additionally fans
-//! independent grid rows out across the caller's thread budget
-//! ([`rfmath::par`] — no external dependencies).
+//! rebuilds, and the batch paths additionally fan independent cells out
+//! across the caller's thread budget ([`rfmath::par`] — no external
+//! dependencies).
 //!
 //! Two layers sit on top of the per-point plan:
 //!
 //! * **Structure-of-arrays batches.** [`StackEvaluator::eval_batch`]
-//!   lowers axis-aligned plans (every catalog design) to contiguous
-//!   per-component `f64` slabs: static stages become broadcast 4×4
-//!   complex multiplies and tuned stages two-term diagonal updates, with
-//!   no per-cell `WaveTransfer` structs in the inner loop — the layout
-//!   the compiler can autovectorize. The original per-cell fold stays
-//!   available as [`StackEvaluator::eval_batch_reference`]; the two
-//!   paths agree to well below `1e-12` (property-tested).
+//!   and [`StackEvaluator::eval_grid`] lower axis-aligned plans (every
+//!   catalog design) to contiguous per-component `f64` slabs: static
+//!   stages become broadcast 4×4 complex multiplies and tuned stages
+//!   two-term diagonal updates, with no per-cell `WaveTransfer` structs
+//!   in the inner loop — the layout the compiler can autovectorize. The
+//!   per-cell fold serves rotated tuned panels, lone stages and the
+//!   [`StackEvaluator::eval_batch_reference`] arm; the kernel keeps the
+//!   fold's operation order, so both agree bit for bit
+//!   (property-tested).
 //! * **Shared plan compilation.** [`SharedPlanCache`] owns compiled
 //!   plans behind one short-lived mutex; [`PlanCache`] is a cheap
 //!   shard-local handle over it, so worker threads serving disjoint
@@ -361,120 +363,28 @@ impl StackEvaluator {
     /// fans the per-device link projections out from the result, instead
     /// of recompiling a plan (or re-running the cascade) per device.
     ///
-    /// Axis-aligned cascades (every catalog design) take a
-    /// structure-of-arrays fast path: the chain state is kept in
-    /// contiguous per-component `f64` slabs so static stages are
-    /// broadcast 4×4 complex multiplies and tuned stages two-term
-    /// diagonal updates — no per-cell transfer structs, autovectorizable.
-    /// Results agree with [`StackEvaluator::eval_batch_reference`] (and
-    /// therefore with [`StackEvaluator::response`]) to well below
-    /// `1e-12`; rotated tuned panels, lone stages, and tiny batches fall
-    /// back to the reference path exactly.
+    /// Per-axis voltages are deduplicated batch-wide, then axis-aligned
+    /// cascades (every catalog design) take the structure-of-arrays
+    /// kernel: the chain state is kept in contiguous per-component `f64`
+    /// slabs so static stages are broadcast 4×4 complex multiplies and
+    /// tuned stages two-term diagonal updates — no per-cell transfer
+    /// structs, autovectorizable. The kernel reproduces the per-cell
+    /// fold's operation order, so results are bit-identical to
+    /// [`StackEvaluator::eval_batch_reference`] (property-tested);
+    /// rotated tuned panels, lone stages and tiny batches take the fold.
     pub fn eval_batch(&self, biases: &[BiasState]) -> Vec<Option<PolarizedS>> {
-        if biases.len() >= SOA_MIN_BATCH && self.soa_eligible() {
-            self.eval_batch_soa(biases)
-        } else {
-            self.eval_batch_reference(biases)
-        }
+        let (vxs, vys, cells) = dedupe_biases(biases);
+        self.eval_cells(&vxs, &vys, &cells, true)
     }
 
     /// The per-cell reference batch path: folds a [`WaveTransfer`] per
     /// cell exactly like [`StackEvaluator::response`]. Kept public as
-    /// the A/B baseline for the structure-of-arrays path — benches
+    /// the A/B baseline for the structure-of-arrays kernel — benches
     /// measure `eval_batch` against this, and the proptests pin the two
-    /// within `1e-12`.
+    /// bit for bit.
     pub fn eval_batch_reference(&self, biases: &[BiasState]) -> Vec<Option<PolarizedS>> {
-        let core = &*self.core;
-        let mut out: Vec<Option<PolarizedS>> = vec![None; biases.len()];
-        if biases.is_empty() || core.opaque {
-            return out;
-        }
-        if let Some(lone) = &core.lone {
-            for (slot, b) in out.iter_mut().zip(biases) {
-                *slot = Some(self.lone_stage(lone, b.vx.0, b.vy.0));
-            }
-            return out;
-        }
-
         let (vxs, vys, cells) = dedupe_biases(biases);
-        let x_tables: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vxs.iter().map(|&v| self.x_s(k, v)).collect())
-            .collect();
-        let y_tables: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vys.iter().map(|&v| self.y_s(k, v)).collect())
-            .collect();
-        let rotations: Vec<Radians> = core.tuned.iter().map(|p| p.rotation).collect();
-        let steps = &core.steps;
-        let statics = &core.statics;
-
-        let cell = |ix: usize, iy: usize| -> Option<PolarizedS> {
-            let mut acc: Option<WaveTransfer> = None;
-            for step in steps {
-                let t = match step {
-                    Step::Static(k) => statics[*k],
-                    Step::Tuned(k) => {
-                        tuned_transfer(x_tables[*k][ix], y_tables[*k][iy], rotations[*k])?
-                    }
-                };
-                match acc.as_mut() {
-                    Some(acc) => acc.push(&t),
-                    None => acc = Some(t),
-                }
-            }
-            acc?.to_s()
-        };
-
-        let threads = if biases.len() < 256 {
-            1
-        } else {
-            rfmath::par::budget()
-        };
-        rfmath::par::par_fill(&mut out, threads, |i| {
-            let (ix, iy) = cells[i];
-            cell(ix, iy)
-        });
-        out
-    }
-
-    /// The structure-of-arrays batch path. See [`SoaCtx`] for the data
-    /// layout and `soa_block` for the kernel.
-    fn eval_batch_soa(&self, biases: &[BiasState]) -> Vec<Option<PolarizedS>> {
-        let core = &*self.core;
-        let mut out: Vec<Option<PolarizedS>> = vec![None; biases.len()];
-        let (vxs, vys, cells) = dedupe_biases(biases);
-
-        // O(distinct voltages) setup: per-axis branch solves (memoized).
-        // The scalar wave transfers themselves are assembled per cell in
-        // the kernel — the reference path couples the two axes through
-        // one shared `det(S21) = s21x·s21y` inverse, and reproducing
-        // that exact operation order is what keeps the fast path
-        // bit-compatible.
-        let x_params: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vxs.iter().map(|&v| self.x_s(k, v)).collect())
-            .collect();
-        let y_params: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vys.iter().map(|&v| self.y_s(k, v)).collect())
-            .collect();
-        let statics: Vec<[Complex; 16]> = core.statics.iter().map(|t| t.components()).collect();
-        let z0 = core.statics.first().map(|t| t.z0()).unwrap_or(ETA0);
-
-        let ctx = SoaCtx {
-            steps: &core.steps,
-            statics: &statics,
-            x_params: &x_params,
-            y_params: &y_params,
-            cells: &cells,
-            z0,
-        };
-        let threads = if biases.len() < 256 {
-            1
-        } else {
-            rfmath::par::budget()
-        };
-        rfmath::par::par_fill_chunked(&mut out, threads, |offset, chunk| {
-            soa_fill(&ctx, offset, chunk)
-        });
-        out
+        self.eval_cells(&vxs, &vys, &cells, false)
     }
 
     /// Evaluates the response over a bias grid, row-major with rows
@@ -482,44 +392,88 @@ impl StackEvaluator {
     /// `(vxs[ix], vys[iy])`) — the layout of the Figure 15/21 heatmaps
     /// and Table 1.
     ///
-    /// Each tuned panel's branches are evaluated once per distinct axis
-    /// voltage (`O(T)` instead of `O(T²)` ABCD solves), then independent
-    /// rows are evaluated in parallel, up to the caller's
-    /// [`rfmath::par::budget`] workers, when the grid is large enough to
-    /// amortize thread spawn.
+    /// Each tuned panel's branches are evaluated once per axis voltage
+    /// (`O(T)` instead of `O(T²)` ABCD solves). The cells then run
+    /// through the same dispatch as [`StackEvaluator::eval_batch`] — the
+    /// structure-of-arrays kernel for axis-aligned plans, the per-cell
+    /// fold otherwise — fanned out up to the caller's
+    /// [`rfmath::par::budget`] workers when the grid is large enough to
+    /// amortize thread spawn. Grid cells already index the axis tables,
+    /// so no deduplication pass runs. Bit-identical to
+    /// [`StackEvaluator::eval_batch_reference`] over the same cells.
     pub fn eval_grid(&self, vxs: &[f64], vys: &[f64]) -> Vec<Option<PolarizedS>> {
+        let cells: Vec<(usize, usize)> = (0..vys.len())
+            .flat_map(|iy| (0..vxs.len()).map(move |ix| (ix, iy)))
+            .collect();
+        self.eval_cells(vxs, vys, &cells, true)
+    }
+
+    /// The one batch dispatch behind every batch entry point: evaluates
+    /// each `(ix, iy)` of `cells` at `(vxs[ix], vys[iy])`. `soa` admits
+    /// the structure-of-arrays kernel for eligible plans; everything
+    /// else — the reference arm, rotated tuned panels, lone stages, tiny
+    /// batches — folds a [`WaveTransfer`] per cell exactly like
+    /// [`StackEvaluator::response`].
+    fn eval_cells(
+        &self,
+        vxs: &[f64],
+        vys: &[f64],
+        cells: &[(usize, usize)],
+        soa: bool,
+    ) -> Vec<Option<PolarizedS>> {
         let core = &*self.core;
-        let nx = vxs.len();
-        let ny = vys.len();
-        let mut out: Vec<Option<PolarizedS>> = vec![None; nx * ny];
-        if core.opaque || nx == 0 || ny == 0 {
+        let mut out: Vec<Option<PolarizedS>> = vec![None; cells.len()];
+        if cells.is_empty() || core.opaque {
             return out;
         }
         if let Some(lone) = &core.lone {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = Some(self.lone_stage(lone, vxs[i % nx], vys[i / nx]));
+            for (slot, &(ix, iy)) in out.iter_mut().zip(cells) {
+                *slot = Some(self.lone_stage(lone, vxs[ix], vys[iy]));
             }
             return out;
         }
 
-        // O(T) separable precompute: per-axis branch S-parameters.
-        let x_tables: Vec<Vec<SParams>> = (0..core.tuned.len())
+        // O(distinct voltages) setup: per-axis branch solves (memoized).
+        let x_params: Vec<Vec<SParams>> = (0..core.tuned.len())
             .map(|k| vxs.iter().map(|&v| self.x_s(k, v)).collect())
             .collect();
-        let y_tables: Vec<Vec<SParams>> = (0..core.tuned.len())
+        let y_params: Vec<Vec<SParams>> = (0..core.tuned.len())
             .map(|k| vys.iter().map(|&v| self.y_s(k, v)).collect())
             .collect();
-        let rotations: Vec<Radians> = core.tuned.iter().map(|p| p.rotation).collect();
-        let steps = &core.steps;
-        let statics = &core.statics;
+        let threads = if cells.len() < 256 {
+            1
+        } else {
+            rfmath::par::budget()
+        };
 
-        let cell = |ix: usize, iy: usize| -> Option<PolarizedS> {
+        if soa && cells.len() >= SOA_MIN_BATCH && self.soa_eligible() {
+            // The scalar wave transfers are assembled per cell in the
+            // kernel — the fold couples the two axes through one shared
+            // `det(S21) = s21x·s21y` inverse, and reproducing that exact
+            // operation order is what keeps the kernel bit-compatible.
+            let statics: Vec<[Complex; 16]> = core.statics.iter().map(|t| t.components()).collect();
+            let ctx = SoaCtx {
+                steps: &core.steps,
+                statics: &statics,
+                x_params: &x_params,
+                y_params: &y_params,
+                cells,
+                z0: core.statics.first().map(|t| t.z0()).unwrap_or(ETA0),
+            };
+            rfmath::par::par_fill_chunked(&mut out, threads, |offset, chunk| {
+                soa_fill(&ctx, offset, chunk)
+            });
+            return out;
+        }
+
+        rfmath::par::par_fill(&mut out, threads, |i| {
+            let (ix, iy) = cells[i];
             let mut acc: Option<WaveTransfer> = None;
-            for step in steps {
+            for step in &core.steps {
                 let t = match step {
-                    Step::Static(k) => statics[*k],
+                    Step::Static(k) => core.statics[*k],
                     Step::Tuned(k) => {
-                        tuned_transfer(x_tables[*k][ix], y_tables[*k][iy], rotations[*k])?
+                        tuned_transfer(x_params[*k][ix], y_params[*k][iy], core.tuned[*k].rotation)?
                     }
                 };
                 match acc.as_mut() {
@@ -528,17 +482,7 @@ impl StackEvaluator {
                 }
             }
             acc?.to_s()
-        };
-
-        // Worker count tracks rows (the original row-fan-out
-        // granularity); the shared helper chunks by cell, which is
-        // equivalent for a pure kernel.
-        let threads = if nx * ny < 256 {
-            1
-        } else {
-            rfmath::par::budget().min(ny)
-        };
-        rfmath::par::par_fill(&mut out, threads, |i| cell(i % nx, i / nx));
+        });
         out
     }
 }
@@ -932,8 +876,8 @@ mod tests {
     #[test]
     fn large_grid_takes_threaded_path_and_matches() {
         // 31×31 exceeds the sequential cutoff; a budget of four runs the
-        // row fan-out even on single-core hosts, and it must agree with
-        // the serial budget bitwise and with the naive path.
+        // kernel's fan-out even on single-core hosts, and it must agree
+        // with the serial budget bitwise and with the naive path.
         let design = fr4_optimized();
         let ev = StackEvaluator::new(&design.stack, F);
         let volts: Vec<f64> = (0..31).map(|i| i as f64).collect();
@@ -952,8 +896,8 @@ mod tests {
 
     #[test]
     fn uneven_row_chunks_cover_every_cell() {
-        // 3 workers over 20 rows (chunks of 7, 7, 6) — exercises the
-        // remainder chunk of the fan-out.
+        // 3 workers over 400 cells (chunks of 134, 134, 132) — exercises
+        // the remainder chunk of the fan-out.
         let design = fr4_optimized();
         let ev = StackEvaluator::new(&design.stack, F);
         let vxs: Vec<f64> = (0..20).map(|i| 1.5 * i as f64).collect();
@@ -1023,7 +967,7 @@ mod tests {
                 .map(|i| BiasState::new((i % 13) as f64 * 2.3, (i % 7) as f64 * 4.1))
                 .collect();
             assert!(ev.soa_eligible(), "{}", design.name);
-            let soa = ev.eval_batch_soa(&biases);
+            let soa = ev.eval_batch(&biases);
             let reference = ev.eval_batch_reference(&biases);
             for (i, (a, b)) in soa.iter().zip(&reference).enumerate() {
                 assert_eq!(a.is_some(), b.is_some(), "{} cell {i}", design.name);

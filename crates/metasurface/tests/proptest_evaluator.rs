@@ -1,8 +1,10 @@
 //! The batched-engine equivalence contract: `StackEvaluator` (cached,
 //! separable, grid-parallel) must match naive per-point
 //! `SurfaceStack::response` to 1e-12 across random designs, frequencies
-//! and bias grids. Every consumer of the engine — heatmaps, rotation
-//! maps, the optimizer's probe loop — leans on this property.
+//! and bias grids, and its structure-of-arrays kernel — behind both
+//! `eval_batch` and `eval_grid` — must match the per-cell reference fold
+//! bit for bit. Every consumer of the engine — heatmaps, rotation maps,
+//! the optimizer's probe loop — leans on this property.
 
 use metasurface::designs::{fr4_naive, fr4_optimized, rfid_900mhz, rogers_reference};
 use metasurface::evaluator::StackEvaluator;
@@ -21,6 +23,28 @@ fn max_diff(a: PolarizedS, b: PolarizedS) -> f64 {
         .max(a.s12.max_abs_diff(b.s12))
         .max(a.s21.max_abs_diff(b.s21))
         .max(a.s22.max_abs_diff(b.s22))
+}
+
+/// Every response component's bit pattern, so two batches compare bit
+/// for bit. NaN components map to one canonical pattern: a NaN's payload
+/// and sign are not part of the value, and the two kernels may emit
+/// different ones for the same invalid input.
+fn bits(batch: &[Option<PolarizedS>]) -> Vec<Option<Vec<u64>>> {
+    let canonical = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+    batch
+        .iter()
+        .map(|s| {
+            s.map(|s| {
+                [s.s11, s.s12, s.s21, s.s22]
+                    .into_iter()
+                    .flat_map(|m| [m.a, m.b, m.c, m.d])
+                    .flat_map(|c| [c.re, c.im])
+                    .chain([s.z0])
+                    .map(canonical)
+                    .collect()
+            })
+        })
+        .collect()
 }
 
 /// One polarization branch: fixed tank, varactor-tuned tank, or bare
@@ -196,7 +220,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The structure-of-arrays batch kernel agrees with the per-cell
-    /// reference fold to 1e-12 on random stacks and bias batches —
+    /// reference fold bit for bit on random stacks and bias batches —
     /// including batches with repeated biases (the memo-hit path) and
     /// batches large enough to cross the SoA dispatch threshold.
     #[test]
@@ -217,17 +241,75 @@ proptest! {
         batch.extend(dupes);
         let fast = evaluator.eval_batch(&batch);
         let reference = evaluator.eval_batch_reference(&batch);
-        prop_assert_eq!(fast.len(), reference.len());
-        for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
-            match (a, b) {
-                (Some(a), Some(b)) => prop_assert!(
-                    max_diff(*a, *b) < 1e-12,
-                    "batch cell {i} diff {}",
-                    max_diff(*a, *b)
-                ),
-                (None, None) => {}
-                _ => prop_assert!(false, "Some/None mismatch at batch cell {i}"),
+        prop_assert_eq!(bits(&fast), bits(&reference));
+    }
+}
+
+/// A grid's cells as biases, in its row-major order.
+fn grid_cells(vxs: &[f64], vys: &[f64]) -> Vec<BiasState> {
+    vys.iter()
+        .flat_map(|&vy| vxs.iter().map(move |&vx| BiasState::new(vx, vy)))
+        .collect()
+}
+
+/// A random stack with its tuned panels axis-aligned (the grid's kernel
+/// path) or at their drawn rotations (the fold), or a lone stage.
+fn grid_stack() -> BoxedStrategy<SurfaceStack> {
+    (stack(), 0usize..3)
+        .prop_map(|(mut stack, shape)| {
+            match shape {
+                0 => stack.panels.iter_mut().for_each(|p| {
+                    if p.sheet.x.is_tuned() || p.sheet.y.is_tuned() {
+                        p.rotation = Radians(0.0);
+                    }
+                }),
+                1 => {}
+                _ => {
+                    stack.panels.truncate(1);
+                    stack.gaps.clear();
+                }
             }
-        }
+            stack
+        })
+        .boxed()
+}
+
+/// One grid-axis voltage: mostly in the supply range, sometimes
+/// negative or non-finite.
+fn voltage() -> BoxedStrategy<f64> {
+    (0usize..8, 0.0f64..30.0)
+        .prop_map(|(kind, v)| match kind {
+            0 => -v,
+            1 => f64::NAN,
+            2 if v < 15.0 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            _ => v,
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The grid runs on the batch kernels, bit for bit against the
+    /// per-cell reference fold over the same cells: axis-aligned stacks
+    /// (the structure-of-arrays kernel), rotated tuned panels and lone
+    /// stages (the fold), with negative and non-finite voltages mixed
+    /// in. `eval_batch` over the same cells agrees too, and neither
+    /// panics.
+    #[test]
+    fn grid_is_bitwise_the_reference_batch(
+        stack in grid_stack(),
+        f_ghz in 1.8f64..3.0,
+        vxs in prop::collection::vec(voltage(), 1..6),
+        vys in prop::collection::vec(voltage(), 1..6),
+    ) {
+        let f = Hertz::from_ghz(f_ghz);
+        let evaluator = StackEvaluator::new(&stack, f);
+        let cells = grid_cells(&vxs, &vys);
+        // A fresh plan for the reference, so it shares no voltage memos.
+        let reference = StackEvaluator::new(&stack, f).eval_batch_reference(&cells);
+        prop_assert_eq!(bits(&evaluator.eval_grid(&vxs, &vys)), bits(&reference));
+        prop_assert_eq!(bits(&evaluator.eval_batch(&cells)), bits(&reference));
     }
 }

@@ -54,7 +54,7 @@ pub mod signal;
 pub use antenna::{Antenna, OrientedAntenna, Pattern};
 pub use coupling::{CouplingConfig, MultiSurfaceField};
 pub use environment::Environment;
-pub use link::{Link, LinkTuning, PreparedLink};
+pub use link::{Link, LinkTuning, PreparedLink, ResponseFactors};
 pub use noise::NoiseModel;
 pub use rays::{Deployment, Path};
 pub use signal::{rssi_reading, Capture};

@@ -222,11 +222,10 @@ impl Link {
     /// take its through-loss. This is the energy the surface *costs*
     /// an omni link in a rich environment (§5.1.2's low-power omni
     /// discussion). `1.0` when nothing shadows.
-    fn shadow_factor(&self, surface: Option<&SurfaceResponse>) -> f64 {
+    fn shadow_factor<R: ResponseSide>(&self, surface: Option<&R>) -> f64 {
         match (surface, self.deployment.surface) {
             (Some(surface), SurfaceMount::Transmissive { .. }) => {
-                let eff_db = 0.5 * (surface.efficiency_x_db().0 + surface.efficiency_y_db().0)
-                    - self.tuning.shadow_extra_db;
+                let eff_db = surface.mean_efficiency_db() - self.tuning.shadow_extra_db;
                 10f64.powf(eff_db.max(-30.0 - self.tuning.shadow_extra_db) / 20.0)
             }
             _ => 1.0,
@@ -334,6 +333,100 @@ impl Link {
     }
 }
 
+/// What a `t = 0` probe reads from a surface response, independent of
+/// the link it is projected onto: the Jones blocks the surface legs
+/// apply and the transmissive shadow's mean efficiency. A
+/// [`SurfaceResponse`] derives each block on demand, so a single probe
+/// computes only what its mount reads; [`ResponseFactors`] holds them
+/// precomputed, so a batch projecting one response onto many links pays
+/// for them once. Both feed the same probe body.
+pub(crate) trait ResponseSide {
+    /// The frequency the response was evaluated at.
+    fn frequency(&self) -> Hertz;
+    /// A transmissive mount's legs: the transmission block `trans`, and
+    /// `trans · refl` for the antenna↔surface bounce.
+    fn transmissive_blocks(&self) -> (JonesMatrix, JonesMatrix);
+    /// A reflective mount's fold: the surface's S11 block expressed in
+    /// the incident frame, `mirror_x · refl` (mirror conjugation: the
+    /// reflected wave's frame flips handedness, which is the §5.2
+    /// rotation-cancellation mechanism as seen by the receiver).
+    fn reflective_block(&self) -> JonesMatrix;
+    /// The transmissive shadow's mean through-efficiency,
+    /// `0.5 · (eff_x_db + eff_y_db)`.
+    fn mean_efficiency_db(&self) -> f64;
+}
+
+impl ResponseSide for SurfaceResponse {
+    fn frequency(&self) -> Hertz {
+        SurfaceResponse::frequency(self)
+    }
+
+    fn transmissive_blocks(&self) -> (JonesMatrix, JonesMatrix) {
+        let trans = self.transmission();
+        (trans, trans * self.reflection())
+    }
+
+    fn reflective_block(&self) -> JonesMatrix {
+        JonesMatrix::mirror_x() * self.reflection()
+    }
+
+    fn mean_efficiency_db(&self) -> f64 {
+        0.5 * (self.efficiency_x_db().0 + self.efficiency_y_db().0)
+    }
+}
+
+/// Every link-independent factor of a `t = 0` probe under one surface
+/// response, computed once: the transmission Jones block, `trans ·
+/// refl`, `mirror_x · refl` and the mean efficiency
+/// `0.5 · (eff_x_db + eff_y_db)`. A batch that projects one response
+/// onto many devices ([`PreparedLink::received_dbm_factored`]) builds
+/// this once per response instead of once per device. Each device still
+/// applies its own shadow tuning, clamp and `powf`, so the probe is
+/// bit-identical to [`PreparedLink::received_dbm_with`] on the same
+/// response.
+#[derive(Clone, Copy, Debug)]
+pub struct ResponseFactors {
+    f: Hertz,
+    trans: JonesMatrix,
+    bounce: JonesMatrix,
+    fold: JonesMatrix,
+    mean_efficiency_db: f64,
+}
+
+impl ResponseFactors {
+    /// Precomputes the factors of `surface` (an opaque response yields
+    /// zero blocks and a `−∞ dB` mean efficiency, as its accessors do).
+    pub fn new(surface: &SurfaceResponse) -> Self {
+        let trans = surface.transmission();
+        let refl = surface.reflection();
+        Self {
+            f: surface.frequency(),
+            trans,
+            bounce: trans * refl,
+            fold: JonesMatrix::mirror_x() * refl,
+            mean_efficiency_db: surface.mean_efficiency_db(),
+        }
+    }
+}
+
+impl ResponseSide for ResponseFactors {
+    fn frequency(&self) -> Hertz {
+        self.f
+    }
+
+    fn transmissive_blocks(&self) -> (JonesMatrix, JonesMatrix) {
+        (self.trans, self.bounce)
+    }
+
+    fn reflective_block(&self) -> JonesMatrix {
+        self.fold
+    }
+
+    fn mean_efficiency_db(&self) -> f64 {
+        self.mean_efficiency_db
+    }
+}
+
 /// One path's precomputed projection onto a fixed receive mount: the
 /// complex transfer × polarization coupling (`k`), the scalar
 /// pattern/loss penalty (`pen`), and whether the bias-dependent
@@ -417,7 +510,7 @@ impl ProbeConstants {
 
     /// Adds the surface-interacting terms under `surface` to `total`, in
     /// [`engineered_paths_into`]'s path order.
-    fn add_surface_terms(&self, surface: &SurfaceResponse, total: &mut Complex) {
+    fn add_surface_terms<R: ResponseSide>(&self, surface: &R, total: &mut Complex) {
         self.surface
             .for_each_jones(surface, |leg, jones| *total += self.leg(leg, jones));
     }
@@ -632,6 +725,14 @@ impl PreparedLink {
     /// [`Link::received_amplitude_with`], so bit-identical to it; builds
     /// no paths and touches no heap.
     pub fn received_amplitude(&self, surface: Option<&SurfaceResponse>) -> Complex {
+        self.amplitude(surface)
+    }
+
+    /// The one probe body behind [`PreparedLink::received_amplitude`] and
+    /// [`PreparedLink::received_dbm_factored`]: the same contributions
+    /// in the same order, whether the response's factors are derived on
+    /// demand or were precomputed.
+    fn amplitude<R: ResponseSide>(&self, surface: Option<&R>) -> Complex {
         if let Some(surface) = surface {
             debug_assert!(
                 surface.frequency().0.to_bits() == self.link.frequency.0.to_bits(),
@@ -684,6 +785,15 @@ impl PreparedLink {
     /// [`Link::received_dbm_with`] on the wrapped link.
     pub fn received_dbm_with(&self, surface: Option<&SurfaceResponse>) -> Dbm {
         Watts(self.received_amplitude(surface).norm_sqr()).to_dbm()
+    }
+
+    /// [`PreparedLink::received_dbm_with`] against a response's
+    /// precomputed [`ResponseFactors`] — the batch probe: one set of
+    /// factors serves every device a bias is projected onto. Bit-identical
+    /// to `received_dbm_with(Some(response))` on the response the factors
+    /// came from.
+    pub fn received_dbm_factored(&self, factors: &ResponseFactors) -> Dbm {
+        Watts(self.amplitude(Some(factors)).norm_sqr()).to_dbm()
     }
 
     /// [`PreparedLink::received_dbm_with`] the way it was computed before

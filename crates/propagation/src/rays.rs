@@ -43,6 +43,7 @@ use rfmath::units::{Degrees, Hertz, Meters};
 use rfmath::vec2::Point2;
 
 use crate::friis::field_transfer;
+use crate::link::ResponseSide;
 
 /// Where (and how) the surface hangs in the room.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -442,19 +443,16 @@ impl<L: Copy> SurfaceLegs<L> {
     }
 
     /// Calls `f` on every leg, in path order, with the Jones block
-    /// `surface` applies along it. The reflection applies the surface's
-    /// S11 block expressed in the incident frame (mirror conjugation:
-    /// the reflected wave's frame flips handedness, which is the §5.2
-    /// rotation-cancellation mechanism as seen by the receiver).
-    pub fn for_each_jones(&self, surface: &SurfaceResponse, mut f: impl FnMut(L, JonesMatrix)) {
+    /// `surface` applies along it ([`ResponseSide`] has the blocks).
+    pub fn for_each_jones<R: ResponseSide>(&self, surface: &R, mut f: impl FnMut(L, JonesMatrix)) {
         match *self {
             Self::None => {}
             Self::Transmissive { main, bounce } => {
-                let trans = surface.transmission();
+                let (trans, through_bounce) = surface.transmissive_blocks();
                 f(main, trans);
-                f(bounce, trans * surface.reflection());
+                f(bounce, through_bounce);
             }
-            Self::Reflective { fold } => f(fold, JonesMatrix::mirror_x() * surface.reflection()),
+            Self::Reflective { fold } => f(fold, surface.reflective_block()),
         }
     }
 

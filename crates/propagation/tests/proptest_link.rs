@@ -5,6 +5,10 @@
 //!   mount (none, collinear and off-axis transmissive, reflective), with
 //!   and without a surface response, under non-default [`LinkTuning`],
 //!   with caller-injected extra paths, and after a panel re-mount.
+//! * **Factored batch probe:** the probe against a response's
+//!   precomputed [`ResponseFactors`] must be bitwise equal to
+//!   [`Link::received_dbm_with`] on the response they came from — on
+//!   every mount, under any tuning, and for opaque responses.
 //! * **Arena rebind:** a handle driven through any sequence of in-place
 //!   rebinds — cheap moves (rotation, transmit power), genuine moves
 //!   (endpoint separation), and environment swaps (new scatter seed) —
@@ -17,7 +21,7 @@ use metasurface::response::SurfaceResponse;
 use metasurface::stack::BiasState;
 use propagation::antenna::{Antenna, OrientedAntenna};
 use propagation::environment::Environment;
-use propagation::link::{Link, LinkTuning, PreparedLink};
+use propagation::link::{Link, LinkTuning, PreparedLink, ResponseFactors};
 use propagation::rays::{Deployment, Path};
 use proptest::prelude::*;
 use rfmath::complex::Complex;
@@ -262,5 +266,63 @@ proptest! {
                 response.is_some()
             );
         }
+    }
+}
+
+/// Any tuning: every knob drawn at random, the shadow's extra loss on
+/// either side of zero.
+fn random_tunings() -> BoxedStrategy<LinkTuning> {
+    ((-3.0f64..6.0), (-10.0f64..20.0), (0usize..2, 5.0f64..30.0))
+        .prop_map(|(loss, shadow, (with_xpd, xpd))| LinkTuning {
+            surface_excess_loss_db: loss,
+            scatter_xpd_db: (with_xpd == 1).then_some(xpd),
+            shadow_extra_db: shadow,
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The batch probe against precomputed response factors equals the
+    /// reference link projection bit for bit on every mount, under any
+    /// tuning, for a live or an opaque response.
+    #[test]
+    fn factored_probe_is_bitwise_the_link_projection(
+        mount in mounts(),
+        tx_rx_cm in 20.0f64..300.0,
+        tuning in random_tunings(),
+        endpoints in (antennas(), antennas()),
+        environment in environments(),
+        bias in (0.0f64..30.0, 0.0f64..30.0),
+        opaque in 0usize..4,
+    ) {
+        let design = metasurface::designs::fr4_optimized();
+        let f = Hertz::from_ghz(2.44);
+        let polarized = if opaque == 0 {
+            None
+        } else {
+            design.stack.response(f, BiasState::new(bias.0, bias.1))
+        };
+        let response = SurfaceResponse::new(f, polarized);
+        let link = Link {
+            tx: endpoints.0,
+            rx: endpoints.1,
+            frequency: f,
+            tx_power: Watts::from_mw(50.0),
+            deployment: mount.deployment(Meters(tx_rx_cm / 100.0)),
+            environment,
+            extra_paths: Vec::new(),
+            tuning,
+        };
+        let got = PreparedLink::new(link.clone())
+            .received_dbm_factored(&ResponseFactors::new(&response))
+            .0;
+        let want = link.received_dbm_with(Some(&response)).0;
+        prop_assert!(
+            got.to_bits() == want.to_bits(),
+            "factored {got} vs link {want} on {mount:?}, opaque {}",
+            response.is_opaque()
+        );
     }
 }
