@@ -1624,6 +1624,42 @@ mod tests {
         }
     }
 
+    /// Heap allocations per warm tick of the real simulator: each zoo
+    /// room (seed 7) runs its tick budget, then again with 32 extra
+    /// ticks, serially (`with_budget(1)`), and the difference is charged
+    /// to those ticks. The ceilings are the counts measured before the
+    /// sweeps probed whole grids per measurement call; the batch path
+    /// must not allocate more than the per-probe path did.
+    #[test]
+    fn warm_room_tick_allocations_stay_under_the_ceiling() {
+        const EXTRA_TICKS: usize = 32;
+        const CEILINGS: [(&str, f64); 3] = [
+            ("office-floor", 90.0),
+            ("warehouse-aisle", 53.1),
+            ("conference-room", 121.3),
+        ];
+        if !alloc_counter::enabled() {
+            return;
+        }
+        for (room, ceiling) in CEILINGS {
+            let allocs = |extra: usize| {
+                let mut scenario = llama_core::rooms::build(room, 7).expect("catalog room");
+                let ticks = scenario.ticks + extra;
+                let sim = MobilitySim::new(PanelScheduler::max_min(), scenario.config);
+                let fleet = &mut scenario.fleet;
+                rfmath::par::with_budget(1, || {
+                    alloc_counter::allocs_during(|| sim.run(fleet, &scenario.array, ticks)).1
+                })
+            };
+            let per_tick = (allocs(EXTRA_TICKS) - allocs(0)) as f64 / EXTRA_TICKS as f64;
+            eprintln!("{room}: {per_tick:.2} heap allocations per extra tick");
+            assert!(
+                per_tick <= ceiling,
+                "{room}: {per_tick:.2} heap allocations per warm tick, ceiling {ceiling}"
+            );
+        }
+    }
+
     #[test]
     fn report_serializes_and_summarizes() {
         let report = PerfReport {

@@ -7,6 +7,17 @@
 //! previous iteration. The time cost per iteration is `0.02·T²` seconds
 //! (both axes swept jointly), so the whole search costs `0.02·N·T²` —
 //! with the paper's `N = 2, T = 5` that is one second instead of thirty.
+//!
+//! **One measurement call per iteration.** Within an iteration the
+//! `T×T` grid is fixed before any probe returns; only the window moves,
+//! and only between iterations. So the vector sweeps
+//! ([`coarse_to_fine_multi`], [`warm_refine_multi`]) hand `measure` the
+//! iteration's whole grid as one `&[Probe]` and take back one metric
+//! row per probe, in the same order. A batch kernel answers a grid in
+//! one call; a caller that must measure serially (a noisy receiver, a
+//! coupled field) loops over the slice in order. Visit order, winner
+//! selection (the first probe to reach the best score wins), airtime
+//! billing and `history` are exactly those of a probe-by-probe loop.
 
 use rfmath::telemetry::{RecorderHandle, TelemetryEvent};
 use rfmath::units::{Seconds, Volts};
@@ -102,6 +113,88 @@ pub struct MultiSweepOutcome {
     pub history: Vec<(Probe, Vec<f64>)>,
 }
 
+/// The running winner of a sweep: the first probe to reach the best
+/// score seen so far, and where its metric row sits in the history.
+struct Leader {
+    probe: Probe,
+    score: f64,
+    row: Option<usize>,
+}
+
+/// Records one measured batch in visit order: every `(probe, row)` pair
+/// is scored and pushed to `history`, and `leader` moves only on a
+/// strictly better score — the first probe reaching a score keeps it,
+/// as in a probe-by-probe loop.
+fn record(
+    probes: &[Probe],
+    rows: impl ExactSizeIterator<Item = Vec<f64>>,
+    score: &impl Fn(&[f64]) -> f64,
+    leader: &mut Leader,
+    history: &mut Vec<(Probe, Vec<f64>)>,
+) {
+    assert_eq!(
+        rows.len(),
+        probes.len(),
+        "measure must return one metric row per probe"
+    );
+    for (&probe, m) in probes.iter().zip(rows) {
+        let s = score(&m);
+        if s > leader.score {
+            *leader = Leader {
+                probe,
+                score: s,
+                row: Some(history.len()),
+            };
+        }
+        history.push((probe, m));
+    }
+}
+
+/// Appends the `t × t` probes spanning `[lo_x, hi_x] × [lo_y, hi_y]`
+/// to `grid`, x-major (the visit order of Algorithm 1).
+fn push_grid(grid: &mut Vec<Probe>, t: usize, (lo_x, hi_x): (f64, f64), (lo_y, hi_y): (f64, f64)) {
+    let at = |lo: f64, hi: f64, i: usize| Volts(lo + (hi - lo) * i as f64 / (t - 1) as f64);
+    for ix in 0..t {
+        for iy in 0..t {
+            grid.push(Probe {
+                vx: at(lo_x, hi_x, ix),
+                vy: at(lo_y, hi_y, iy),
+            });
+        }
+    }
+}
+
+/// Assembles the outcome and, on a live recorder, bills the sweep's
+/// probes to the `sweep.probes` counter and `sweep.probes_per_sweep`
+/// histogram and closes it with a [`TelemetryEvent::SweepSpan`].
+fn finish(
+    recorder: &RecorderHandle,
+    panel: usize,
+    kind: &'static str,
+    config: &SweepConfig,
+    leader: Leader,
+    history: Vec<(Probe, Vec<f64>)>,
+) -> MultiSweepOutcome {
+    let probes = history.len();
+    if recorder.enabled() {
+        recorder.add("sweep.probes", probes as u64);
+        recorder.record_value("sweep.probes_per_sweep", probes as u64);
+        recorder.emit(TelemetryEvent::SweepSpan {
+            panel,
+            kind,
+            probes,
+        });
+    }
+    MultiSweepOutcome {
+        best: leader.probe,
+        best_score: leader.score,
+        best_metrics: leader.row.map(|i| history[i].1.clone()).unwrap_or_default(),
+        probes,
+        duration: Seconds(config.switch_period.0 * probes as f64),
+        history,
+    }
+}
+
 /// Runs Algorithm 1 against a *vector* metric: each probe measures one
 /// value per device (or per objective component) and `score` folds the
 /// vector into the scalar the refinement maximizes — `min` for max-min
@@ -109,11 +202,23 @@ pub struct MultiSweepOutcome {
 /// the classic single-link sweep ([`coarse_to_fine`] is exactly that
 /// N = 1 case).
 ///
-/// The refinement logic is byte-for-byte Algorithm 1: `N` iterations of
-/// a `T×T` grid, each window centred on the previous winner.
+/// The refinement logic is Algorithm 1: `N` iterations of a `T×T` grid,
+/// each window centred on the previous winner. `measure` is called once
+/// per iteration with that iteration's whole grid (see the module docs).
+///
+/// The whole sweep is timed as a `sweep.cold_ns` span on `recorder`,
+/// and a live recorder also gets the probe bill and a `"cold"`
+/// [`TelemetryEvent::SweepSpan`] tagged with `panel`. Against
+/// [`RecorderHandle::null`] the sweep records nothing.
+///
+/// # Panics
+/// Panics on a configuration with no iteration or fewer than two steps
+/// per axis, and when `measure` returns other than one row per probe.
 pub fn coarse_to_fine_multi(
+    recorder: &RecorderHandle,
+    panel: usize,
     config: &SweepConfig,
-    mut measure: impl FnMut(Probe) -> Vec<f64>,
+    mut measure: impl FnMut(&[Probe]) -> Vec<Vec<f64>>,
     score: impl Fn(&[f64]) -> f64,
 ) -> MultiSweepOutcome {
     assert!(config.iterations >= 1, "need at least one iteration");
@@ -121,71 +226,41 @@ pub fn coarse_to_fine_multi(
         config.steps_per_axis >= 2,
         "need at least two steps per axis"
     );
-    let mut lo_x = config.v_min;
-    let mut hi_x = config.v_max;
-    let mut lo_y = config.v_min;
-    let mut hi_y = config.v_max;
-    let mut best = Probe {
-        vx: config.v_min,
-        vy: config.v_min,
+    let span = recorder.span("sweep.cold_ns");
+    let t = config.steps_per_axis;
+    let (mut lo_x, mut hi_x) = (config.v_min.0, config.v_max.0);
+    let (mut lo_y, mut hi_y) = (config.v_min.0, config.v_max.0);
+    let mut leader = Leader {
+        probe: Probe {
+            vx: config.v_min,
+            vy: config.v_min,
+        },
+        score: f64::NEG_INFINITY,
+        row: None,
     };
-    let mut best_score = f64::NEG_INFINITY;
-    let mut best_metrics: Vec<f64> = Vec::new();
-    let mut probes = 0usize;
     // Every iteration records exactly T² probes; reserve the whole run
     // up front so the history never reallocates mid-sweep.
-    let mut history =
-        Vec::with_capacity(config.iterations * config.steps_per_axis * config.steps_per_axis);
+    let mut history = Vec::with_capacity(config.iterations * t * t);
+    let mut grid = Vec::with_capacity(t * t);
 
     for _iter in 0..config.iterations {
-        let t = config.steps_per_axis;
-        let grid = |lo: Volts, hi: Volts, i: usize| {
-            Volts(lo.0 + (hi.0 - lo.0) * i as f64 / (t - 1) as f64)
-        };
-        let mut iter_best = best;
-        let mut iter_score = f64::NEG_INFINITY;
-        let mut iter_metrics: Vec<f64> = Vec::new();
-        for ix in 0..t {
-            for iy in 0..t {
-                let probe = Probe {
-                    vx: grid(lo_x, hi_x, ix),
-                    vy: grid(lo_y, hi_y, iy),
-                };
-                let m = measure(probe);
-                let s = score(&m);
-                probes += 1;
-                if s > iter_score {
-                    iter_score = s;
-                    iter_best = probe;
-                    iter_metrics = m.clone();
-                }
-                history.push((probe, m));
-            }
-        }
-        if iter_score > best_score {
-            best_score = iter_score;
-            best = iter_best;
-            best_metrics = iter_metrics;
-        }
+        grid.clear();
+        push_grid(&mut grid, t, (lo_x, hi_x), (lo_y, hi_y));
+        let rows = measure(&grid).into_iter();
+        record(&grid, rows, &score, &mut leader, &mut history);
         // Narrow the window to one coarse step around the winner
         // (the paper returns [v − Vs, v] per axis; we center for
         // symmetry, clamped to the configured range).
-        let step_x = (hi_x.0 - lo_x.0) / (t - 1) as f64;
-        let step_y = (hi_y.0 - lo_y.0) / (t - 1) as f64;
-        lo_x = Volts((best.vx.0 - step_x).max(config.v_min.0));
-        hi_x = Volts((best.vx.0 + step_x).min(config.v_max.0));
-        lo_y = Volts((best.vy.0 - step_y).max(config.v_min.0));
-        hi_y = Volts((best.vy.0 + step_y).min(config.v_max.0));
+        let step_x = (hi_x - lo_x) / (t - 1) as f64;
+        let step_y = (hi_y - lo_y) / (t - 1) as f64;
+        let best = leader.probe;
+        lo_x = (best.vx.0 - step_x).max(config.v_min.0);
+        hi_x = (best.vx.0 + step_x).min(config.v_max.0);
+        lo_y = (best.vy.0 - step_y).max(config.v_min.0);
+        hi_y = (best.vy.0 + step_y).min(config.v_max.0);
     }
-
-    MultiSweepOutcome {
-        best,
-        best_score,
-        best_metrics,
-        probes,
-        duration: Seconds(config.switch_period.0 * probes as f64),
-        history,
-    }
+    drop(span);
+    finish(recorder, panel, "cold", config, leader, history)
 }
 
 /// Parameters of a warm-start re-optimization: a refinement sweep seeded
@@ -244,16 +319,29 @@ impl WarmConfig {
 /// window-over-window exactly like [`coarse_to_fine_multi`]. All probes
 /// are clamped to `config`'s supply range, and airtime is billed at
 /// `config.switch_period` per probe.
+///
+/// The first window depends only on `center`, so the center re-check
+/// and the first grid go to `measure` as one batch; each later
+/// iteration is one call. Telemetry as in [`coarse_to_fine_multi`], with
+/// span `sweep.warm_ns` and event kind `"warm"`.
+///
+/// # Panics
+/// Panics on a warm configuration with no iteration, fewer than two
+/// steps per axis or a non-positive radius, and when `measure` returns
+/// other than one row per probe.
 pub fn warm_refine_multi(
+    recorder: &RecorderHandle,
+    panel: usize,
     config: &SweepConfig,
     warm: &WarmConfig,
     center: Probe,
-    mut measure: impl FnMut(Probe) -> Vec<f64>,
+    mut measure: impl FnMut(&[Probe]) -> Vec<Vec<f64>>,
     score: impl Fn(&[f64]) -> f64,
 ) -> MultiSweepOutcome {
     assert!(warm.iterations >= 1, "need at least one warm iteration");
     assert!(warm.steps_per_axis >= 2, "need at least two steps per axis");
     assert!(warm.radius.0 > 0.0, "warm radius must be positive");
+    let span = recorder.span("sweep.warm_ns");
     let clamp = |v: f64| v.clamp(config.v_min.0, config.v_max.0);
     let center = Probe {
         vx: Volts(clamp(center.vx.0)),
@@ -261,111 +349,47 @@ pub fn warm_refine_multi(
     };
     let t = warm.steps_per_axis;
     let mut history = Vec::with_capacity(1 + warm.iterations * t * t);
-
-    // Probe 1: the carried-over bias itself.
-    let m0 = measure(center);
-    let mut best_score = score(&m0);
-    let mut best = center;
-    let mut best_metrics = m0.clone();
-    let mut probes = 1usize;
-    history.push((center, m0));
-
     let mut lo_x = clamp(center.vx.0 - warm.radius.0);
     let mut hi_x = clamp(center.vx.0 + warm.radius.0);
     let mut lo_y = clamp(center.vy.0 - warm.radius.0);
     let mut hi_y = clamp(center.vy.0 + warm.radius.0);
-    for _iter in 0..warm.iterations {
-        let grid = |lo: f64, hi: f64, i: usize| Volts(lo + (hi - lo) * i as f64 / (t - 1) as f64);
-        for ix in 0..t {
-            for iy in 0..t {
-                let probe = Probe {
-                    vx: grid(lo_x, hi_x, ix),
-                    vy: grid(lo_y, hi_y, iy),
-                };
-                let m = measure(probe);
-                let s = score(&m);
-                probes += 1;
-                if s > best_score {
-                    best_score = s;
-                    best = probe;
-                    best_metrics = m.clone();
-                }
-                history.push((probe, m));
-            }
+
+    // Batch 1: the carried-over bias itself, then the first grid.
+    let mut batch = Vec::with_capacity(1 + t * t);
+    batch.push(center);
+    push_grid(&mut batch, t, (lo_x, hi_x), (lo_y, hi_y));
+    let mut rows = measure(&batch).into_iter();
+    let m0 = rows
+        .next()
+        .expect("measure must return one metric row per probe");
+    // The center holds the lead whatever it scores (even −∞ or NaN).
+    let mut leader = Leader {
+        probe: center,
+        score: score(&m0),
+        row: Some(0),
+    };
+    history.push((center, m0));
+    record(&batch[1..], rows, &score, &mut leader, &mut history);
+
+    for iter in 0..warm.iterations {
+        if iter > 0 {
+            batch.clear();
+            push_grid(&mut batch, t, (lo_x, hi_x), (lo_y, hi_y));
+            let rows = measure(&batch).into_iter();
+            record(&batch, rows, &score, &mut leader, &mut history);
         }
         // Narrow one grid step around the running winner, like the cold
         // sweep's refinement rounds.
         let step_x = (hi_x - lo_x) / (t - 1) as f64;
         let step_y = (hi_y - lo_y) / (t - 1) as f64;
+        let best = leader.probe;
         lo_x = clamp(best.vx.0 - step_x);
         hi_x = clamp(best.vx.0 + step_x);
         lo_y = clamp(best.vy.0 - step_y);
         hi_y = clamp(best.vy.0 + step_y);
     }
-
-    MultiSweepOutcome {
-        best,
-        best_score,
-        best_metrics,
-        probes,
-        duration: Seconds(config.switch_period.0 * probes as f64),
-        history,
-    }
-}
-
-/// [`coarse_to_fine_multi`] with telemetry: the whole sweep is timed as
-/// a `sweep.cold_ns` span, its probes tick the `sweep.probes` counter
-/// and land in the `sweep.probes_per_sweep` value histogram, and a
-/// [`TelemetryEvent::SweepSpan`] tagged with `panel` records the
-/// deterministic cost (probe count, not wall time) in the event log.
-/// With a null recorder this is exactly [`coarse_to_fine_multi`].
-pub fn coarse_to_fine_multi_traced(
-    recorder: &RecorderHandle,
-    panel: usize,
-    config: &SweepConfig,
-    measure: impl FnMut(Probe) -> Vec<f64>,
-    score: impl Fn(&[f64]) -> f64,
-) -> MultiSweepOutcome {
-    let span = recorder.span("sweep.cold_ns");
-    let outcome = coarse_to_fine_multi(config, measure, score);
     drop(span);
-    if recorder.enabled() {
-        recorder.add("sweep.probes", outcome.probes as u64);
-        recorder.record_value("sweep.probes_per_sweep", outcome.probes as u64);
-        recorder.emit(TelemetryEvent::SweepSpan {
-            panel,
-            kind: "cold",
-            probes: outcome.probes,
-        });
-    }
-    outcome
-}
-
-/// [`warm_refine_multi`] with telemetry — the warm-start counterpart of
-/// [`coarse_to_fine_multi_traced`] (span `sweep.warm_ns`, event kind
-/// `"warm"`).
-pub fn warm_refine_multi_traced(
-    recorder: &RecorderHandle,
-    panel: usize,
-    config: &SweepConfig,
-    warm: &WarmConfig,
-    center: Probe,
-    measure: impl FnMut(Probe) -> Vec<f64>,
-    score: impl Fn(&[f64]) -> f64,
-) -> MultiSweepOutcome {
-    let span = recorder.span("sweep.warm_ns");
-    let outcome = warm_refine_multi(config, warm, center, measure, score);
-    drop(span);
-    if recorder.enabled() {
-        recorder.add("sweep.probes", outcome.probes as u64);
-        recorder.record_value("sweep.probes_per_sweep", outcome.probes as u64);
-        recorder.emit(TelemetryEvent::SweepSpan {
-            panel,
-            kind: "warm",
-            probes: outcome.probes,
-        });
-    }
-    outcome
+    finish(recorder, panel, "warm", config, leader, history)
 }
 
 /// Drives a block-coordinate-descent loop to a fixed point: calls
@@ -400,9 +424,16 @@ pub fn descend_rounds(
 /// in the real system that is the receiver's reported signal power under
 /// the labeled voltage state (§3.3's synchronization makes the labeling
 /// sound). This is [`coarse_to_fine_multi`] with a one-element metric
-/// vector: the single link is the N = 1 fleet.
+/// vector: the single link is the N = 1 fleet, measured probe by probe
+/// in visit order.
 pub fn coarse_to_fine(config: &SweepConfig, mut measure: impl FnMut(Probe) -> f64) -> SweepOutcome {
-    let outcome = coarse_to_fine_multi(config, |p| vec![measure(p)], |m| m[0]);
+    let outcome = coarse_to_fine_multi(
+        &RecorderHandle::null(),
+        0,
+        config,
+        |probes| probes.iter().map(|&p| vec![measure(p)]).collect(),
+        |m| m[0],
+    );
     SweepOutcome {
         best: outcome.best,
         best_metric: outcome.best_score,
@@ -419,6 +450,11 @@ pub fn coarse_to_fine(config: &SweepConfig, mut measure: impl FnMut(Probe) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Adapts a per-probe measurement to the sweeps' batch contract.
+    fn each(mut f: impl FnMut(Probe) -> Vec<f64>) -> impl FnMut(&[Probe]) -> Vec<Vec<f64>> {
+        move |probes| probes.iter().map(|&p| f(p)).collect()
+    }
 
     /// A smooth unimodal surface peaking at (vx0, vy0).
     fn bump(vx0: f64, vy0: f64) -> impl FnMut(Probe) -> f64 {
@@ -509,10 +545,12 @@ mod tests {
         // score, same visit order.
         let scalar = coarse_to_fine(&SweepConfig::paper_default(), bump(17.3, 8.2));
         let multi = coarse_to_fine_multi(
+            &RecorderHandle::null(),
+            0,
             &SweepConfig::paper_default(),
             {
                 let mut b = bump(17.3, 8.2);
-                move |p| vec![b(p)]
+                each(move |p| vec![b(p)])
             },
             |m| m[0],
         );
@@ -531,12 +569,14 @@ mod tests {
         // Two bumps at different spots: maximizing the min lands between
         // them, not on either peak.
         let outcome = coarse_to_fine_multi(
+            &RecorderHandle::null(),
+            0,
             &SweepConfig::paper_default(),
-            |p: Probe| {
+            each(|p: Probe| {
                 let d1 = (p.vx.0 - 10.0).powi(2) + (p.vy.0 - 10.0).powi(2);
                 let d2 = (p.vx.0 - 20.0).powi(2) + (p.vy.0 - 20.0).powi(2);
                 vec![-d1, -d2]
-            },
+            }),
             |m| m.iter().copied().fold(f64::INFINITY, f64::min),
         );
         assert_eq!(outcome.best_metrics.len(), 2);
@@ -561,16 +601,18 @@ mod tests {
         let warm = WarmConfig::paper_default();
         assert_eq!(warm.probe_budget(), 10);
         let outcome = warm_refine_multi(
+            &RecorderHandle::null(),
+            0,
             &SweepConfig::paper_default(),
             &warm,
             Probe {
                 vx: Volts(15.0),
                 vy: Volts(15.0),
             },
-            |p| {
+            each(|p| {
                 let mut b = bump(17.3, 8.2);
                 vec![b(p)]
-            },
+            }),
             |m| m[0],
         );
         assert_eq!(outcome.probes, warm.probe_budget());
@@ -589,13 +631,15 @@ mod tests {
         let mut b = bump(17.3, 8.2);
         let center_score = b(center);
         let outcome = warm_refine_multi(
+            &RecorderHandle::null(),
+            0,
             &SweepConfig::paper_default(),
             &WarmConfig::paper_default(),
             center,
-            |p| {
+            each(|p| {
                 let mut b = bump(17.3, 8.2);
                 vec![b(p)]
-            },
+            }),
             |m| m[0],
         );
         assert!(outcome.best_score >= center_score);
@@ -607,6 +651,8 @@ mod tests {
         // The peak moved a few volts since the previous tick: the warm
         // window must catch up without a full-range rescan.
         let outcome = warm_refine_multi(
+            &RecorderHandle::null(),
+            0,
             &SweepConfig::paper_default(),
             &WarmConfig {
                 steps_per_axis: 5,
@@ -617,10 +663,10 @@ mod tests {
                 vx: Volts(14.0),
                 vy: Volts(10.0),
             },
-            |p| {
+            each(|p| {
                 let mut b = bump(18.0, 7.0);
                 vec![b(p)]
-            },
+            }),
             |m| m[0],
         );
         assert!(
@@ -639,13 +685,15 @@ mod tests {
     fn warm_refine_clamps_to_the_supply_range() {
         // A center on the rail edge must keep every probe inside range.
         let outcome = warm_refine_multi(
+            &RecorderHandle::null(),
+            0,
             &SweepConfig::paper_default(),
             &WarmConfig::paper_default(),
             Probe {
                 vx: Volts(30.0),
                 vy: Volts(0.0),
             },
-            |p| vec![-(p.vx.0 - 29.0).abs() - p.vy.0],
+            each(|p| vec![-(p.vx.0 - 29.0).abs() - p.vy.0]),
             |m| m[0],
         );
         for (p, _) in &outcome.history {
@@ -674,60 +722,103 @@ mod tests {
 
     #[test]
     fn traced_sweeps_match_untraced_and_record_the_cost() {
-        use rfmath::telemetry::{RecorderHandle, RingRecorder, TelemetryEvent};
+        use rfmath::telemetry::RingRecorder;
         use std::sync::Arc;
 
         let cfg = SweepConfig::paper_default();
-        let plain = coarse_to_fine_multi(
-            &cfg,
-            {
-                let mut b = bump(17.3, 8.2);
-                move |p| vec![b(p)]
-            },
-            |m| m[0],
-        );
+        let run = |h: &RecorderHandle| {
+            let mut b = bump(17.3, 8.2);
+            coarse_to_fine_multi(h, 3, &cfg, each(move |p| vec![b(p)]), |m| m[0])
+        };
+        let plain = run(&RecorderHandle::null());
         let ring = Arc::new(RingRecorder::new(64));
-        let h = RecorderHandle::new(ring.clone());
-        let traced = coarse_to_fine_multi_traced(
-            &h,
-            3,
-            &cfg,
-            {
-                let mut b = bump(17.3, 8.2);
-                move |p| vec![b(p)]
-            },
-            |m| m[0],
-        );
-        // The wrapper must be observation-only: identical outcome.
+        let traced = run(&RecorderHandle::new(ring.clone()));
         assert_eq!(plain.best, traced.best);
         assert_eq!(plain.best_score, traced.best_score);
-        assert_eq!(plain.probes, traced.probes);
+        assert_eq!(plain.history, traced.history);
         assert_eq!(ring.counter("sweep.probes"), plain.probes as u64);
-        let events = ring.events();
+        let last = |ring: &RingRecorder| ring.events().last().map(|(_, _, e)| e.clone());
         assert!(matches!(
-            events.last(),
-            Some((
-                _,
-                _,
-                TelemetryEvent::SweepSpan {
-                    panel: 3,
-                    kind: "cold",
-                    ..
-                }
-            ))
+            last(&ring),
+            Some(TelemetryEvent::SweepSpan {
+                panel: 3,
+                kind: "cold",
+                probes: 50
+            })
         ));
-        // Null recorder: no panic, no events, same outcome again.
-        let null = coarse_to_fine_multi_traced(
+
+        let warm = warm_refine_multi(
+            &RecorderHandle::new(ring.clone()),
+            1,
+            &cfg,
+            &WarmConfig::paper_default(),
+            plain.best,
+            each(|p| vec![bump(17.3, 8.2)(p)]),
+            |m| m[0],
+        );
+        assert_eq!(
+            ring.counter("sweep.probes"),
+            (plain.probes + warm.probes) as u64
+        );
+        assert!(matches!(
+            last(&ring),
+            Some(TelemetryEvent::SweepSpan {
+                panel: 1,
+                kind: "warm",
+                probes: 10
+            })
+        ));
+    }
+
+    #[test]
+    fn each_iteration_is_one_measurement_call() {
+        // Cold: one call per iteration, T² probes each. Warm: the center
+        // rides with the first grid, then one call per later iteration.
+        let cfg = SweepConfig::paper_default();
+        let mut calls = Vec::new();
+        let cold = coarse_to_fine_multi(
             &RecorderHandle::null(),
             0,
             &cfg,
-            {
-                let mut b = bump(17.3, 8.2);
-                move |p| vec![b(p)]
+            |probes: &[Probe]| {
+                calls.push(probes.len());
+                probes.iter().map(|p| vec![-p.vx.0 - p.vy.0]).collect()
             },
             |m| m[0],
         );
-        assert_eq!(null.best, plain.best);
+        assert_eq!(calls, vec![25, 25]);
+        assert_eq!(cold.probes, 50);
+        calls.clear();
+        let warm = WarmConfig {
+            iterations: 3,
+            ..WarmConfig::paper_default()
+        };
+        let out = warm_refine_multi(
+            &RecorderHandle::null(),
+            0,
+            &cfg,
+            &warm,
+            cold.best,
+            |probes: &[Probe]| {
+                calls.push(probes.len());
+                probes.iter().map(|p| vec![-p.vx.0 - p.vy.0]).collect()
+            },
+            |m| m[0],
+        );
+        assert_eq!(calls, vec![10, 9, 9]);
+        assert_eq!(out.probes, warm.probe_budget());
+    }
+
+    #[test]
+    #[should_panic(expected = "one metric row per probe")]
+    fn a_short_measurement_is_refused() {
+        let _ = coarse_to_fine_multi(
+            &RecorderHandle::null(),
+            0,
+            &SweepConfig::paper_default(),
+            |probes: &[Probe]| vec![vec![0.0]; probes.len() - 1],
+            |m| m[0],
+        );
     }
 
     #[test]

@@ -4,12 +4,272 @@
 
 use control::psu::{PowerSupply, Reply};
 use control::scpi;
-use control::sweep::{coarse_to_fine, SweepConfig};
+use control::sweep::{
+    coarse_to_fine, coarse_to_fine_multi, warm_refine_multi, MultiSweepOutcome, Probe, SweepConfig,
+    WarmConfig,
+};
 use control::sync::BiasSchedule;
 use proptest::prelude::*;
+use rfmath::telemetry::RecorderHandle;
 use rfmath::units::{Seconds, Volts};
 
+/// A per-device metric surface with deliberate score ties: each
+/// device reads `round(q · sin(a·vx + b·vy + c))`, so a grid holds few
+/// distinct values. `dead` controls the `−∞` readings: 0 none, 1 every
+/// probe with `vx` above `cut`, 2 every probe.
+#[derive(Clone, Debug)]
+struct Landscape {
+    devices: Vec<(f64, f64, f64)>,
+    q: f64,
+    dead: usize,
+    cut: f64,
+    max_min: bool,
+}
+
+impl Landscape {
+    fn metrics(&self, p: Probe) -> Vec<f64> {
+        let dead = match self.dead {
+            0 => false,
+            1 => p.vx.0 > self.cut,
+            _ => true,
+        };
+        self.devices
+            .iter()
+            .map(|&(a, b, c)| {
+                if dead {
+                    f64::NEG_INFINITY
+                } else {
+                    ((a * p.vx.0 + b * p.vy.0 + c).sin() * self.q).round()
+                }
+            })
+            .collect()
+    }
+
+    fn score(&self, m: &[f64]) -> f64 {
+        if self.max_min {
+            m.iter().copied().fold(f64::INFINITY, f64::min)
+        } else {
+            m[0]
+        }
+    }
+
+    /// The batch measurement: one row per probe, in order, counting
+    /// calls.
+    fn batch<'a>(&'a self, calls: &'a mut usize) -> impl FnMut(&[Probe]) -> Vec<Vec<f64>> + 'a {
+        move |probes| {
+            *calls += 1;
+            probes.iter().map(|&p| self.metrics(p)).collect()
+        }
+    }
+}
+
+fn landscapes() -> BoxedStrategy<Landscape> {
+    (
+        prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0, 0.0f64..6.3), 1..4),
+        1u8..4,
+        0usize..3,
+        0.0f64..30.0,
+        0u8..2,
+    )
+        .prop_map(|(devices, q, dead, cut, max_min)| Landscape {
+            devices,
+            q: f64::from(q),
+            dead,
+            cut,
+            max_min: max_min == 1,
+        })
+        .boxed()
+}
+
+/// Algorithm 1 written probe by probe: every probe is measured, scored
+/// and recorded before the next, the iteration winner is the first
+/// probe to reach its best score, and the running winner moves only on
+/// a strictly better iteration.
+fn per_probe_cold(config: &SweepConfig, land: &Landscape) -> MultiSweepOutcome {
+    let t = config.steps_per_axis;
+    let (mut lo_x, mut hi_x) = (config.v_min.0, config.v_max.0);
+    let (mut lo_y, mut hi_y) = (config.v_min.0, config.v_max.0);
+    let mut best = Probe {
+        vx: config.v_min,
+        vy: config.v_min,
+    };
+    let mut best_score = f64::NEG_INFINITY;
+    let mut best_metrics = Vec::new();
+    let mut history = Vec::new();
+    for _ in 0..config.iterations {
+        let at = |lo: f64, hi: f64, i: usize| Volts(lo + (hi - lo) * i as f64 / (t - 1) as f64);
+        let (mut iter_best, mut iter_score, mut iter_metrics) =
+            (best, f64::NEG_INFINITY, Vec::new());
+        for ix in 0..t {
+            for iy in 0..t {
+                let probe = Probe {
+                    vx: at(lo_x, hi_x, ix),
+                    vy: at(lo_y, hi_y, iy),
+                };
+                let m = land.metrics(probe);
+                let s = land.score(&m);
+                if s > iter_score {
+                    (iter_best, iter_score, iter_metrics) = (probe, s, m.clone());
+                }
+                history.push((probe, m));
+            }
+        }
+        if iter_score > best_score {
+            (best, best_score, best_metrics) = (iter_best, iter_score, iter_metrics);
+        }
+        let step_x = (hi_x - lo_x) / (t - 1) as f64;
+        let step_y = (hi_y - lo_y) / (t - 1) as f64;
+        lo_x = (best.vx.0 - step_x).max(config.v_min.0);
+        hi_x = (best.vx.0 + step_x).min(config.v_max.0);
+        lo_y = (best.vy.0 - step_y).max(config.v_min.0);
+        hi_y = (best.vy.0 + step_y).min(config.v_max.0);
+    }
+    MultiSweepOutcome {
+        best,
+        best_score,
+        best_metrics,
+        probes: history.len(),
+        duration: Seconds(config.switch_period.0 * history.len() as f64),
+        history,
+    }
+}
+
+/// The warm refinement written probe by probe: the clamped center
+/// leads whatever it scores, then each grid probe takes the lead only
+/// on a strictly better score.
+fn per_probe_warm(
+    config: &SweepConfig,
+    warm: &WarmConfig,
+    center: Probe,
+    land: &Landscape,
+) -> MultiSweepOutcome {
+    let clamp = |v: f64| v.clamp(config.v_min.0, config.v_max.0);
+    let center = Probe {
+        vx: Volts(clamp(center.vx.0)),
+        vy: Volts(clamp(center.vy.0)),
+    };
+    let t = warm.steps_per_axis;
+    let m0 = land.metrics(center);
+    let (mut best, mut best_score, mut best_metrics) = (center, land.score(&m0), m0.clone());
+    let mut history = vec![(center, m0)];
+    let mut lo_x = clamp(center.vx.0 - warm.radius.0);
+    let mut hi_x = clamp(center.vx.0 + warm.radius.0);
+    let mut lo_y = clamp(center.vy.0 - warm.radius.0);
+    let mut hi_y = clamp(center.vy.0 + warm.radius.0);
+    for _ in 0..warm.iterations {
+        let at = |lo: f64, hi: f64, i: usize| Volts(lo + (hi - lo) * i as f64 / (t - 1) as f64);
+        for ix in 0..t {
+            for iy in 0..t {
+                let probe = Probe {
+                    vx: at(lo_x, hi_x, ix),
+                    vy: at(lo_y, hi_y, iy),
+                };
+                let m = land.metrics(probe);
+                let s = land.score(&m);
+                if s > best_score {
+                    (best, best_score, best_metrics) = (probe, s, m.clone());
+                }
+                history.push((probe, m));
+            }
+        }
+        let step_x = (hi_x - lo_x) / (t - 1) as f64;
+        let step_y = (hi_y - lo_y) / (t - 1) as f64;
+        lo_x = clamp(best.vx.0 - step_x);
+        hi_x = clamp(best.vx.0 + step_x);
+        lo_y = clamp(best.vy.0 - step_y);
+        hi_y = clamp(best.vy.0 + step_y);
+    }
+    MultiSweepOutcome {
+        best,
+        best_score,
+        best_metrics,
+        probes: history.len(),
+        duration: Seconds(config.switch_period.0 * history.len() as f64),
+        history,
+    }
+}
+
+/// Bitwise equality of two sweep outcomes, history order included.
+fn same_outcome(got: &MultiSweepOutcome, want: &MultiSweepOutcome) -> Result<(), TestCaseError> {
+    let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    prop_assert_eq!(got.best, want.best);
+    prop_assert_eq!(got.best_score.to_bits(), want.best_score.to_bits());
+    prop_assert_eq!(bits(&got.best_metrics), bits(&want.best_metrics));
+    prop_assert_eq!(got.probes, want.probes);
+    prop_assert_eq!(got.duration.0.to_bits(), want.duration.0.to_bits());
+    prop_assert_eq!(got.history.len(), want.history.len());
+    for ((pa, ma), (pb, mb)) in got.history.iter().zip(&want.history) {
+        prop_assert_eq!(pa, pb);
+        prop_assert_eq!(bits(ma), bits(mb));
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The batched cold sweep — one `measure` call per iteration — is
+    /// bitwise the per-probe Algorithm 1, through score ties and grids
+    /// that read `−∞` in part or everywhere.
+    #[test]
+    fn batched_cold_sweep_is_the_per_probe_algorithm(
+        n in 1usize..4,
+        t in 2usize..7,
+        lo in 0.0f64..10.0,
+        span in 1.0f64..25.0,
+        land in landscapes(),
+    ) {
+        let cfg = SweepConfig {
+            iterations: n,
+            steps_per_axis: t,
+            v_min: Volts(lo),
+            v_max: Volts(lo + span),
+            switch_period: Seconds(0.02),
+        };
+        let mut calls = 0;
+        let got = coarse_to_fine_multi(
+            &RecorderHandle::null(),
+            0,
+            &cfg,
+            land.batch(&mut calls),
+            |m| land.score(m),
+        );
+        prop_assert_eq!(calls, n);
+        same_outcome(&got, &per_probe_cold(&cfg, &land))?;
+    }
+
+    /// The batched warm refinement — the center with the first grid,
+    /// then one call per later iteration — is bitwise the per-probe
+    /// refinement, for centers inside and outside the supply range.
+    #[test]
+    fn batched_warm_sweep_is_the_per_probe_algorithm(
+        iterations in 1usize..4,
+        t in 2usize..6,
+        radius in 0.5f64..12.0,
+        cx in -5.0f64..35.0,
+        cy in -5.0f64..35.0,
+        land in landscapes(),
+    ) {
+        let cfg = SweepConfig::paper_default();
+        let warm = WarmConfig {
+            radius: Volts(radius),
+            steps_per_axis: t,
+            iterations,
+            regression_db: 6.0,
+        };
+        let center = Probe { vx: Volts(cx), vy: Volts(cy) };
+        let mut calls = 0;
+        let got = warm_refine_multi(
+            &RecorderHandle::null(),
+            0,
+            &cfg,
+            &warm,
+            center,
+            land.batch(&mut calls),
+            |m| land.score(m),
+        );
+        prop_assert_eq!(calls, iterations);
+        same_outcome(&got, &per_probe_warm(&cfg, &warm, center, &land))?;
+    }
+
     /// The sweep's probe count and duration match the 0.02·N·T² law for
     /// any (N, T) configuration.
     #[test]

@@ -755,11 +755,6 @@ pub fn alg1(seed: u64) -> Alg1Timing {
     }
 }
 
-/// Seconds marker used by the sensing experiments' trace output.
-pub fn trace_seconds(result: &SensingResult) -> Vec<f64> {
-    result.trace.iter().map(|(t, _)| t.0).collect()
-}
-
 /// dBm series of a sensing trace.
 pub fn trace_dbm(result: &SensingResult) -> Vec<f64> {
     result.trace.iter().map(|(_, p)| p.0).collect()

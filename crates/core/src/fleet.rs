@@ -41,6 +41,7 @@
 //! assert!(outcome.per_device.iter().all(|d| d.power_dbm.is_finite()));
 //! ```
 
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
@@ -48,13 +49,15 @@ use control::controller::Objective;
 use control::sweep::{coarse_to_fine_multi, warm_refine_multi, Probe, SweepConfig, WarmConfig};
 use devices::profile::DeviceProfile;
 use metasurface::designs::Design;
-use metasurface::evaluator::{PlanCache, StackEvaluator};
+use metasurface::evaluator::{BiasCells, PlanCache, StackEvaluator};
 use metasurface::response::{Metasurface, SurfaceResponse};
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
+use microwave::polarized::PolarizedS;
 use propagation::capacity::{capacity_bits, duty_cycled_throughput};
 use propagation::link::{PreparedLink, ResponseFactors};
 use propagation::rays::Deployment;
 use rfmath::rng::SeedSplitter;
+use rfmath::telemetry::RecorderHandle;
 use rfmath::units::{Dbm, Degrees, Meters, Seconds, Volts};
 
 use crate::scenario::Scenario;
@@ -247,6 +250,16 @@ impl Fleet {
     }
 }
 
+/// Smallest probe matrix (biases × devices) whose device projections
+/// fan out across threads. Below it the spawn costs more than the split
+/// saves: a 25-bias `powers_matrix` at a budget of 2 took 1.8–2.0×,
+/// 1.3–1.5× and 1.0–1.1× the serial time at 200, 400 and 800
+/// link-probes, and 0.75–0.84× at 1600 (2-vCPU shared host, release
+/// build, best of 6 fleets × 5 runs). Algorithm 1's 3×3 and 5×5 grids
+/// over a panel's sub-fleet stay serial; the time-division matrices of
+/// large fleets still fan out.
+pub const FAN_OUT_MIN_PROBES: usize = 1024;
+
 /// The shared-plan fleet evaluation engine: compiled once per fleet,
 /// probed once per bias for all devices.
 pub struct FleetEvaluator {
@@ -264,6 +277,18 @@ pub struct FleetEvaluator {
     /// ([`StackEvaluator::eval_batch_reference`]) instead of the
     /// structure-of-arrays fast path. Never set in production.
     reference_batch: bool,
+    /// Buffers every batch reuses, so a steady stream of sweep grids
+    /// allocates little beyond its output rows.
+    buffers: RefCell<BatchBuffers>,
+}
+
+/// [`FleetEvaluator`]'s reusable batch buffers: the deduplicated bias
+/// list, one plan's responses, and every plan's probe factors.
+#[derive(Default)]
+struct BatchBuffers {
+    cells: BiasCells,
+    responses: Vec<Option<PolarizedS>>,
+    factors: Vec<ResponseFactors>,
 }
 
 impl FleetEvaluator {
@@ -303,6 +328,7 @@ impl FleetEvaluator {
             v_max: SUPPLY_CEILING,
             fault: None,
             reference_batch: false,
+            buffers: RefCell::default(),
         }
     }
 
@@ -372,74 +398,96 @@ impl FleetEvaluator {
     }
 
     /// Every device's received power under one shared bias state
-    /// (clamped to the supply ceiling, like `Metasurface::set_bias`).
+    /// (clamped to the supply ceiling, like `Metasurface::set_bias`):
+    /// the one-row case of [`FleetEvaluator::powers_matrix`].
     pub fn powers_dbm(&self, bias: BiasState) -> Vec<f64> {
-        let bias = self.faulted(bias.clamped(self.v_max));
-        let responses: Vec<SurfaceResponse> = self
-            .plans
-            .iter()
-            .map(|p| SurfaceResponse::new(p.frequency(), p.response(bias)))
-            .collect();
-        self.links
-            .iter()
-            .zip(&self.plan_of)
-            .map(|(link, &k)| probe_dbm(link, &responses[k], self.reference_batch))
-            .collect()
+        self.powers_of([bias])
+            .pop()
+            .expect("one bias yields one row")
     }
 
     /// The full probe matrix: `result[b][d]` is device `d`'s power under
-    /// `biases[b]`. Each plan's cascades are evaluated in one batch
-    /// (per-axis solves deduplicated across the whole probe list), and
-    /// each response's link-independent probe factors
-    /// ([`ResponseFactors`]: its Jones products and mean efficiency) are
-    /// computed once per `(plan, bias)`. Per-bias device projections then
-    /// fan out across the caller's [`rfmath::par::budget`], each device
-    /// applying only its own link's terms and shadow tuning.
+    /// `biases[b]` (each bias clamped to the supply ceiling). Each plan's
+    /// cascades are evaluated in one batch (per-axis solves deduplicated
+    /// across the whole probe list), and each response's link-independent
+    /// probe factors ([`ResponseFactors`]: its Jones products and mean
+    /// efficiency) are computed once per `(plan, bias)`. Per-bias device
+    /// projections then fan out across the caller's
+    /// [`rfmath::par::budget`] once the matrix reaches
+    /// [`FAN_OUT_MIN_PROBES`], each device applying only its own link's
+    /// terms and shadow tuning. Every row is bitwise the powers a
+    /// one-bias call returns (property-tested), whatever the budget.
     pub fn powers_matrix(&self, biases: &[BiasState]) -> Vec<Vec<f64>> {
-        let clamped: Vec<BiasState> = biases
-            .iter()
-            .map(|b| self.faulted(b.clamped(self.v_max)))
-            .collect();
-        let reference = self.reference_batch;
-        // One batched cascade pass per distinct carrier.
-        let responses = self.plans.iter().map(|p| {
-            let batch = if reference {
-                p.eval_batch_reference(&clamped)
-            } else {
-                p.eval_batch(&clamped)
-            };
-            let f = p.frequency();
-            batch.into_iter().map(move |r| SurfaceResponse::new(f, r))
-        });
-        if reference {
-            let responses: Vec<Vec<SurfaceResponse>> = responses.map(Iterator::collect).collect();
-            self.fan_out(clamped.len(), &responses, |link, r| {
-                link.received_dbm_by_paths(Some(r)).0
-            })
-        } else {
-            let factors: Vec<Vec<ResponseFactors>> = responses
-                .map(|batch| batch.map(|r| ResponseFactors::new(&r)).collect())
-                .collect();
-            self.fan_out(clamped.len(), &factors, |link, r| {
-                link.received_dbm_factored(r).0
-            })
-        }
+        self.powers_of(biases.iter().copied())
     }
 
-    /// Fills `n` per-bias rows across the caller's
-    /// [`rfmath::par::budget`]: row `b` holds
-    /// `probe(link_d, &per_plan[plan_of[d]][b])` for every device `d`.
-    /// Captures only `Sync` pieces — the plans hold `RefCell` memos and
-    /// stay on this thread; their responses are already computed.
+    /// An Algorithm 1 measurement over this fleet: each sweep iteration's
+    /// probe grid is one [`FleetEvaluator::powers_matrix`] call.
+    pub(crate) fn measure_grid(&self) -> impl FnMut(&[Probe]) -> Vec<Vec<f64>> + '_ {
+        |probes| self.powers_of(probes.iter().map(|p| BiasState { vx: p.vx, vy: p.vy }))
+    }
+
+    /// [`FleetEvaluator::powers_matrix`] over any bias sequence.
+    fn powers_of(&self, biases: impl IntoIterator<Item = BiasState>) -> Vec<Vec<f64>> {
+        let applied = biases
+            .into_iter()
+            .map(|b| self.faulted(b.clamped(self.v_max)));
+        if self.reference_batch {
+            let applied: Vec<BiasState> = applied.collect();
+            let responses: Vec<SurfaceResponse> = self
+                .plans
+                .iter()
+                .flat_map(|p| {
+                    let f = p.frequency();
+                    p.eval_batch_reference(&applied)
+                        .into_iter()
+                        .map(move |r| SurfaceResponse::new(f, r))
+                })
+                .collect();
+            return self.fan_out(applied.len(), &responses, |link, r| {
+                link.received_dbm_by_paths(Some(r)).0
+            });
+        }
+        // One deduplicated bias list and one batched cascade pass per
+        // distinct carrier; plan `k`'s factors land at `[k·n, (k+1)·n)`.
+        let mut buffers = self.buffers.borrow_mut();
+        let BatchBuffers {
+            cells,
+            responses,
+            factors,
+        } = &mut *buffers;
+        cells.refill(applied);
+        let n = cells.len();
+        responses.clear();
+        responses.resize(n, None);
+        factors.clear();
+        for plan in &self.plans {
+            plan.eval_cells_into(cells, responses);
+            let f = plan.frequency();
+            factors.extend(
+                responses
+                    .iter()
+                    .map(|&r| ResponseFactors::new(&SurfaceResponse::new(f, r))),
+            );
+        }
+        self.fan_out(n, factors, |link, r| link.received_dbm_factored(r).0)
+    }
+
+    /// Fills `n` per-bias rows, across the caller's
+    /// [`rfmath::par::budget`] from [`FAN_OUT_MIN_PROBES`] link-probes
+    /// up: row `b` holds `probe(link_d, &per_plan[plan_of[d]·n + b])`
+    /// for every device `d`. Captures only `Sync` pieces — the plans
+    /// hold `RefCell` memos and stay on this thread; their responses are
+    /// already computed.
     fn fan_out<R: Sync>(
         &self,
         n: usize,
-        per_plan: &[Vec<R>],
+        per_plan: &[R],
         probe: impl Fn(&PreparedLink, &R) -> f64 + Sync,
     ) -> Vec<Vec<f64>> {
         let links = &self.links;
         let plan_of = &self.plan_of;
-        let threads = if n * links.len() < 64 {
+        let threads = if n * links.len() < FAN_OUT_MIN_PROBES {
             1
         } else {
             rfmath::par::budget()
@@ -449,33 +497,10 @@ impl FleetEvaluator {
             links
                 .iter()
                 .zip(plan_of)
-                .map(|(link, &k)| probe(link, &per_plan[k][b]))
+                .map(|(link, &k)| probe(link, &per_plan[k * n + b]))
                 .collect()
         });
         out
-    }
-
-    /// Per-device baseline powers with no surface deployed.
-    pub fn baselines_dbm(&self) -> Vec<f64> {
-        self.links
-            .iter()
-            .map(|l| {
-                let mut link = l.link().clone();
-                link.deployment = link.deployment.without_surface();
-                link.received_dbm(None).0
-            })
-            .collect()
-    }
-}
-
-/// One device's power under one response, dBm: the cached probe, or on
-/// the bench-only reference arm the path-by-path projection it replaced
-/// (bit-identical either way).
-fn probe_dbm(link: &PreparedLink, response: &SurfaceResponse, reference: bool) -> f64 {
-    if reference {
-        link.received_dbm_by_paths(Some(response)).0
-    } else {
-        link.received_dbm_with(Some(response)).0
     }
 }
 
@@ -699,25 +724,25 @@ impl Scheduler {
         let Some(prev_bias) = prev.shared_bias else {
             return self.run_with_evaluator(fleet, evaluator);
         };
+        let null = RecorderHandle::null();
+        let score = |powers: &[f64]| objective.score(powers).unwrap_or(f64::NEG_INFINITY);
         let mut outcome = warm_refine_multi(
+            &null,
+            0,
             &self.sweep,
             warm,
             Probe {
                 vx: prev_bias.vx,
                 vy: prev_bias.vy,
             },
-            |p| evaluator.powers_dbm(BiasState { vx: p.vx, vy: p.vy }),
-            |powers| objective.score(powers).unwrap_or(f64::NEG_INFINITY),
+            evaluator.measure_grid(),
+            score,
         );
         if outcome.best_score < prev.score - warm.regression_db {
             // Widen: full cold search, merged with the warm probes (they
             // were spent on the air) and keeping the better winner — the
             // cold grid need not revisit the warm window.
-            let cold = coarse_to_fine_multi(
-                &self.sweep,
-                |p| evaluator.powers_dbm(BiasState { vx: p.vx, vy: p.vy }),
-                |powers| objective.score(powers).unwrap_or(f64::NEG_INFINITY),
-            );
+            let cold = coarse_to_fine_multi(&null, 0, &self.sweep, evaluator.measure_grid(), score);
             if cold.best_score >= outcome.best_score {
                 outcome.best = cold.best;
                 outcome.best_score = cold.best_score;
@@ -739,8 +764,10 @@ impl Scheduler {
         objective: Objective,
     ) -> FleetOutcome {
         let outcome = coarse_to_fine_multi(
+            &RecorderHandle::null(),
+            0,
             &self.sweep,
-            |p| evaluator.powers_dbm(BiasState { vx: p.vx, vy: p.vy }),
+            evaluator.measure_grid(),
             |powers| objective.score(powers).unwrap_or(f64::NEG_INFINITY),
         );
         self.shared_outcome(fleet, evaluator, outcome)
@@ -956,9 +983,9 @@ mod tests {
 
     #[test]
     fn threaded_matrix_matches_serial_bitwise() {
-        // 64 devices × 25 biases crosses the 64-probe fan-out threshold,
-        // so a budget of four runs the threaded projection on any host,
-        // behind both batch kernels.
+        // 64 devices × 25 biases = 1600 link-probes crosses
+        // `FAN_OUT_MIN_PROBES`, so a budget of four runs the threaded
+        // projection on any host, behind both batch kernels.
         let fleet = Fleet::mixed_wifi_ble(64, 41);
         let biases: Vec<BiasState> = (0..25)
             .map(|i| BiasState::new((i % 5) as f64 * 7.0, (i / 5) as f64 * 6.5))

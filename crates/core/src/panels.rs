@@ -143,12 +143,6 @@ impl Panel {
         self
     }
 
-    /// The illumination angle this panel presents to a device's link,
-    /// if the panel carries a mount and the deployment a surface.
-    pub fn incidence_for(&self, base: Deployment) -> Option<Degrees> {
-        self.deployment_for(base).incidence_deg()
-    }
-
     /// The scenario a device sees when served by this panel: its own
     /// geometry and radio, this panel's design and mounting position.
     pub(crate) fn scenario_for(&self, base: &Scenario) -> Scenario {
@@ -952,19 +946,25 @@ impl PanelScheduler {
                     vx: biases[p].vx,
                     vy: biases[p].vy,
                 };
+                // The coupled field is measured probe by probe, in
+                // visit order.
                 let sweep = warm_refine_multi(
+                    &RecorderHandle::null(),
+                    p,
                     &self.base.sweep,
                     &cfg.warm,
                     center,
-                    |probe| {
-                        coupled.sweep_powers(
-                            p,
-                            BiasState {
-                                vx: probe.vx,
-                                vy: probe.vy,
-                            },
-                            &fixed,
-                        )
+                    |probes: &[Probe]| {
+                        probes
+                            .iter()
+                            .map(|probe| {
+                                let bias = BiasState {
+                                    vx: probe.vx,
+                                    vy: probe.vy,
+                                };
+                                coupled.sweep_powers(p, bias, &fixed)
+                            })
+                            .collect()
                     },
                     |m| m.iter().copied().fold(f64::INFINITY, f64::min),
                 );
@@ -1790,13 +1790,13 @@ mod tests {
 
     #[test]
     fn served_panel_fleets_match_direct_runs() {
-        // 16 devices on 2 panels: a time-division panel's probe matrix
-        // crosses the 64-probe fan-out threshold. The direct runs fan it
+        // 96 devices on 2 panels: a time-division panel's 25-bias probe
+        // matrix crosses `FAN_OUT_MIN_PROBES`. The direct runs fan it
         // out over four threads, the served jobs run it under their share
         // of the server's budget, and both must agree bit for bit.
         let jobs: Vec<(Fleet, PanelArray)> = (0..4)
             .map(|s| {
-                let fleet = Fleet::mixed_wifi_ble(16, 200 + s);
+                let fleet = Fleet::mixed_wifi_ble(96, 200 + s);
                 let array = PanelArray::uniform(fleet.design.clone(), 2);
                 (fleet, array)
             })
@@ -1805,6 +1805,16 @@ mod tests {
             let direct: Vec<PanelOutcome> = rfmath::par::with_budget(4, || {
                 jobs.iter().map(|(f, a)| scheduler.run(f, a)).collect()
             });
+            let widest = direct
+                .iter()
+                .flat_map(|o| &o.per_panel)
+                .map(|p| p.devices.len())
+                .max()
+                .unwrap_or(0);
+            assert!(
+                widest * 25 >= crate::fleet::FAN_OUT_MIN_PROBES,
+                "widest panel {widest}"
+            );
             let served = serve_panel_fleets(&FleetServer::new(3), &scheduler, &jobs);
             for (a, b) in served.iter().zip(&direct) {
                 assert_eq!(a.assignment, b.assignment);

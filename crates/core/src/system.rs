@@ -19,6 +19,7 @@ use propagation::link::PreparedLink;
 use propagation::signal::rssi_reading;
 use rand::rngs::StdRng;
 use rfmath::rng::SeedSplitter;
+use rfmath::telemetry::RecorderHandle;
 use rfmath::units::{Db, Dbm, Seconds, Volts};
 
 use crate::scenario::Scenario;
@@ -97,17 +98,6 @@ impl LlamaSystem {
         self.scenario.link().received_dbm(Some(&self.surface))
     }
 
-    /// Measured received power at a bias state, through the receiver's
-    /// noisy tone-measurement chain.
-    pub fn measured_power_dbm(&mut self, bias: BiasState) -> Dbm {
-        self.surface.set_bias(bias);
-        let amp = self
-            .scenario
-            .link()
-            .received_amplitude_at(Some(&self.surface), Seconds(0.0));
-        self.receiver.measure_dbm(amp, 4096)
-    }
-
     /// Baseline power with the surface removed (the paper's 30 s
     /// averaged measurement).
     pub fn baseline_power_dbm(&mut self) -> Dbm {
@@ -128,26 +118,39 @@ impl LlamaSystem {
         // effective noise floor these wander by several dB and can
         // mislead the sweep, exactly as on real hardware.
         //
-        // The link is bias-independent, so it is built once; each probe
-        // then costs a single (evaluator-cached) cascade instead of
-        // rebuilding the link and evaluating the surface four times.
+        // The link is bias-independent, so it is built once. Each
+        // iteration's grid is one batched cascade through a plan
+        // compiled once per run (at the supply-clamped biases
+        // `set_bias` would deliver); the RSSI readings are then drawn
+        // probe by probe in visit order.
         //
         // The search runs on the vector-objective Algorithm 1 core the
         // fleet scheduler uses: a single link is the N = 1 fleet, its
         // objective the identity on the one reading.
-        let scenario = self.scenario.clone();
-        let link = scenario.link();
-        let f = scenario.frequency;
-        let surface = &mut self.surface;
+        let link = self.scenario.link();
+        let f = self.scenario.frequency;
+        let evaluator = StackEvaluator::new(&self.surface.design().stack, f);
+        let v_max = self.surface.v_max;
         let rng = &mut self.rssi_rng;
         let floor_w = Dbm(self.rssi_floor_dbm).to_watts();
         let outcome = coarse_to_fine_multi(
+            &RecorderHandle::null(),
+            0,
             &self.sweep,
-            |p: Probe| {
-                surface.set_bias(BiasState { vx: p.vx, vy: p.vy });
-                let response = surface.response(f);
-                let amp = link.received_amplitude_with(Some(&response), Seconds(0.0));
-                vec![rssi_reading(amp, floor_w, rng).0]
+            |probes: &[Probe]| {
+                let biases: Vec<BiasState> = probes
+                    .iter()
+                    .map(|p| BiasState { vx: p.vx, vy: p.vy }.clamped(v_max))
+                    .collect();
+                evaluator
+                    .eval_batch(&biases)
+                    .into_iter()
+                    .map(|r| {
+                        let response = SurfaceResponse::new(f, r);
+                        let amp = link.received_amplitude_with(Some(&response), Seconds(0.0));
+                        vec![rssi_reading(amp, floor_w, rng).0]
+                    })
+                    .collect()
             },
             |m| m[0],
         );

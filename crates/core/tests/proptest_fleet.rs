@@ -3,14 +3,22 @@
 //! * the shared-plan batch path equals the naive per-device loop to
 //!   1e-12 across random fleets and bias lists (the PR's equivalence
 //!   acceptance bar);
+//! * every `powers_matrix` row is bitwise the per-device single-bias
+//!   probe (fresh plan, `StackEvaluator::response`, prepared link), for
+//!   any bias list (out-of-range, repeated, sharing axis voltages),
+//!   under bias faults, serial or fanned out across two threads;
 //! * the `MaxMin` scheduler's score is ≥ the worst link of *every*
 //!   probed shared bias (it is the arg-max of the min — no probed
 //!   compromise can beat it).
 
-use llama_core::fleet::{Fleet, FleetDevice, FleetEvaluator, Scheduler};
-use metasurface::stack::BiasState;
+use llama_core::faults::{BiasFault, CellFaultKind};
+use llama_core::fleet::{Fleet, FleetDevice, FleetEvaluator, Scheduler, FAN_OUT_MIN_PROBES};
+use metasurface::evaluator::StackEvaluator;
+use metasurface::response::SurfaceResponse;
+use metasurface::stack::{BiasState, SUPPLY_CEILING};
+use propagation::link::PreparedLink;
 use proptest::prelude::*;
-use rfmath::units::Degrees;
+use rfmath::units::{Degrees, Volts};
 
 /// A random heterogeneous fleet: 1..max devices of mixed radio classes,
 /// orientations, distances and channel seeds (derived from a xorshift
@@ -50,8 +58,110 @@ fn biases() -> BoxedStrategy<Vec<BiasState>> {
         .boxed()
 }
 
+/// Bias lists with out-of-range voltages (below 0 V and above the
+/// supply ceiling), exact repeats, and new biases pairing one entry's
+/// X voltage with another's Y voltage.
+fn bias_lists() -> BoxedStrategy<Vec<BiasState>> {
+    (
+        prop::collection::vec((-5.0f64..40.0, -5.0f64..40.0), 1..24),
+        prop::collection::vec((0usize..64, 0usize..64, 0usize..2), 0..16),
+    )
+        .prop_map(|(fresh, picks)| {
+            let mut list: Vec<BiasState> = fresh
+                .into_iter()
+                .map(|(x, y)| BiasState::new(x, y))
+                .collect();
+            for (a, b, kind) in picks {
+                let (a, b) = (list[a % list.len()], list[b % list.len()]);
+                list.push(if kind == 0 {
+                    a
+                } else {
+                    BiasState { vx: a.vx, vy: b.vy }
+                });
+            }
+            list
+        })
+        .boxed()
+}
+
+/// One axis's defect: none, stuck at a voltage, or clamped below one.
+fn axis_fault() -> BoxedStrategy<Option<CellFaultKind>> {
+    prop_oneof![
+        Just(None),
+        (0.0f64..30.0).prop_map(|v| Some(CellFaultKind::Stuck(Volts(v)))),
+        (0.0f64..30.0).prop_map(|v| Some(CellFaultKind::Clamped(Volts(v)))),
+    ]
+    .boxed()
+}
+
+/// The per-probe oracle: every device's power under one commanded bias,
+/// through its own freshly compiled plan's single-bias cascade and its
+/// own prepared link, at the bias the faulted panel realizes.
+fn single_bias_powers(fleet: &Fleet, fault: &BiasFault, bias: BiasState) -> Vec<f64> {
+    let bias = fault.apply(bias.clamped(SUPPLY_CEILING));
+    fleet
+        .devices()
+        .iter()
+        .map(|device| {
+            let f = device.scenario.frequency;
+            let response = StackEvaluator::new(&fleet.design.stack, f).response(bias);
+            PreparedLink::new(device.scenario.link())
+                .received_dbm_with(Some(&SurfaceResponse::new(f, response)))
+                .0
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every row of the batch matrix is bitwise the single-bias probe
+    /// of its bias, and so is `powers_dbm`, at a budget of 1 and of 2.
+    /// With `fan` set the list is repeated past `FAN_OUT_MIN_PROBES`
+    /// link-probes, so the budget-2 run splits the rows across threads.
+    #[test]
+    fn matrix_rows_are_bitwise_single_bias_probes(
+        f in fleet(6),
+        base in bias_lists(),
+        x in axis_fault(),
+        y in axis_fault(),
+        fan in 0usize..2,
+    ) {
+        let fault = BiasFault { x, y };
+        let mut evaluator = FleetEvaluator::new(&f);
+        evaluator.set_bias_fault(Some(fault));
+        let want: Vec<Vec<f64>> = base
+            .iter()
+            .map(|&b| single_bias_powers(&f, &fault, b))
+            .collect();
+        let copies = if fan == 1 {
+            FAN_OUT_MIN_PROBES.div_ceil(base.len() * f.len())
+        } else {
+            1
+        };
+        let list: Vec<BiasState> = base.iter().copied().cycle().take(copies * base.len()).collect();
+        for budget in [1, 2] {
+            let matrix = rfmath::par::with_budget(budget, || evaluator.powers_matrix(&list));
+            prop_assert_eq!(matrix.len(), list.len());
+            for (i, row) in matrix.iter().enumerate() {
+                let want = &want[i % base.len()];
+                prop_assert_eq!(row.len(), f.len());
+                for (d, (got, want)) in row.iter().zip(want).enumerate() {
+                    prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        "budget {budget} bias {i} {:?} device {d}: {got} vs {want}",
+                        list[i]
+                    );
+                }
+            }
+        }
+        for (&bias, want) in base.iter().zip(&want) {
+            let single = evaluator.powers_dbm(bias);
+            for (got, want) in single.iter().zip(want) {
+                prop_assert!(got.to_bits() == want.to_bits(), "powers_dbm {bias:?}: {got} vs {want}");
+            }
+        }
+    }
 
     /// Batched == naive per-receiver powers to 1e-12, across random
     /// heterogeneous fleets (mixed radios, deployments, rooms) and

@@ -73,11 +73,6 @@ impl RotationMap {
         Degrees(self.grid.eval(bias.vx.0, bias.vy.0))
     }
 
-    /// Rotation magnitude in degrees.
-    pub fn rotation_magnitude_deg(&self, bias: BiasState) -> Degrees {
-        Degrees(self.rotation_deg(bias).0.abs())
-    }
-
     /// Rotation in radians.
     pub fn rotation(&self, bias: BiasState) -> Radians {
         self.rotation_deg(bias).to_radians()

@@ -145,6 +145,9 @@ struct PlanCore {
     f: Hertz,
     steps: Vec<Step>,
     statics: Vec<WaveTransfer>,
+    /// `statics` flattened to row-major 4×4 complex components, the
+    /// form the structure-of-arrays kernel broadcasts.
+    static_components: Vec<[Complex; 16]>,
     tuned: Vec<TunedCore>,
     /// Single-stage stacks bypass the transfer-domain plan entirely.
     lone: Option<Lone>,
@@ -182,6 +185,7 @@ impl PlanCore {
                 f,
                 steps,
                 statics,
+                static_components: Vec::new(),
                 tuned,
                 lone: Some(lone),
                 opaque: false,
@@ -234,6 +238,7 @@ impl PlanCore {
         Self {
             f,
             steps,
+            static_components: statics.iter().map(WaveTransfer::components).collect(),
             statics,
             tuned,
             lone: None,
@@ -373,8 +378,18 @@ impl StackEvaluator {
     /// [`StackEvaluator::eval_batch_reference`] (property-tested);
     /// rotated tuned panels, lone stages and tiny batches take the fold.
     pub fn eval_batch(&self, biases: &[BiasState]) -> Vec<Option<PolarizedS>> {
-        let (vxs, vys, cells) = dedupe_biases(biases);
-        self.eval_cells(&vxs, &vys, &cells, true)
+        self.eval_list(biases, true)
+    }
+
+    /// [`StackEvaluator::eval_batch`] over an already deduplicated bias
+    /// list, written into `out` (one slot per bias, in order). Plans
+    /// compiled from one stack at different carriers can share one
+    /// [`BiasCells`] and one output buffer.
+    ///
+    /// # Panics
+    /// Panics when `out.len() != cells.len()`.
+    pub fn eval_cells_into(&self, cells: &BiasCells, out: &mut [Option<PolarizedS>]) {
+        self.eval_cells(&cells.vxs, &cells.vys, &cells.cells, true, out);
     }
 
     /// The per-cell reference batch path: folds a [`WaveTransfer`] per
@@ -383,8 +398,15 @@ impl StackEvaluator {
     /// measure `eval_batch` against this, and the proptests pin the two
     /// bit for bit.
     pub fn eval_batch_reference(&self, biases: &[BiasState]) -> Vec<Option<PolarizedS>> {
-        let (vxs, vys, cells) = dedupe_biases(biases);
-        self.eval_cells(&vxs, &vys, &cells, false)
+        self.eval_list(biases, false)
+    }
+
+    /// Deduplicates `biases` and runs them through [`Self::eval_cells`].
+    fn eval_list(&self, biases: &[BiasState], soa: bool) -> Vec<Option<PolarizedS>> {
+        let cells = BiasCells::new(biases.iter().copied());
+        let mut out = vec![None; cells.len()];
+        self.eval_cells(&cells.vxs, &cells.vys, &cells.cells, soa, &mut out);
+        out
     }
 
     /// Evaluates the response over a bias grid, row-major with rows
@@ -405,14 +427,17 @@ impl StackEvaluator {
         let cells: Vec<(usize, usize)> = (0..vys.len())
             .flat_map(|iy| (0..vxs.len()).map(move |ix| (ix, iy)))
             .collect();
-        self.eval_cells(vxs, vys, &cells, true)
+        let mut out = vec![None; cells.len()];
+        self.eval_cells(vxs, vys, &cells, true, &mut out);
+        out
     }
 
     /// The one batch dispatch behind every batch entry point: evaluates
-    /// each `(ix, iy)` of `cells` at `(vxs[ix], vys[iy])`. `soa` admits
-    /// the structure-of-arrays kernel for eligible plans; everything
-    /// else — the reference arm, rotated tuned panels, lone stages, tiny
-    /// batches — folds a [`WaveTransfer`] per cell exactly like
+    /// each `(ix, iy)` of `cells` at `(vxs[ix], vys[iy])` into the
+    /// matching slot of `out`. `soa` admits the structure-of-arrays
+    /// kernel for eligible plans; everything else — the reference arm,
+    /// rotated tuned panels, lone stages, tiny batches — folds a
+    /// [`WaveTransfer`] per cell exactly like
     /// [`StackEvaluator::response`].
     fn eval_cells(
         &self,
@@ -420,26 +445,27 @@ impl StackEvaluator {
         vys: &[f64],
         cells: &[(usize, usize)],
         soa: bool,
-    ) -> Vec<Option<PolarizedS>> {
+        out: &mut [Option<PolarizedS>],
+    ) {
+        assert_eq!(out.len(), cells.len(), "one output slot per cell");
         let core = &*self.core;
-        let mut out: Vec<Option<PolarizedS>> = vec![None; cells.len()];
         if cells.is_empty() || core.opaque {
-            return out;
+            out.fill(None);
+            return;
         }
         if let Some(lone) = &core.lone {
             for (slot, &(ix, iy)) in out.iter_mut().zip(cells) {
                 *slot = Some(self.lone_stage(lone, vxs[ix], vys[iy]));
             }
-            return out;
+            return;
         }
 
         // O(distinct voltages) setup: per-axis branch solves (memoized).
-        let x_params: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vxs.iter().map(|&v| self.x_s(k, v)).collect())
-            .collect();
-        let y_params: Vec<Vec<SParams>> = (0..core.tuned.len())
-            .map(|k| vys.iter().map(|&v| self.y_s(k, v)).collect())
-            .collect();
+        let branches = BranchTable::solve(
+            core.tuned.len(),
+            (vxs, |k, v| self.x_s(k, v)),
+            (vys, |k, v| self.y_s(k, v)),
+        );
         let threads = if cells.len() < 256 {
             1
         } else {
@@ -451,30 +477,30 @@ impl StackEvaluator {
             // kernel — the fold couples the two axes through one shared
             // `det(S21) = s21x·s21y` inverse, and reproducing that exact
             // operation order is what keeps the kernel bit-compatible.
-            let statics: Vec<[Complex; 16]> = core.statics.iter().map(|t| t.components()).collect();
             let ctx = SoaCtx {
                 steps: &core.steps,
-                statics: &statics,
-                x_params: &x_params,
-                y_params: &y_params,
+                statics: &core.static_components,
+                branches: &branches,
                 cells,
                 z0: core.statics.first().map(|t| t.z0()).unwrap_or(ETA0),
             };
-            rfmath::par::par_fill_chunked(&mut out, threads, |offset, chunk| {
+            rfmath::par::par_fill_chunked(out, threads, |offset, chunk| {
                 soa_fill(&ctx, offset, chunk)
             });
-            return out;
+            return;
         }
 
-        rfmath::par::par_fill(&mut out, threads, |i| {
+        rfmath::par::par_fill(out, threads, |i| {
             let (ix, iy) = cells[i];
             let mut acc: Option<WaveTransfer> = None;
             for step in &core.steps {
                 let t = match step {
                     Step::Static(k) => core.statics[*k],
-                    Step::Tuned(k) => {
-                        tuned_transfer(x_params[*k][ix], y_params[*k][iy], core.tuned[*k].rotation)?
-                    }
+                    Step::Tuned(k) => tuned_transfer(
+                        branches.x(*k, ix),
+                        branches.y(*k, iy),
+                        core.tuned[*k].rotation,
+                    )?,
                 };
                 match acc.as_mut() {
                     Some(acc) => acc.push(&t),
@@ -483,7 +509,6 @@ impl StackEvaluator {
             }
             acc?.to_s()
         });
-        out
     }
 }
 
@@ -500,26 +525,101 @@ const SOA_BLOCK: usize = 64;
 /// is opaque (`None`), matching the reference path's check exactly.
 const SOA_SINGULAR: f64 = 1e-300;
 
-/// Deduplicates per-axis voltages by bit pattern so every distinct value
-/// costs one ABCD solve per tuned panel, batch-wide. Returns the
-/// distinct voltage tables and each bias's `(ix, iy)` table indices.
-fn dedupe_biases(biases: &[BiasState]) -> (Vec<f64>, Vec<f64>, Vec<(usize, usize)>) {
-    let mut vxs: Vec<f64> = Vec::new();
-    let mut vys: Vec<f64> = Vec::new();
-    let index_of = |table: &mut Vec<f64>, v: f64| -> usize {
-        match table.iter().position(|&u| u.to_bits() == v.to_bits()) {
-            Some(i) => i,
-            None => {
-                table.push(v);
-                table.len() - 1
-            }
+/// Every tuned panel's branch S-parameters at every distinct voltage of
+/// a batch, in one table: X entries first (panel-major, `k · nx + ix`),
+/// then Y entries (`panels · nx + k · ny + iy`).
+struct BranchTable {
+    nx: usize,
+    ny: usize,
+    y_start: usize,
+    params: Vec<SParams>,
+}
+
+impl BranchTable {
+    /// Solves each of `panels` tuned panels at every X voltage, then at
+    /// every Y voltage, through the given per-axis solvers.
+    fn solve(
+        panels: usize,
+        (vxs, x_s): (&[f64], impl Fn(usize, f64) -> SParams),
+        (vys, y_s): (&[f64], impl Fn(usize, f64) -> SParams),
+    ) -> Self {
+        let mut params = Vec::with_capacity(panels * (vxs.len() + vys.len()));
+        for k in 0..panels {
+            params.extend(vxs.iter().map(|&v| x_s(k, v)));
         }
-    };
-    let cells = biases
-        .iter()
-        .map(|b| (index_of(&mut vxs, b.vx.0), index_of(&mut vys, b.vy.0)))
-        .collect();
-    (vxs, vys, cells)
+        for k in 0..panels {
+            params.extend(vys.iter().map(|&v| y_s(k, v)));
+        }
+        Self {
+            nx: vxs.len(),
+            ny: vys.len(),
+            y_start: panels * vxs.len(),
+            params,
+        }
+    }
+
+    /// Panel `k`'s X branch at X voltage index `ix`.
+    fn x(&self, k: usize, ix: usize) -> SParams {
+        self.params[k * self.nx + ix]
+    }
+
+    /// Panel `k`'s Y branch at Y voltage index `iy`.
+    fn y(&self, k: usize, iy: usize) -> SParams {
+        self.params[self.y_start + k * self.ny + iy]
+    }
+}
+
+/// A bias list reduced to what the batch kernels read: per-axis tables
+/// of the distinct voltages (by bit pattern) and each bias's `(ix, iy)`
+/// indices into them, in list order. Every distinct voltage then costs
+/// one ABCD solve per tuned panel, however many biases share it.
+#[derive(Clone, Debug, Default)]
+pub struct BiasCells {
+    vxs: Vec<f64>,
+    vys: Vec<f64>,
+    cells: Vec<(usize, usize)>,
+}
+
+impl BiasCells {
+    /// Deduplicates `biases` per axis, keeping first-seen order.
+    pub fn new(biases: impl IntoIterator<Item = BiasState>) -> Self {
+        let mut cells = Self::default();
+        cells.refill(biases);
+        cells
+    }
+
+    /// Replaces the list with `biases`, reusing the tables' storage.
+    pub fn refill(&mut self, biases: impl IntoIterator<Item = BiasState>) {
+        let biases = biases.into_iter();
+        let n = biases.size_hint().0;
+        let Self { vxs, vys, cells } = self;
+        for table in [&mut *vxs, &mut *vys] {
+            table.clear();
+            table.reserve(n);
+        }
+        cells.clear();
+        cells.reserve(n);
+        let index_of = |table: &mut Vec<f64>, v: f64| -> usize {
+            match table.iter().position(|&u| u.to_bits() == v.to_bits()) {
+                Some(i) => i,
+                None => {
+                    table.push(v);
+                    table.len() - 1
+                }
+            }
+        };
+        cells.extend(biases.map(|b| (index_of(vxs, b.vx.0), index_of(vys, b.vy.0))));
+    }
+
+    /// Number of biases.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// True when the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
 }
 
 /// Shared read-only context for the structure-of-arrays kernel: the
@@ -529,18 +629,49 @@ fn dedupe_biases(biases: &[BiasState]) -> (Vec<f64>, Vec<f64>, Vec<(usize, usize
 struct SoaCtx<'a> {
     steps: &'a [Step],
     statics: &'a [[Complex; 16]],
-    x_params: &'a [Vec<SParams>],
-    y_params: &'a [Vec<SParams>],
+    branches: &'a BranchTable,
     cells: &'a [(usize, usize)],
     z0: f64,
 }
 
-/// Fills one worker's contiguous range in L1-sized blocks.
+/// One slab set of the structure-of-arrays kernel: `rows` slabs of
+/// `w` cells each, cell index innermost.
+struct Slabs<'a> {
+    w: usize,
+    data: &'a mut [f64],
+}
+
+impl<'a> Slabs<'a> {
+    /// Splits `rows · w` values off the front of `buf`.
+    fn take(buf: &mut &'a mut [f64], rows: usize, w: usize) -> Self {
+        let (data, rest) = std::mem::take(buf).split_at_mut(rows * w);
+        *buf = rest;
+        Self { w, data }
+    }
+
+    fn row(&self, r: usize) -> &[f64] {
+        &self.data[r * self.w..(r + 1) * self.w]
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.w..(r + 1) * self.w]
+    }
+}
+
+/// Fills one worker's contiguous range in L1-sized blocks. The working
+/// slabs are allocated once per range and only as wide as its largest
+/// block, so a grid of a few cells does not clear a full block's worth.
 fn soa_fill(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>]) {
+    let w = out.len().min(SOA_BLOCK);
+    // 16 re + 16 im chain components, the same for the next state, and
+    // 8 re + 8 im gathered per-axis transfers.
+    let mut slab_data = vec![0.0f64; 80 * w];
     let mut start = 0;
     while start < out.len() {
-        let m = (out.len() - start).min(SOA_BLOCK);
-        soa_block(ctx, offset + start, &mut out[start..start + m]);
+        let m = (out.len() - start).min(w);
+        let mut buf = slab_data.as_mut_slice();
+        let slabs = [16, 16, 16, 16, 8, 8].map(|rows| Slabs::take(&mut buf, rows, w));
+        soa_block(ctx, offset + start, &mut out[start..start + m], slabs);
         start += m;
     }
 }
@@ -554,18 +685,15 @@ fn soa_fill(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>]) {
 /// tuned steps exploit that an axis-aligned panel's blocks are diagonal,
 /// so each output component needs exactly two products against gathered
 /// per-axis scalars. Every inner loop runs over the contiguous cell
-/// axis with no struct hops — the autovectorizable shape.
+/// axis with no struct hops — the autovectorizable shape. Every slab a
+/// step reads was written earlier in the same block, so the slabs
+/// carry nothing between blocks.
 #[allow(clippy::needless_range_loop)]
-fn soa_block(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>]) {
+fn soa_block(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>], slabs: [Slabs; 6]) {
     let m = out.len();
-    let mut acc_re = [[0.0f64; SOA_BLOCK]; 16];
-    let mut acc_im = [[0.0f64; SOA_BLOCK]; 16];
-    let mut nxt_re = [[0.0f64; SOA_BLOCK]; 16];
-    let mut nxt_im = [[0.0f64; SOA_BLOCK]; 16];
+    let [mut acc_re, mut acc_im, mut nxt_re, mut nxt_im, mut g_re, mut g_im] = slabs;
     // Gathered per-axis transfers for the current tuned step: slabs
     // 0..4 hold the X axis's [t11, t12, t21, t22], 4..8 the Y axis's.
-    let mut g_re = [[0.0f64; SOA_BLOCK]; 8];
-    let mut g_im = [[0.0f64; SOA_BLOCK]; 8];
     let mut valid = [true; SOA_BLOCK];
     let mut first = true;
 
@@ -575,26 +703,34 @@ fn soa_block(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>]) {
                 let b = &ctx.statics[k];
                 if first {
                     for comp in 0..16 {
-                        acc_re[comp][..m].fill(b[comp].re);
-                        acc_im[comp][..m].fill(b[comp].im);
+                        acc_re.row_mut(comp)[..m].fill(b[comp].re);
+                        acc_im.row_mut(comp)[..m].fill(b[comp].im);
                     }
                 } else {
                     for r in 0..4 {
                         for c in 0..4 {
                             let o = r * 4 + c;
                             let (b0, b1, b2, b3) = (b[c], b[4 + c], b[8 + c], b[12 + c]);
-                            let (a0, a1, a2, a3) = (r * 4, r * 4 + 1, r * 4 + 2, r * 4 + 3);
+                            let (a0r, a0i) = (&acc_re.row(r * 4)[..m], &acc_im.row(r * 4)[..m]);
+                            let (a1r, a1i) =
+                                (&acc_re.row(r * 4 + 1)[..m], &acc_im.row(r * 4 + 1)[..m]);
+                            let (a2r, a2i) =
+                                (&acc_re.row(r * 4 + 2)[..m], &acc_im.row(r * 4 + 2)[..m]);
+                            let (a3r, a3i) =
+                                (&acc_re.row(r * 4 + 3)[..m], &acc_im.row(r * 4 + 3)[..m]);
+                            let nr = &mut nxt_re.row_mut(o)[..m];
+                            let ni = &mut nxt_im.row_mut(o)[..m];
                             for i in 0..m {
-                                let p0r = acc_re[a0][i] * b0.re - acc_im[a0][i] * b0.im;
-                                let p0i = acc_re[a0][i] * b0.im + acc_im[a0][i] * b0.re;
-                                let p1r = acc_re[a1][i] * b1.re - acc_im[a1][i] * b1.im;
-                                let p1i = acc_re[a1][i] * b1.im + acc_im[a1][i] * b1.re;
-                                let p2r = acc_re[a2][i] * b2.re - acc_im[a2][i] * b2.im;
-                                let p2i = acc_re[a2][i] * b2.im + acc_im[a2][i] * b2.re;
-                                let p3r = acc_re[a3][i] * b3.re - acc_im[a3][i] * b3.im;
-                                let p3i = acc_re[a3][i] * b3.im + acc_im[a3][i] * b3.re;
-                                nxt_re[o][i] = (p0r + p1r) + (p2r + p3r);
-                                nxt_im[o][i] = (p0i + p1i) + (p2i + p3i);
+                                let p0r = a0r[i] * b0.re - a0i[i] * b0.im;
+                                let p0i = a0r[i] * b0.im + a0i[i] * b0.re;
+                                let p1r = a1r[i] * b1.re - a1i[i] * b1.im;
+                                let p1i = a1r[i] * b1.im + a1i[i] * b1.re;
+                                let p2r = a2r[i] * b2.re - a2i[i] * b2.im;
+                                let p2i = a2r[i] * b2.im + a2i[i] * b2.re;
+                                let p3r = a3r[i] * b3.re - a3i[i] * b3.im;
+                                let p3i = a3r[i] * b3.im + a3i[i] * b3.re;
+                                nr[i] = (p0r + p1r) + (p2r + p3r);
+                                ni[i] = (p0i + p1i) + (p2i + p3i);
                             }
                         }
                     }
@@ -611,8 +747,8 @@ fn soa_block(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>]) {
                 // results match the per-cell fold bit for bit.
                 for i in 0..m {
                     let (ix, iy) = ctx.cells[offset + i];
-                    let sx = &ctx.x_params[k][ix];
-                    let sy = &ctx.y_params[k][iy];
+                    let sx = &ctx.branches.x(k, ix);
+                    let sy = &ctx.branches.y(k, iy);
                     let det = sx.s21 * sy.s21;
                     if det.abs() < SOA_SINGULAR {
                         // Masked at the end; lanes are independent, so
@@ -627,24 +763,27 @@ fn soa_block(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>]) {
                     let t21y = sy.s11 * t11y;
                     let ty = [t11y, -(t11y * sy.s22), t21y, sy.s12 - t21y * sy.s22];
                     for j in 0..4 {
-                        g_re[j][i] = tx[j].re;
-                        g_im[j][i] = tx[j].im;
-                        g_re[4 + j][i] = ty[j].re;
-                        g_im[4 + j][i] = ty[j].im;
+                        g_re.row_mut(j)[i] = tx[j].re;
+                        g_im.row_mut(j)[i] = tx[j].im;
+                        g_re.row_mut(4 + j)[i] = ty[j].re;
+                        g_im.row_mut(4 + j)[i] = ty[j].im;
                     }
                 }
                 if first {
                     // The tuned matrix itself: nonzero only where the
-                    // sub-row parity matches the sub-column parity.
+                    // sub-row parity matches the sub-column parity; the
+                    // other components are exact zeros.
                     for r in 0..4 {
                         for c in 0..4 {
+                            let o = r * 4 + c;
                             if r % 2 != c % 2 {
+                                acc_re.row_mut(o)[..m].fill(0.0);
+                                acc_im.row_mut(o)[..m].fill(0.0);
                                 continue;
                             }
                             let t = (c % 2) * 4 + (r / 2) * 2 + c / 2;
-                            let o = r * 4 + c;
-                            acc_re[o][..m].copy_from_slice(&g_re[t][..m]);
-                            acc_im[o][..m].copy_from_slice(&g_im[t][..m]);
+                            acc_re.row_mut(o)[..m].copy_from_slice(&g_re.row(t)[..m]);
+                            acc_im.row_mut(o)[..m].copy_from_slice(&g_im.row(t)[..m]);
                         }
                     }
                 } else {
@@ -656,17 +795,23 @@ fn soa_block(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>]) {
                         let t1 = (c % 2) * 4 + 2 + c / 2;
                         let a0 = c % 2;
                         let a1 = c % 2 + 2;
+                        let (g0r, g0i) = (&g_re.row(t0)[..m], &g_im.row(t0)[..m]);
+                        let (g1r, g1i) = (&g_re.row(t1)[..m], &g_im.row(t1)[..m]);
                         for r in 0..4 {
                             let o = r * 4 + c;
-                            let s0 = r * 4 + a0;
-                            let s1 = r * 4 + a1;
+                            let (s0r, s0i) =
+                                (&acc_re.row(r * 4 + a0)[..m], &acc_im.row(r * 4 + a0)[..m]);
+                            let (s1r, s1i) =
+                                (&acc_re.row(r * 4 + a1)[..m], &acc_im.row(r * 4 + a1)[..m]);
+                            let nr = &mut nxt_re.row_mut(o)[..m];
+                            let ni = &mut nxt_im.row_mut(o)[..m];
                             for i in 0..m {
-                                let p0r = acc_re[s0][i] * g_re[t0][i] - acc_im[s0][i] * g_im[t0][i];
-                                let p0i = acc_re[s0][i] * g_im[t0][i] + acc_im[s0][i] * g_re[t0][i];
-                                let p1r = acc_re[s1][i] * g_re[t1][i] - acc_im[s1][i] * g_im[t1][i];
-                                let p1i = acc_re[s1][i] * g_im[t1][i] + acc_im[s1][i] * g_re[t1][i];
-                                nxt_re[o][i] = p0r + p1r;
-                                nxt_im[o][i] = p0i + p1i;
+                                let p0r = s0r[i] * g0r[i] - s0i[i] * g0i[i];
+                                let p0i = s0r[i] * g0i[i] + s0i[i] * g0r[i];
+                                let p1r = s1r[i] * g1r[i] - s1i[i] * g1i[i];
+                                let p1i = s1r[i] * g1i[i] + s1i[i] * g1r[i];
+                                nr[i] = p0r + p1r;
+                                ni[i] = p0i + p1i;
                             }
                         }
                     }
@@ -682,7 +827,7 @@ fn soa_block(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>]) {
         *slot = if valid[i] {
             let mut comps = [Complex::ZERO; 16];
             for (c, comp) in comps.iter_mut().enumerate() {
-                *comp = Complex::new(acc_re[c][i], acc_im[c][i]);
+                *comp = Complex::new(acc_re.row(c)[i], acc_im.row(c)[i]);
             }
             WaveTransfer::from_components(comps, ctx.z0).to_s()
         } else {

@@ -313,3 +313,28 @@ proptest! {
         prop_assert_eq!(bits(&evaluator.eval_batch(&cells)), bits(&reference));
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Batches spanning several structure-of-arrays blocks, the last one
+    /// ragged, match the per-cell reference fold bit for bit. The
+    /// kernel reuses its working slabs from block to block, so no block
+    /// may read what the previous one left behind — stacks that open
+    /// with a tuned panel write only half the chain state in their
+    /// first step.
+    #[test]
+    fn multi_block_batches_are_bitwise_the_reference(
+        stack in grid_stack(),
+        f_ghz in 1.8f64..3.0,
+        vxs in prop::collection::vec(0.0f64..30.0, 9..18),
+        vys in prop::collection::vec(0.0f64..30.0, 8..17),
+    ) {
+        let f = Hertz::from_ghz(f_ghz);
+        let evaluator = StackEvaluator::new(&stack, f);
+        let cells = grid_cells(&vxs, &vys);
+        let reference = StackEvaluator::new(&stack, f).eval_batch_reference(&cells);
+        prop_assert_eq!(bits(&evaluator.eval_grid(&vxs, &vys)), bits(&reference));
+        prop_assert_eq!(bits(&evaluator.eval_batch(&cells)), bits(&reference));
+    }
+}

@@ -175,16 +175,6 @@ impl PolarizedS {
         self.s21.b.norm_sqr() + self.s21.d.norm_sqr()
     }
 
-    /// Transmission efficiency for an arbitrary incident polarization
-    /// (unit) vector.
-    pub fn efficiency_for(self, incident: Vec2) -> f64 {
-        let pin = incident.norm_sqr();
-        if pin <= 0.0 {
-            return 0.0;
-        }
-        (self.s21 * incident).norm_sqr() / pin
-    }
-
     /// X-excitation efficiency in dB — the y-axis of Figures 8–11.
     pub fn efficiency_x_db(self) -> Db {
         Db::from_linear(self.efficiency_x())

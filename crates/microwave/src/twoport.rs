@@ -161,11 +161,6 @@ impl SParams {
         Db::from_linear(self.s21.norm_sqr())
     }
 
-    /// Return loss `−20·log10|S11|` in dB (positive; large is good).
-    pub fn return_loss(self) -> Db {
-        Db(-20.0 * self.s11.abs().log10())
-    }
-
     /// Fraction of incident power dissipated inside the network
     /// (`1 − |S11|² − |S21|²` for port-1 incidence). Negative values (to
     /// numerical tolerance) indicate an active/non-physical network.

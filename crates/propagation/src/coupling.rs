@@ -137,11 +137,6 @@ impl MultiSurfaceField {
         MultiSurfaceField { home, links, hops }
     }
 
-    /// Index of the serving panel within [`MultiSurfaceField::link`].
-    pub fn home_index(&self) -> usize {
-        self.home
-    }
-
     /// Number of panels in the superposition (home included).
     pub fn panel_count(&self) -> usize {
         self.links.len()

@@ -13,7 +13,7 @@ use rfmath::complex::Complex;
 use rfmath::jones::JonesMatrix;
 use rfmath::matrix::Mat2;
 use rfmath::rng::SeedSplitter;
-use rfmath::units::{Hertz, Meters, Radians};
+use rfmath::units::{Hertz, Meters};
 
 use crate::rays::Path;
 
@@ -170,12 +170,6 @@ impl Environment {
     pub fn has_multipath(&self) -> bool {
         !matches!(self, Environment::Anechoic)
     }
-}
-
-/// A rotation applied by the environment to express scatterer Jones
-/// matrices in a rotated frame (used when composing with a surface path).
-pub fn frame_rotation(theta: Radians) -> JonesMatrix {
-    JonesMatrix::rotation(theta)
 }
 
 #[cfg(test)]

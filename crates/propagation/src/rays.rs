@@ -224,11 +224,6 @@ impl Deployment {
         Self { rx, ..self }
     }
 
-    /// Moves the transmitter to an absolute room position.
-    pub fn with_tx_at(self, tx: Point2) -> Self {
-        Self { tx, ..self }
-    }
-
     /// Re-scales the endpoint separation to `d` along the current link
     /// axis, keeping Tx fixed. A transmissive surface keeps its
     /// *fractional* station along the link (and any perpendicular

@@ -44,11 +44,6 @@ impl Capture {
         Watts(self.samples.iter().map(|s| s.norm_sqr()).sum::<f64>() / self.samples.len() as f64)
     }
 
-    /// Mean power in dBm.
-    pub fn mean_power_dbm(&self) -> Dbm {
-        self.mean_power().to_dbm()
-    }
-
     /// Single-bin DFT power at `tone` (Goertzel): the tone's power in
     /// watts, robust against broadband noise.
     pub fn tone_power(&self, tone: Hertz) -> Watts {

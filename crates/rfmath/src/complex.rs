@@ -205,12 +205,6 @@ impl Complex {
             im: self.im * k,
         }
     }
-
-    /// Approximate equality within absolute tolerance `tol` on both parts.
-    #[inline]
-    pub fn approx_eq(self, other: Self, tol: f64) -> bool {
-        (self.re - other.re).abs() <= tol && (self.im - other.im).abs() <= tol
-    }
 }
 
 impl Add for Complex {

@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// One structured event in the serving stack's taxonomy.
@@ -549,9 +549,11 @@ impl fmt::Debug for RecorderHandle {
 }
 
 impl RecorderHandle {
-    /// The no-op handle (the default everywhere).
+    /// The no-op handle (the default everywhere). Every call shares one
+    /// process-wide recorder, so a null handle never allocates.
     pub fn null() -> Self {
-        Self(Arc::new(NullRecorder))
+        static NULL: OnceLock<RecorderHandle> = OnceLock::new();
+        NULL.get_or_init(|| Self(Arc::new(NullRecorder))).clone()
     }
 
     /// Wraps any recorder implementation.

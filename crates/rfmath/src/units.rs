@@ -288,18 +288,6 @@ impl Meters {
 }
 
 impl Seconds {
-    /// Constructs from milliseconds.
-    #[inline]
-    pub fn from_ms(ms: f64) -> Self {
-        Seconds(ms / 1e3)
-    }
-
-    /// Constructs from microseconds.
-    #[inline]
-    pub fn from_us(us: f64) -> Self {
-        Seconds(us / 1e6)
-    }
-
     /// Value in milliseconds.
     #[inline]
     pub fn ms(self) -> f64 {
