@@ -1,12 +1,13 @@
 //! PR-8 hot-loop benches under the Criterion harness: the SoA batch
-//! kernel vs the per-cell reference fold on a 24×24 probe grid, and the
-//! warm mobility tick vs its allocation-churn baseline. These are the
-//! two numbers `scripts/bench-criterion` tracks across branches
-//! (save a baseline on `main`, compare on the branch, fail on a >10%
-//! regression) — keep the group/function IDs stable.
+//! kernel vs the per-cell reference fold on a 24×24 probe grid, the
+//! warm mobility tick vs its allocation-churn baseline, and the
+//! 64-device time-division probe matrix. These are the numbers
+//! `scripts/bench-criterion` tracks across branches (save a baseline on
+//! `main`, compare on the branch, fail on a >10% regression) — keep the
+//! group/function IDs stable.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use llama_core::fleet::Fleet;
+use llama_core::fleet::{Fleet, FleetEvaluator, Scheduler};
 use llama_core::panels::{PanelArray, PanelScheduler};
 use llama_core::sim::{DynamicFleet, MobilitySim, SimConfig};
 use metasurface::designs::fr4_optimized;
@@ -80,5 +81,31 @@ fn mobility_tick(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, probe_grid, mobility_tick);
+/// The 64-device time-division matrix: one `powers_matrix` over every
+/// bias a time-division schedule probes (144 biases × 64 devices), at a
+/// budget of 1, with the evaluator built outside the timed region. Nearly
+/// all of it is the factored link-probe, so a cross-crate call per Jones
+/// apply or a per-device shadow `powf` shows up here.
+fn fleet_64_time_division(c: &mut Criterion) {
+    let fleet = Fleet::mixed_wifi_ble(64, 2021);
+    let biases: Vec<BiasState> = Scheduler::time_division()
+        .run(&fleet)
+        .history
+        .into_iter()
+        .map(|(bias, _)| bias)
+        .collect();
+    let evaluator = FleetEvaluator::new(&fleet);
+    let mut g = c.benchmark_group("fleet_64_time_division");
+    g.warm_up_time(Duration::from_millis(500));
+    // Thousands of sub-millisecond calls, so the mean is stable enough
+    // for the baseline compare's 10% gate.
+    g.measurement_time(Duration::from_secs(3));
+    g.sample_size(4000);
+    g.bench_function("powers_matrix", |b| {
+        b.iter(|| rfmath::par::with_budget(1, || evaluator.powers_matrix(black_box(&biases))))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, probe_grid, mobility_tick, fleet_64_time_division);
 criterion_main!(benches);

@@ -252,12 +252,18 @@ impl Fleet {
 
 /// Smallest probe matrix (biases × devices) whose device projections
 /// fan out across threads. Below it the spawn costs more than the split
-/// saves: a 25-bias `powers_matrix` at a budget of 2 took 1.8–2.0×,
-/// 1.3–1.5× and 1.0–1.1× the serial time at 200, 400 and 800
-/// link-probes, and 0.75–0.84× at 1600 (2-vCPU shared host, release
-/// build, best of 6 fleets × 5 runs). Algorithm 1's 3×3 and 5×5 grids
-/// over a panel's sub-fleet stay serial; the time-division matrices of
-/// large fleets still fan out.
+/// saves: at the ~140 ns link-probe, a 25-bias `powers_matrix` at a
+/// budget of 2 took 1.8–2.0×, 1.3–1.5× and 1.0–1.1× the serial time at
+/// 200, 400 and 800 link-probes, and 0.75–0.84× at 1600 (2-vCPU shared
+/// host, release build, best of 6 fleets × 5 runs). At the 40–70 ns
+/// probe the same method, six passes, gave median ratios of 1.42×,
+/// 1.33×, 1.26×, 1.19× and 1.12× at 1025, 1600, 2000, 2800 and 4800
+/// link-probes in one window of the same host, and 0.63–0.93× at 4800
+/// in another. The break-even moves with the host's spare capacity
+/// more than with the probe cost, so the threshold stays until a
+/// capacity-aware default is measured.
+/// Algorithm 1's 3×3 and 5×5 grids over a panel's sub-fleet stay
+/// serial; the time-division matrices of large fleets still fan out.
 pub const FAN_OUT_MIN_PROBES: usize = 1024;
 
 /// The shared-plan fleet evaluation engine: compiled once per fleet,
@@ -410,12 +416,13 @@ impl FleetEvaluator {
     /// `biases[b]` (each bias clamped to the supply ceiling). Each plan's
     /// cascades are evaluated in one batch (per-axis solves deduplicated
     /// across the whole probe list), and each response's link-independent
-    /// probe factors ([`ResponseFactors`]: its Jones products and mean
-    /// efficiency) are computed once per `(plan, bias)`. Per-bias device
-    /// projections then fan out across the caller's
-    /// [`rfmath::par::budget`] once the matrix reaches
+    /// probe factors ([`ResponseFactors`]: its Jones products, mean
+    /// efficiency and default-tuning shadow) are computed once per
+    /// `(plan, bias)`. Per-bias device projections then fan out across
+    /// the caller's [`rfmath::par::budget`] once the matrix reaches
     /// [`FAN_OUT_MIN_PROBES`], each device applying only its own link's
-    /// terms and shadow tuning. Every row is bitwise the powers a
+    /// terms (and its own shadow `powf` if its tuning is not the
+    /// default). Every row is bitwise the powers a
     /// one-bias call returns (property-tested), whatever the budget.
     pub fn powers_matrix(&self, biases: &[BiasState]) -> Vec<Vec<f64>> {
         self.powers_of(biases.iter().copied())

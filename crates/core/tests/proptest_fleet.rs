@@ -6,7 +6,10 @@
 //! * every `powers_matrix` row is bitwise the per-device single-bias
 //!   probe (fresh plan, `StackEvaluator::response`, prepared link), for
 //!   any bias list (out-of-range, repeated, sharing axis voltages),
-//!   under bias faults, serial or fanned out across two threads;
+//!   under bias faults, serial or fanned out across two threads — also
+//!   for fleets mixing shadow tunings and reflective devices, after an
+//!   `update_device` retunes one, and for NaN, infinite and
+//!   out-of-range biases;
 //! * the `MaxMin` scheduler's score is ≥ the worst link of *every*
 //!   probed shared bias (it is the arg-max of the min — no probed
 //!   compromise can beat it).
@@ -84,6 +87,65 @@ fn bias_lists() -> BoxedStrategy<Vec<BiasState>> {
         .boxed()
 }
 
+/// Shadow tunings a fleet mixes (`LinkTuning::shadow_extra_db`).
+const SHADOWS: [f64; 5] = [0.0, -0.0, 0.35, 6.5, 250.0];
+
+/// A random fleet of at least 3 devices mixing shadow tunings and
+/// reflective devices: devices 0 and 1 are transmissive with distinct
+/// shadow tunings, device 2 is reflective, the rest draw both. Fleets
+/// drawn shorter than 3 devices repeat their devices to get there.
+fn tuned_fleet(max_devices: usize) -> BoxedStrategy<Fleet> {
+    (
+        fleet(max_devices),
+        prop::collection::vec(
+            (0usize..SHADOWS.len(), 0usize..3),
+            max_devices..max_devices + 1,
+        ),
+        1usize..SHADOWS.len(),
+    )
+        .prop_map(|(base, picks, step)| {
+            let mut f = Fleet::new(base.design.clone());
+            let devices = base.devices().iter().cycle().take(base.len().max(3));
+            for (d, (device, &(shadow, mount))) in devices.zip(&picks).enumerate() {
+                let mut device = device.clone();
+                let shadow = if d == 1 {
+                    (picks[0].0 + step) % SHADOWS.len()
+                } else {
+                    shadow
+                };
+                device.scenario.tuning.shadow_extra_db = SHADOWS[shadow];
+                let reflective = match d {
+                    0 | 1 => false,
+                    2 => true,
+                    _ => mount == 0,
+                };
+                f.push(if reflective {
+                    device.reflective()
+                } else {
+                    device
+                });
+            }
+            f
+        })
+        .boxed()
+}
+
+/// Bias lists mixing in-range voltages with NaN, ±∞ and out-of-range
+/// ones on either axis.
+fn wild_bias_lists() -> BoxedStrategy<Vec<BiasState>> {
+    let volts = prop_oneof![
+        0.0f64..30.0,
+        -50.0f64..80.0,
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+    .boxed();
+    prop::collection::vec((volts.clone(), volts), 1..12)
+        .prop_map(|v| v.into_iter().map(|(x, y)| BiasState::new(x, y)).collect())
+        .boxed()
+}
+
 /// One axis's defect: none, stuck at a voltage, or clamped below one.
 fn axis_fault() -> BoxedStrategy<Option<CellFaultKind>> {
     prop_oneof![
@@ -112,8 +174,73 @@ fn single_bias_powers(fleet: &Fleet, fault: &BiasFault, bias: BiasState) -> Vec<
         .collect()
 }
 
+/// Asserts every row of `matrix` is bitwise `want[row % want.len()]`.
+fn assert_rows_bitwise(
+    matrix: &[Vec<f64>],
+    want: &[Vec<f64>],
+    context: &str,
+) -> Result<(), TestCaseError> {
+    for (i, row) in matrix.iter().enumerate() {
+        let want = &want[i % want.len()];
+        prop_assert_eq!(row.len(), want.len());
+        for (d, (got, want)) in row.iter().zip(want).enumerate() {
+            prop_assert!(
+                got.to_bits() == want.to_bits(),
+                "{context} bias {i} device {d}: {got} vs {want}"
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Fleets mixing shadow tunings and reflective devices: every row is
+    /// bitwise the per-device single-bias probe at budgets 1 and 2, NaN,
+    /// infinite and out-of-range biases included, before and after an
+    /// `update_device` that moves one device to another shadow tuning.
+    /// With `fan` set the list is repeated past `FAN_OUT_MIN_PROBES`.
+    #[test]
+    fn mixed_shadow_rows_are_bitwise_single_bias_probes(
+        f in tuned_fleet(7),
+        base in wild_bias_lists(),
+        retune in (0usize..16, 1usize..SHADOWS.len()),
+        fan in 0usize..2,
+    ) {
+        let healthy = BiasFault { x: None, y: None };
+        let copies = if fan == 1 {
+            FAN_OUT_MIN_PROBES.div_ceil(base.len() * f.len())
+        } else {
+            1
+        };
+        let list: Vec<BiasState> = base.iter().copied().cycle().take(copies * base.len()).collect();
+        let check = |fleet: &Fleet, evaluator: &FleetEvaluator, arm: &str| {
+            let want: Vec<Vec<f64>> = base
+                .iter()
+                .map(|&b| single_bias_powers(fleet, &healthy, b))
+                .collect();
+            for budget in [1, 2] {
+                let matrix = rfmath::par::with_budget(budget, || evaluator.powers_matrix(&list));
+                prop_assert_eq!(matrix.len(), list.len());
+                assert_rows_bitwise(&matrix, &want, &format!("{arm} budget {budget}"))?;
+            }
+            Ok(())
+        };
+        let mut evaluator = FleetEvaluator::new(&f);
+        check(&f, &evaluator, "before update")?;
+        let idx = retune.0 % f.len();
+        let mut device = f.devices()[idx].clone();
+        let tuning = &mut device.scenario.tuning.shadow_extra_db;
+        let current = SHADOWS.iter().position(|s| s.to_bits() == tuning.to_bits());
+        *tuning = SHADOWS[(current.unwrap_or(0) + retune.1) % SHADOWS.len()];
+        evaluator.update_device(idx, &device);
+        let mut retuned = Fleet::new(f.design.clone());
+        for (d, old) in f.devices().iter().enumerate() {
+            retuned.push(if d == idx { device.clone() } else { old.clone() });
+        }
+        check(&retuned, &evaluator, "after update")?;
+    }
 
     /// Every row of the batch matrix is bitwise the single-bias probe
     /// of its bias, and so is `powers_dbm`, at a budget of 1 and of 2.
@@ -143,17 +270,7 @@ proptest! {
         for budget in [1, 2] {
             let matrix = rfmath::par::with_budget(budget, || evaluator.powers_matrix(&list));
             prop_assert_eq!(matrix.len(), list.len());
-            for (i, row) in matrix.iter().enumerate() {
-                let want = &want[i % base.len()];
-                prop_assert_eq!(row.len(), f.len());
-                for (d, (got, want)) in row.iter().zip(want).enumerate() {
-                    prop_assert!(
-                        got.to_bits() == want.to_bits(),
-                        "budget {budget} bias {i} {:?} device {d}: {got} vs {want}",
-                        list[i]
-                    );
-                }
-            }
+            assert_rows_bitwise(&matrix, &want, &format!("budget {budget}"))?;
         }
         for (&bias, want) in base.iter().zip(&want) {
             let single = evaluator.powers_dbm(bias);

@@ -42,12 +42,16 @@ pub struct LinkTuning {
     pub shadow_extra_db: f64,
 }
 
+/// The default [`LinkTuning::shadow_extra_db`]: no extra shadow
+/// attenuation. [`ResponseFactors`] resolves the shadow for it up front.
+const DEFAULT_SHADOW_EXTRA_DB: f64 = 0.0;
+
 impl Default for LinkTuning {
     fn default() -> Self {
         Self {
             surface_excess_loss_db: 0.0,
             scatter_xpd_db: None,
-            shadow_extra_db: 0.0,
+            shadow_extra_db: DEFAULT_SHADOW_EXTRA_DB,
         }
     }
 }
@@ -225,8 +229,7 @@ impl Link {
     fn shadow_factor<R: ResponseSide>(&self, surface: Option<&R>) -> f64 {
         match (surface, self.deployment.surface) {
             (Some(surface), SurfaceMount::Transmissive { .. }) => {
-                let eff_db = surface.mean_efficiency_db() - self.tuning.shadow_extra_db;
-                10f64.powf(eff_db.max(-30.0 - self.tuning.shadow_extra_db) / 20.0)
+                surface.shadow(self.tuning.shadow_extra_db)
             }
             _ => 1.0,
         }
@@ -333,13 +336,20 @@ impl Link {
     }
 }
 
+/// The transmissive shadow's amplitude factor: the panel's mean
+/// through-efficiency, floored at −30 dB, darkened by `shadow_extra_db`.
+fn shadow_amplitude(mean_efficiency_db: f64, shadow_extra_db: f64) -> f64 {
+    let eff_db = mean_efficiency_db - shadow_extra_db;
+    10f64.powf(eff_db.max(-30.0 - shadow_extra_db) / 20.0)
+}
+
 /// What a `t = 0` probe reads from a surface response, independent of
 /// the link it is projected onto: the Jones blocks the surface legs
-/// apply and the transmissive shadow's mean efficiency. A
-/// [`SurfaceResponse`] derives each block on demand, so a single probe
-/// computes only what its mount reads; [`ResponseFactors`] holds them
-/// precomputed, so a batch projecting one response onto many links pays
-/// for them once. Both feed the same probe body.
+/// apply and the transmissive shadow. A [`SurfaceResponse`] derives each
+/// on demand, so a single probe computes only what its mount reads;
+/// [`ResponseFactors`] holds them precomputed, so a batch projecting one
+/// response onto many links pays for them once. Both feed the same probe
+/// body.
 pub(crate) trait ResponseSide {
     /// The frequency the response was evaluated at.
     fn frequency(&self) -> Hertz;
@@ -351,9 +361,9 @@ pub(crate) trait ResponseSide {
     /// reflected wave's frame flips handedness, which is the §5.2
     /// rotation-cancellation mechanism as seen by the receiver).
     fn reflective_block(&self) -> JonesMatrix;
-    /// The transmissive shadow's mean through-efficiency,
-    /// `0.5 · (eff_x_db + eff_y_db)`.
-    fn mean_efficiency_db(&self) -> f64;
+    /// The transmissive shadow's amplitude factor on a link tuned to
+    /// `shadow_extra_db`.
+    fn shadow(&self, shadow_extra_db: f64) -> f64;
 }
 
 impl ResponseSide for SurfaceResponse {
@@ -370,20 +380,27 @@ impl ResponseSide for SurfaceResponse {
         JonesMatrix::mirror_x() * self.reflection()
     }
 
-    fn mean_efficiency_db(&self) -> f64 {
-        0.5 * (self.efficiency_x_db().0 + self.efficiency_y_db().0)
+    fn shadow(&self, shadow_extra_db: f64) -> f64 {
+        shadow_amplitude(mean_efficiency_db(self), shadow_extra_db)
     }
+}
+
+/// The transmissive shadow's mean through-efficiency,
+/// `0.5 · (eff_x_db + eff_y_db)`.
+fn mean_efficiency_db(surface: &SurfaceResponse) -> f64 {
+    0.5 * (surface.efficiency_x_db().0 + surface.efficiency_y_db().0)
 }
 
 /// Every link-independent factor of a `t = 0` probe under one surface
 /// response, computed once: the transmission Jones block, `trans ·
-/// refl`, `mirror_x · refl` and the mean efficiency
-/// `0.5 · (eff_x_db + eff_y_db)`. A batch that projects one response
-/// onto many devices ([`PreparedLink::received_dbm_factored`]) builds
-/// this once per response instead of once per device. Each device still
-/// applies its own shadow tuning, clamp and `powf`, so the probe is
-/// bit-identical to [`PreparedLink::received_dbm_with`] on the same
-/// response.
+/// refl`, `mirror_x · refl`, the mean efficiency
+/// `0.5 · (eff_x_db + eff_y_db)` and the transmissive shadow at the
+/// default `shadow_extra_db`. A batch that projects one response onto
+/// many devices ([`PreparedLink::received_dbm_factored`]) builds this
+/// once per response instead of once per device: a transmissive link at
+/// the default tuning reads the shadow factor, any other runs its own
+/// shadow `powf`. Either way the probe is bit-identical to
+/// [`PreparedLink::received_dbm_with`] on the same response.
 #[derive(Clone, Copy, Debug)]
 pub struct ResponseFactors {
     f: Hertz,
@@ -391,6 +408,8 @@ pub struct ResponseFactors {
     bounce: JonesMatrix,
     fold: JonesMatrix,
     mean_efficiency_db: f64,
+    /// The shadow amplitude factor at [`DEFAULT_SHADOW_EXTRA_DB`].
+    default_shadow: f64,
 }
 
 impl ResponseFactors {
@@ -399,12 +418,14 @@ impl ResponseFactors {
     pub fn new(surface: &SurfaceResponse) -> Self {
         let trans = surface.transmission();
         let refl = surface.reflection();
+        let mean_efficiency_db = mean_efficiency_db(surface);
         Self {
             f: surface.frequency(),
             trans,
             bounce: trans * refl,
             fold: JonesMatrix::mirror_x() * refl,
-            mean_efficiency_db: surface.mean_efficiency_db(),
+            mean_efficiency_db,
+            default_shadow: shadow_amplitude(mean_efficiency_db, DEFAULT_SHADOW_EXTRA_DB),
         }
     }
 }
@@ -422,8 +443,12 @@ impl ResponseSide for ResponseFactors {
         self.fold
     }
 
-    fn mean_efficiency_db(&self) -> f64 {
-        self.mean_efficiency_db
+    fn shadow(&self, shadow_extra_db: f64) -> f64 {
+        if shadow_extra_db.to_bits() == DEFAULT_SHADOW_EXTRA_DB.to_bits() {
+            self.default_shadow
+        } else {
+            shadow_amplitude(self.mean_efficiency_db, shadow_extra_db)
+        }
     }
 }
 

@@ -8,7 +8,10 @@
 //! * **Factored batch probe:** the probe against a response's
 //!   precomputed [`ResponseFactors`] must be bitwise equal to
 //!   [`Link::received_dbm_with`] on the response they came from — on
-//!   every mount, under any tuning, and for opaque responses.
+//!   every mount, under any tuning, and for opaque responses. One set
+//!   of factors, its shadow resolved for the default tuning, projects
+//!   bitwise onto every link of a mixed batch (mounts and shadow
+//!   tunings, `0.0` and `-0.0` included).
 //! * **Arena rebind:** a handle driven through any sequence of in-place
 //!   rebinds — cheap moves (rotation, transmit power), genuine moves
 //!   (endpoint separation), and environment swaps (new scatter seed) —
@@ -324,5 +327,68 @@ proptest! {
             "factored {got} vs link {want} on {mount:?}, opaque {}",
             response.is_opaque()
         );
+    }
+}
+
+/// Shadow tunings a batch mixes: both zeros, fractional, large (the
+/// shadow's `-30 dB` floor binds) and negative.
+fn shadow_extras() -> BoxedStrategy<f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        0.05f64..0.95,
+        40.0f64..400.0,
+        -10.0f64..0.0,
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One response's factors serve a whole batch: they project bitwise
+    /// onto every link, whether its shadow tuning is the default one the
+    /// factors resolved or not, whatever its mount, for a live or an
+    /// opaque response.
+    #[test]
+    fn one_factors_project_bitwise_onto_a_mixed_batch(
+        links in prop::collection::vec(
+            (mounts(), 20.0f64..300.0, shadow_extras(), (antennas(), antennas()), environments()),
+            2..7,
+        ),
+        bias in (0.0f64..30.0, 0.0f64..30.0),
+        opaque in 0usize..4,
+    ) {
+        let design = metasurface::designs::fr4_optimized();
+        let f = Hertz::from_ghz(2.44);
+        let polarized = if opaque == 0 {
+            None
+        } else {
+            design.stack.response(f, BiasState::new(bias.0, bias.1))
+        };
+        let response = SurfaceResponse::new(f, polarized);
+        let factors = ResponseFactors::new(&response);
+        for (mount, tx_rx_cm, extra, endpoints, environment) in links {
+            let link = Link {
+                tx: endpoints.0,
+                rx: endpoints.1,
+                frequency: f,
+                tx_power: Watts::from_mw(50.0),
+                deployment: mount.deployment(Meters(tx_rx_cm / 100.0)),
+                environment,
+                extra_paths: Vec::new(),
+                tuning: LinkTuning {
+                    shadow_extra_db: extra,
+                    ..LinkTuning::default()
+                },
+            };
+            let got = PreparedLink::new(link.clone()).received_dbm_factored(&factors).0;
+            let want = link.received_dbm_with(Some(&response)).0;
+            prop_assert!(
+                got.to_bits() == want.to_bits(),
+                "factored {got} vs link {want} on {mount:?}, shadow {extra:?}, opaque {}",
+                response.is_opaque()
+            );
+        }
     }
 }

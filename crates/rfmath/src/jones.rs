@@ -228,6 +228,7 @@ impl JonesMatrix {
     }
 
     /// Applies this transform to a state (Eq. 2).
+    #[inline]
     pub fn apply(self, v: JonesVector) -> JonesVector {
         JonesVector(self.0 * v.0)
     }
