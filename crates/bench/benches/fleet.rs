@@ -1,6 +1,6 @@
 //! Fleet-serving engine benches: the 32-device mixed Wi-Fi/BLE probe
-//! grid (shared-plan batch vs naive per-device loop) and end-to-end
-//! scheduler runs for every policy (the PR-3 acceptance numbers).
+//! grid on the shared-plan batch path and end-to-end scheduler runs
+//! for every policy.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use llama_core::fleet::{Fleet, FleetEvaluator, Scheduler};
@@ -27,9 +27,6 @@ fn fleet_32_probe_grid(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(10));
     g.sample_size(10);
-    g.bench_function("naive_per_device", |b| {
-        b.iter(|| fleet.naive_powers_matrix(black_box(&biases)))
-    });
     g.bench_function("shared_plan", |b| {
         // Cold cost included: the scheduler compiles the plans once per
         // run, so the timed region does too.

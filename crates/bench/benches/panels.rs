@@ -1,7 +1,6 @@
-//! Panel-array benches: the 4-panel, 32-device probe grids (shared plan
-//! caches vs the naive per-panel loops), the end-to-end panel scheduler
-//! against single-panel `MaxMin`, and the many-fleet server against
-//! serial execution (the PR-4 acceptance numbers).
+//! Panel-array benches: the 4-panel, 32-device probe grids on shared
+//! plan caches, the end-to-end panel scheduler against single-panel
+//! `MaxMin`, and the many-fleet server against serial execution.
 
 use control::server::FleetServer;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -32,9 +31,6 @@ fn panel_4x32_probe_grid(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(10));
     g.sample_size(10);
-    g.bench_function("naive_per_panel", |b| {
-        b.iter(|| array.naive_panel_matrices(&fleet, &assignment, black_box(&biases)))
-    });
     g.bench_function("shared_plan_cache", |b| {
         // Cold cost included: the panel scheduler compiles the shared
         // caches once per run, so the timed region does too.

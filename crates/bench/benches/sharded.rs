@@ -1,7 +1,6 @@
-//! PR-8 hot-loop benches under the Criterion harness: the SoA batch
-//! kernel vs the per-cell reference fold on a 24×24 probe grid, the
-//! warm mobility tick vs its allocation-churn baseline, and the
-//! 64-device time-division probe matrix. These are the numbers
+//! Hot-loop benches under the Criterion harness: the SoA batch kernel
+//! on a 24×24 probe grid, the warm mobility tick, and the 64-device
+//! time-division probe matrix. These are the numbers
 //! `scripts/bench-criterion` tracks across branches (save a baseline on
 //! `main`, compare on the branch, fail on a >10% regression) — keep the
 //! group/function IDs stable.
@@ -40,9 +39,6 @@ fn probe_grid(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(6));
     g.sample_size(30);
-    g.bench_function("reference", |b| {
-        b.iter(|| plan.eval_batch_reference(black_box(&biases)))
-    });
     g.bench_function("soa", |b| b.iter(|| plan.eval_batch(black_box(&biases))));
     g.finish();
 }
@@ -58,16 +54,6 @@ fn mobility_tick(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(8));
     g.sample_size(10);
-    g.bench_function("churn_baseline", |b| {
-        b.iter(|| {
-            let mut roaming = DynamicFleet::roaming_mixed(devices, seed, duration);
-            MobilitySim::new(
-                scheduler.clone(),
-                SimConfig::default().with_churn_baseline(true),
-            )
-            .run(black_box(&mut roaming), &array, ticks)
-        })
-    });
     g.bench_function("warm", |b| {
         b.iter(|| {
             let mut roaming = DynamicFleet::roaming_mixed(devices, seed, duration);

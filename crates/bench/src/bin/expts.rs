@@ -6,14 +6,13 @@
 //! expts all                           # run everything (slow; fig15/21 sweep full grids)
 //! expts fig16 alg1                    # run a selection
 //! expts --bench-json [path] [--quick] # time the engine, write a JSON summary
-//! expts --fleet [path] [--quick]      # time the fleet engine, write BENCH_PR3-style JSON
 //! expts --panels [path] [--quick]     # time the panel array + many-fleet server (BENCH_PR4)
 //! expts --mobility [path] [--quick]   # time the mobility simulator, warm vs cold (BENCH_PR5)
 //! expts --bench-all [dir] [--quick]   # regenerate every BENCH_PR*.json in one run
 //! expts --calibrate-fig20 [samples]   # sweep link calibration knobs vs the paper's 10 dB gap
 //! expts --scenario <name> [path]      # simulate a room from the scenario zoo, write JSON
 //! expts --chaos [room] [path]         # sweep fault rates over a room, write the degradation curve
-//! expts --sharded [path] [--quick]    # time the sharded hot loops: SoA grid, arena ticks, scaling (BENCH_PR8)
+//! expts --sharded [path] [--quick]    # time the sharded hot loops: SoA grid, warm ticks, scaling (BENCH_PR8)
 //! expts --joint [path] [--quick]      # joint vs independent multi-surface serving on the zoo (BENCH_PR9)
 //! expts --matrix [base] [--quick] [--rooms a,b] [--policy a,b] [--fleets a,b]
 //!                [--devices a,b] [--threads a,b] [--shards a,b]
@@ -26,10 +25,8 @@
 //! `target/bench-report.json`, untracked; the committed reference is
 //! `BENCH_PR2.json`) comparing naive and batched evaluation and exits
 //! non-zero when the batched engine falls below the regression floor —
-//! the CI perf smoke. `--fleet` does the same for the 32-device
-//! fleet-serving engine (shared-plan batch vs naive per-device loop;
-//! committed reference `BENCH_PR3.json`). `--quick` trims the sample
-//! budget for fast smoke runs.
+//! the CI perf smoke. `--quick` trims the sample budget for fast smoke
+//! runs.
 
 use std::env;
 use std::process::ExitCode;
@@ -39,7 +36,7 @@ fn main() -> ExitCode {
     if args.is_empty() {
         eprintln!(
             "usage: expts <id>... | all | --bench-json [path] [--quick] \
-             | --fleet [path] [--quick] | --panels [path] [--quick] \
+             | --panels [path] [--quick] \
              | --mobility [path] [--quick] | --bench-all [dir] [--quick] \
              | --calibrate-fig20 [samples] | --scenario <name> [path] \
              | --chaos [room] [path] [--joint] | --sharded [path] [--quick] \
@@ -358,10 +355,7 @@ fn main() -> ExitCode {
         return if report.passes() {
             ExitCode::SUCCESS
         } else {
-            eprintln!(
-                "error: SoA grid or arena tick below its speedup floor, churn \
-                 equivalence broken, or thread scaling under the efficiency floor"
-            );
+            eprintln!("error: thread scaling under the efficiency floor");
             ExitCode::FAILURE
         };
     }
@@ -430,11 +424,6 @@ fn main() -> ExitCode {
         let engine = llama_bench::perf::run(quick);
         print!("{}", engine.summary());
         if !write("BENCH_PR2.json", engine.to_json(), engine.passes()) {
-            return ExitCode::FAILURE;
-        }
-        let fleet = llama_bench::perf::run_fleet(quick);
-        print!("{}", fleet.summary());
-        if !write("BENCH_PR3.json", fleet.to_json(), fleet.passes()) {
             return ExitCode::FAILURE;
         }
         let panels = llama_bench::perf::run_panels(quick);
@@ -558,45 +547,7 @@ fn main() -> ExitCode {
         return if report.passes() {
             ExitCode::SUCCESS
         } else {
-            eprintln!(
-                "error: panel engine below the speedup floor or no min-power gain — regression"
-            );
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.iter().any(|a| a == "--fleet") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let extras: Vec<&String> = args
-            .iter()
-            .filter(|a| *a != "--fleet" && *a != "--quick")
-            .collect();
-        if extras.len() > 1 || extras.iter().any(|a| a.starts_with("--")) {
-            eprintln!(
-                "error: --fleet takes at most one output path; got: {}",
-                extras
-                    .iter()
-                    .map(|s| s.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
-        let path = extras
-            .first()
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "target/fleet-report.json".to_string());
-        let report = llama_bench::perf::run_fleet(quick);
-        print!("{}", report.summary());
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-        return if report.passes() {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("error: fleet engine below the speedup floor — perf regression");
+            eprintln!("error: panel array no longer lifts the min power — regression");
             ExitCode::FAILURE
         };
     }

@@ -22,9 +22,10 @@
 //! per device), each device's bias-independent scatter paths are
 //! precomputed once ([`PreparedLink`]), each response's link-independent
 //! probe factors are computed once per bias ([`ResponseFactors`]), and
-//! bias rows fan out across threads. [`Fleet::naive_powers_matrix`]
-//! keeps the per-device reference loop alive as the equivalence and perf
-//! baseline.
+//! bias rows fan out across threads. Every row is bitwise the
+//! per-device loop that deploys its own
+//! [`Metasurface`](metasurface::response::Metasurface) and rebuilds its
+//! link per probe (property-tested against that loop).
 //!
 //! ```
 //! use llama_core::fleet::{Fleet, FleetDevice, Scheduler};
@@ -50,7 +51,7 @@ use control::sweep::{coarse_to_fine_multi, warm_refine_multi, Probe, SweepConfig
 use devices::profile::DeviceProfile;
 use metasurface::designs::Design;
 use metasurface::evaluator::{BiasCells, PlanCache, StackEvaluator};
-use metasurface::response::{Metasurface, SurfaceResponse};
+use metasurface::response::SurfaceResponse;
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
 use microwave::polarized::PolarizedS;
 use propagation::capacity::{capacity_bits, duty_cycled_throughput};
@@ -231,23 +232,6 @@ impl Fleet {
         }
         fleet
     }
-
-    /// The naive per-device reference loop: every device deploys its own
-    /// [`Metasurface`] and rebuilds its link per probe — exactly what
-    /// `multilink` did before the shared-plan engine. Kept as the
-    /// equivalence contract (batched == naive to 1e-12) and the perf
-    /// baseline the CI smoke measures the engine against.
-    pub fn naive_powers_matrix(&self, biases: &[BiasState]) -> Vec<Vec<f64>> {
-        let mut rows = vec![Vec::with_capacity(self.devices.len()); biases.len()];
-        for device in &self.devices {
-            let mut surface = Metasurface::new(self.design.clone());
-            for (row, &bias) in rows.iter_mut().zip(biases) {
-                surface.set_bias(bias);
-                row.push(device.scenario.link().received_dbm(Some(&surface)).0);
-            }
-        }
-        rows
-    }
 }
 
 /// Smallest probe matrix (biases × devices) whose device projections
@@ -279,10 +263,6 @@ pub struct FleetEvaluator {
     /// every probe: the search still commands any bias, but the physics
     /// answers as the broken panel would. `None` = healthy.
     fault: Option<crate::faults::BiasFault>,
-    /// Bench-only A/B switch: force the per-cell reference batch path
-    /// ([`StackEvaluator::eval_batch_reference`]) instead of the
-    /// structure-of-arrays fast path. Never set in production.
-    reference_batch: bool,
     /// Buffers every batch reuses, so a steady stream of sweep grids
     /// allocates little beyond its output rows.
     buffers: RefCell<BatchBuffers>,
@@ -333,18 +313,8 @@ impl FleetEvaluator {
             plan_of,
             v_max: SUPPLY_CEILING,
             fault: None,
-            reference_batch: false,
             buffers: RefCell::default(),
         }
-    }
-
-    /// Bench-only A/B switch: `true` forces every probe batch through
-    /// the per-cell reference path
-    /// ([`StackEvaluator::eval_batch_reference`]) so perf gates can
-    /// measure the structure-of-arrays win in-repo. Results agree to
-    /// well below `1e-12` either way.
-    pub fn set_reference_batch(&mut self, on: bool) {
-        self.reference_batch = on;
     }
 
     /// Installs (or clears) a stuck/clamped unit-cell column defect.
@@ -439,22 +409,6 @@ impl FleetEvaluator {
         let applied = biases
             .into_iter()
             .map(|b| self.faulted(b.clamped(self.v_max)));
-        if self.reference_batch {
-            let applied: Vec<BiasState> = applied.collect();
-            let responses: Vec<SurfaceResponse> = self
-                .plans
-                .iter()
-                .flat_map(|p| {
-                    let f = p.frequency();
-                    p.eval_batch_reference(&applied)
-                        .into_iter()
-                        .map(move |r| SurfaceResponse::new(f, r))
-                })
-                .collect();
-            return self.fan_out(applied.len(), &responses, |link, r| {
-                link.received_dbm_by_paths(Some(r)).0
-            });
-        }
         // One deduplicated bias list and one batched cascade pass per
         // distinct carrier; plan `k`'s factors land at `[k·n, (k+1)·n)`.
         let mut buffers = self.buffers.borrow_mut();
@@ -477,23 +431,12 @@ impl FleetEvaluator {
                     .map(|&r| ResponseFactors::new(&SurfaceResponse::new(f, r))),
             );
         }
-        self.fan_out(n, factors, |link, r| link.received_dbm_factored(r).0)
-    }
-
-    /// Fills `n` per-bias rows, across the caller's
-    /// [`rfmath::par::budget`] from [`FAN_OUT_MIN_PROBES`] link-probes
-    /// up: row `b` holds `probe(link_d, &per_plan[plan_of[d]·n + b])`
-    /// for every device `d`. Captures only `Sync` pieces — the plans
-    /// hold `RefCell` memos and stay on this thread; their responses are
-    /// already computed.
-    fn fan_out<R: Sync>(
-        &self,
-        n: usize,
-        per_plan: &[R],
-        probe: impl Fn(&PreparedLink, &R) -> f64 + Sync,
-    ) -> Vec<Vec<f64>> {
-        let links = &self.links;
-        let plan_of = &self.plan_of;
+        // Row `b` holds device `d`'s probe of `factors[plan_of[d]·n + b]`,
+        // filled across the caller's [`rfmath::par::budget`] from
+        // [`FAN_OUT_MIN_PROBES`] link-probes up. The closure captures only
+        // `Sync` pieces — the plans hold `RefCell` memos and stay on this
+        // thread; their responses are already computed.
+        let (links, plan_of, factors) = (&self.links, &self.plan_of, &*factors);
         let threads = if n * links.len() < FAN_OUT_MIN_PROBES {
             1
         } else {
@@ -504,7 +447,7 @@ impl FleetEvaluator {
             links
                 .iter()
                 .zip(plan_of)
-                .map(|(link, &k)| probe(link, &per_plan[k * n + b]))
+                .map(|(link, &k)| link.received_dbm_factored(&factors[k * n + b]).0)
                 .collect()
         });
         out
@@ -967,48 +910,23 @@ mod tests {
     }
 
     #[test]
-    fn batched_matrix_matches_naive_loop() {
-        let fleet = small_fleet();
-        let evaluator = FleetEvaluator::new(&fleet);
-        let biases: Vec<BiasState> = [(0.0, 0.0), (6.0, 18.0), (30.0, 30.0), (12.0, 3.0)]
-            .iter()
-            .map(|&(x, y)| BiasState::new(x, y))
-            .collect();
-        let fast = evaluator.powers_matrix(&biases);
-        let naive = fleet.naive_powers_matrix(&biases);
-        for (row_fast, row_naive) in fast.iter().zip(&naive) {
-            for (a, b) in row_fast.iter().zip(row_naive) {
-                assert!((a - b).abs() < 1e-12, "batched {a} vs naive {b}");
-            }
-        }
-        // Single-bias probe agrees with the matrix row.
-        let single = evaluator.powers_dbm(biases[1]);
-        for (a, b) in single.iter().zip(&fast[1]) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn threaded_matrix_matches_serial_bitwise() {
         // 64 devices × 25 biases = 1600 link-probes crosses
         // `FAN_OUT_MIN_PROBES`, so a budget of four runs the threaded
-        // projection on any host, behind both batch kernels.
+        // projection on any host.
         let fleet = Fleet::mixed_wifi_ble(64, 41);
         let biases: Vec<BiasState> = (0..25)
             .map(|i| BiasState::new((i % 5) as f64 * 7.0, (i / 5) as f64 * 6.5))
             .collect();
-        let mut evaluator = FleetEvaluator::new(&fleet);
-        for reference in [false, true] {
-            evaluator.set_reference_batch(reference);
-            let bits = |threads: usize| -> Vec<Vec<u64>> {
-                let matrix = rfmath::par::with_budget(threads, || evaluator.powers_matrix(&biases));
-                matrix
-                    .iter()
-                    .map(|row| row.iter().map(|p| p.to_bits()).collect())
-                    .collect()
-            };
-            assert_eq!(bits(4), bits(1), "reference batch: {reference}");
-        }
+        let evaluator = FleetEvaluator::new(&fleet);
+        let bits = |threads: usize| -> Vec<Vec<u64>> {
+            let matrix = rfmath::par::with_budget(threads, || evaluator.powers_matrix(&biases));
+            matrix
+                .iter()
+                .map(|row| row.iter().map(|p| p.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(4), bits(1));
     }
 
     #[test]
@@ -1215,10 +1133,6 @@ mod tests {
         let powers = evaluator.powers_dbm(BiasState::new(6.0, 6.0));
         assert_eq!(powers.len(), 2);
         assert!(powers.iter().all(|p| p.is_finite()));
-        let naive = fleet.naive_powers_matrix(&[BiasState::new(6.0, 6.0)]);
-        for (a, b) in powers.iter().zip(&naive[0]) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //!
 //! Since the fleet engine landed, both are thin fronts over
 //! [`crate::fleet`]'s shared-plan batch path: the bias grid is cascaded
-//! once per probe ([`StackEvaluator::eval_batch`]) and each probe's path
-//! set is built once and projected onto every receiver
-//! ([`Link::received_dbm_for`]), instead of re-evaluating the full stack
-//! per receiver per bias. `batched == naive` is pinned to 1e-12 by the
-//! regression tests below and `tests/proptest_fleet.rs`.
+//! once per probe ([`StackEvaluator::eval_batch`]) and each receiver's
+//! scatter is prepared once ([`PreparedLink`]), instead of re-evaluating
+//! the full stack per receiver per bias. `batched == naive` is pinned to
+//! 1e-12 by the regression tests below and `tests/proptest_fleet.rs`.
 //!
 //! When one shared bias cannot serve the population at all — mutually
 //! orthogonal sectors, large fleets — the next lever is *spatial*
@@ -32,13 +31,10 @@ use metasurface::evaluator::StackEvaluator;
 use metasurface::response::{Metasurface, SurfaceResponse};
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
 use propagation::antenna::OrientedAntenna;
-use propagation::link::PreparedLink;
+use propagation::link::{Link, PreparedLink};
 use rfmath::units::Dbm;
 
 use crate::scenario::Scenario;
-
-#[allow(unused_imports)] // rustdoc link target
-use propagation::link::Link;
 
 /// One receiver sharing the surface.
 #[derive(Clone, Debug)]
@@ -126,7 +122,7 @@ pub fn optimize_favor(
 
 /// The shared grid search: every bias in the `steps × steps` grid is
 /// cascaded once through a compiled plan and projected onto every
-/// receiver against one shared path set per probe.
+/// receiver's prepared link.
 fn search(
     base: &Scenario,
     receivers: &[SharedReceiver],
@@ -146,10 +142,20 @@ fn search(
         })
         .collect();
 
-    let mounts: Vec<OrientedAntenna> = receivers.iter().map(|r| r.rx.clone()).collect();
-    // The scatter realization is bias-independent: prepare it once
-    // instead of redrawing it for every grid probe.
-    let link = PreparedLink::new(base.link());
+    // The scatter realization is bias-independent: prepare it once and
+    // rebind one probe handle per receive mount (a mount change reuses
+    // the cached scatter) instead of redrawing it for every grid probe.
+    let link = base.link();
+    let prepared = PreparedLink::new(link.clone());
+    let links: Vec<PreparedLink> = receivers
+        .iter()
+        .map(|r| {
+            prepared.rebind(Link {
+                rx: r.rx.clone(),
+                ..link.clone()
+            })
+        })
+        .collect();
     let evaluator = StackEvaluator::new(&base.design.stack, base.frequency);
     let responses = evaluator.eval_batch(&biases);
 
@@ -158,10 +164,9 @@ fn search(
         let response = SurfaceResponse::new(base.frequency, response);
         let g = GroupPowers {
             bias,
-            powers_dbm: link
-                .received_dbm_for(Some(&response), &mounts)
-                .into_iter()
-                .map(|p| p.0)
+            powers_dbm: links
+                .iter()
+                .map(|l| l.received_dbm_with(Some(&response)).0)
                 .collect(),
         };
         let s = score(&g);

@@ -438,8 +438,8 @@ impl PanelArray {
     /// Per-panel probe matrices on the shared-plan batch path:
     /// `result[k][b][i]` is the power of panel `k`'s `i`-th assigned
     /// device under `biases[b]`, with compiled plans shared across
-    /// panels of the same design. The fast side of the `expts --panels`
-    /// smoke and the 1e-12 equivalence proptest.
+    /// panels of the same design. Bitwise the per-device loop over each
+    /// [`PanelArray::subfleets`] member (property-tested).
     pub fn batched_panel_matrices(
         &self,
         fleet: &Fleet,
@@ -456,27 +456,6 @@ impl PanelArray {
                 }
                 let cache = Self::cache_for(&caches, &self.panels[k].design);
                 FleetEvaluator::with_plan_cache(&subfleet, cache).powers_matrix(biases)
-            })
-            .collect()
-    }
-
-    /// The naive per-panel reference loop — every device of every panel
-    /// deploys its own surface and rebuilds its link per probe, exactly
-    /// like [`Fleet::naive_powers_matrix`]. Kept as the equivalence
-    /// contract and the perf baseline of the `--panels` smoke.
-    pub fn naive_panel_matrices(
-        &self,
-        fleet: &Fleet,
-        assignment: &[usize],
-        biases: &[BiasState],
-    ) -> Vec<Vec<Vec<f64>>> {
-        self.subfleets(fleet, assignment)
-            .into_iter()
-            .map(|(subfleet, _)| {
-                if subfleet.is_empty() {
-                    return vec![Vec::new(); biases.len()];
-                }
-                subfleet.naive_powers_matrix(biases)
             })
             .collect()
     }
@@ -1514,26 +1493,6 @@ mod tests {
             .map(|p| p.outcome.elapsed.0)
             .fold(0.0, f64::max);
         assert_eq!(panel.elapsed.0, slowest);
-    }
-
-    #[test]
-    fn batched_panel_matrices_match_the_naive_loop() {
-        let fleet = quad_fleet();
-        let array = PanelArray::uniform(fleet.design.clone(), 2);
-        let assignment = array.assign(&fleet, &Assignment::ByOrientation);
-        let biases: Vec<BiasState> = [(0.0, 0.0), (6.0, 18.0), (30.0, 3.0)]
-            .iter()
-            .map(|&(x, y)| BiasState::new(x, y))
-            .collect();
-        let fast = array.batched_panel_matrices(&fleet, &assignment, &biases);
-        let naive = array.naive_panel_matrices(&fleet, &assignment, &biases);
-        for (k, (rows_fast, rows_naive)) in fast.iter().zip(&naive).enumerate() {
-            for (row_fast, row_naive) in rows_fast.iter().zip(rows_naive) {
-                for (a, b) in row_fast.iter().zip(row_naive) {
-                    assert!((a - b).abs() < 1e-12, "panel {k}: batched {a} vs naive {b}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -116,14 +116,6 @@ pub struct SimConfig {
     /// from scratch every tick, which is exactly the flapping behavior
     /// hysteresis exists to prevent).
     pub handoff: HandoffPolicy,
-    /// Allocation-churn baseline for A/B benchmarking: when set, the
-    /// warm engine rebinds reference links through the allocating
-    /// [`PreparedLink::rebind`] path and forces every panel evaluator
-    /// onto the reference (AoS) batch kernel instead of the SoA fast
-    /// path. Results are bit-identical either way — only the
-    /// steady-state allocation and vectorization behavior differs —
-    /// which is exactly what makes it an honest baseline.
-    pub churn_baseline: bool,
 }
 
 impl Default for SimConfig {
@@ -132,7 +124,6 @@ impl Default for SimConfig {
             tick: Seconds(1.0),
             warm: Some(WarmConfig::paper_default()),
             handoff: HandoffPolicy::default(),
-            churn_baseline: false,
         }
     }
 }
@@ -155,14 +146,6 @@ impl SimConfig {
     /// Sets the handoff policy.
     pub fn with_handoff(mut self, handoff: HandoffPolicy) -> Self {
         self.handoff = handoff;
-        self
-    }
-
-    /// Selects the allocation-churn baseline (see
-    /// [`SimConfig::churn_baseline`]). Benchmarks use this to measure
-    /// what the arena rebinds and the SoA batch kernel actually buy.
-    pub fn with_churn_baseline(mut self, on: bool) -> Self {
-        self.churn_baseline = on;
         self
     }
 }
@@ -714,7 +697,6 @@ impl MobilitySim {
                     &mut states,
                     &(0..array.len()).collect::<Vec<_>>(),
                     &self.faults,
-                    self.config.churn_baseline,
                 );
             } else {
                 // Refresh the per-device reference links for the dirty
@@ -725,13 +707,9 @@ impl MobilitySim {
                     for (k, panel) in array.panels().iter().enumerate() {
                         let mut link = device.scenario.link();
                         link.deployment = panel.deployment_for(device.scenario.deployment);
-                        if self.config.churn_baseline {
-                            ref_links[d][k] = ref_links[d][k].rebind(link);
-                        } else {
-                            // Arena path: the prepared slot is reused in
-                            // place — a reusable move touches zero heap.
-                            ref_links[d][k].rebind_in_place(link);
-                        }
+                        // Arena path: the prepared slot is reused in
+                        // place — a reusable move touches zero heap.
+                        ref_links[d][k].rebind_in_place(link);
                     }
                 }
             }
@@ -787,7 +765,6 @@ impl MobilitySim {
                         &mut states,
                         &changed,
                         &self.faults,
-                        self.config.churn_baseline,
                     );
                 }
             }
@@ -857,7 +834,6 @@ impl MobilitySim {
                             &mut states,
                             &changed,
                             &self.faults,
-                            self.config.churn_baseline,
                         );
                     }
                 }
@@ -884,20 +860,13 @@ impl MobilitySim {
                         continue;
                     }
                     let bits = fleet.fleet().devices()[d].scenario.frequency.0.to_bits();
-                    let churn_baseline = self.config.churn_baseline;
                     let power_on = |k: usize| {
                         let response = ref_responses[k]
                             .iter()
                             .find(|(b, _)| *b == bits)
                             .map(|(_, r)| r)
                             .expect("reference responses prebuilt for every carrier");
-                        if churn_baseline {
-                            // Baseline arm: the allocating path-by-path
-                            // probe the engine used before the cache.
-                            ref_links[d][k].received_dbm_by_paths(Some(response)).0
-                        } else {
-                            ref_links[d][k].received_dbm_with(Some(response)).0
-                        }
+                        ref_links[d][k].received_dbm_with(Some(response)).0
                     };
                     let cur = assignment[d];
                     let cur_power = power_on(cur);
@@ -949,7 +918,6 @@ impl MobilitySim {
                         &mut states,
                         &changed_panels,
                         &self.faults,
-                        self.config.churn_baseline,
                     );
                 }
             }
@@ -1164,7 +1132,6 @@ impl MobilitySim {
         states: &mut [PanelState],
         panels: &[usize],
         faults: &FaultPlan,
-        churn_baseline: bool,
     ) -> usize {
         let subfleets = array.subfleets(fleet, assignment);
         let mut reprepared = 0usize;
@@ -1176,7 +1143,6 @@ impl MobilitySim {
             } else {
                 let cache = PanelArray::cache_for(caches, &array.panels()[k].design);
                 let mut evaluator = FleetEvaluator::with_plan_cache(&subfleet, cache);
-                evaluator.set_reference_batch(churn_baseline);
                 // Dead unit-cell columns are a property of the panel
                 // hardware, not the sub-fleet: mask them into every
                 // evaluator built for this panel so Algorithm 1

@@ -1,8 +1,8 @@
 //! Fleet-engine contracts:
 //!
-//! * the shared-plan batch path equals the naive per-device loop to
-//!   1e-12 across random fleets and bias lists (the PR's equivalence
-//!   acceptance bar);
+//! * the shared-plan batch path equals the naive per-device loop bit
+//!   for bit across random fleets (reflective devices included) and
+//!   bias lists;
 //! * every `powers_matrix` row is bitwise the per-device single-bias
 //!   probe (fresh plan, `StackEvaluator::response`, prepared link), for
 //!   any bias list (out-of-range, repeated, sharing axis voltages),
@@ -14,6 +14,8 @@
 //!   probed shared bias (it is the arg-max of the min — no probed
 //!   compromise can beat it).
 
+mod common;
+
 use llama_core::faults::{BiasFault, CellFaultKind};
 use llama_core::fleet::{Fleet, FleetDevice, FleetEvaluator, Scheduler, FAN_OUT_MIN_PROBES};
 use metasurface::evaluator::StackEvaluator;
@@ -23,11 +25,19 @@ use propagation::link::PreparedLink;
 use proptest::prelude::*;
 use rfmath::units::{Degrees, Volts};
 
-/// A random heterogeneous fleet: 1..max devices of mixed radio classes,
-/// orientations, distances and channel seeds (derived from a xorshift
-/// stream so each drawn class vector yields a full device population).
+/// A random heterogeneous fleet: 1..max devices of mixed radio classes
+/// (reflective USRPs among them), orientations, distances and channel
+/// seeds.
 fn fleet(max_devices: usize) -> BoxedStrategy<Fleet> {
-    prop::collection::vec(0usize..3, 1..max_devices)
+    fleet_of(4, max_devices)
+}
+
+/// A random fleet of 1..max devices drawn from the first `kind_count`
+/// device kinds (Wi-Fi, BLE, USRP, reflective USRP), with orientations,
+/// distances and channel seeds derived from a xorshift stream so each
+/// drawn class vector yields a full device population.
+fn fleet_of(kind_count: usize, max_devices: usize) -> BoxedStrategy<Fleet> {
+    prop::collection::vec(0usize..kind_count, 1..max_devices)
         .prop_map(|kinds| {
             let mut rng_state = 0x243F_6A88_85A3_08D3u64 ^ (kinds.len() as u64);
             let mut next = move || {
@@ -47,7 +57,9 @@ fn fleet(max_devices: usize) -> BoxedStrategy<Fleet> {
                     1 => {
                         FleetDevice::ble(format!("b{i}"), deg, 150.0 + (next() % 300) as f64, seed)
                     }
-                    _ => FleetDevice::usrp(format!("u{i}"), deg, 30.0 + (next() % 80) as f64, seed),
+                    2 => FleetDevice::usrp(format!("u{i}"), deg, 30.0 + (next() % 80) as f64, seed),
+                    _ => FleetDevice::usrp(format!("r{i}"), deg, 30.0 + (next() % 80) as f64, seed)
+                        .reflective(),
                 });
             }
             f
@@ -96,7 +108,7 @@ const SHADOWS: [f64; 5] = [0.0, -0.0, 0.35, 6.5, 250.0];
 /// drawn shorter than 3 devices repeat their devices to get there.
 fn tuned_fleet(max_devices: usize) -> BoxedStrategy<Fleet> {
     (
-        fleet(max_devices),
+        fleet_of(3, max_devices),
         prop::collection::vec(
             (0usize..SHADOWS.len(), 0usize..3),
             max_devices..max_devices + 1,
@@ -280,18 +292,20 @@ proptest! {
         }
     }
 
-    /// Batched == naive per-receiver powers to 1e-12, across random
-    /// heterogeneous fleets (mixed radios, deployments, rooms) and
-    /// random bias lists.
+    /// Batched == naive per-receiver powers bit for bit, across random
+    /// heterogeneous fleets (mixed radios, transmissive and reflective
+    /// deployments, rooms) and random bias lists.
     #[test]
     fn batched_fleet_powers_match_naive_loop(f in fleet(6), probes in biases()) {
         let evaluator = FleetEvaluator::new(&f);
         let fast = evaluator.powers_matrix(&probes);
-        let naive = f.naive_powers_matrix(&probes);
+        let naive = common::naive_powers_matrix(&f, &probes);
+        prop_assert_eq!(fast.len(), naive.len());
         for (b, (row_fast, row_naive)) in fast.iter().zip(&naive).enumerate() {
+            prop_assert_eq!(row_fast.len(), row_naive.len());
             for (d, (a, n)) in row_fast.iter().zip(row_naive).enumerate() {
                 prop_assert!(
-                    (a - n).abs() < 1e-12,
+                    a.to_bits() == n.to_bits(),
                     "bias {b} device {d}: batched {a} vs naive {n}"
                 );
             }

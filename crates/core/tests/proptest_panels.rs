@@ -5,13 +5,15 @@
 //!   bias, same per-device powers, same probe count) across random
 //!   fleets — the panel layer adds capability, never drift;
 //! * the per-panel shared-plan batch path equals the naive per-device
-//!   loop to 1e-12 across random fleets, panel counts and assignments
-//!   (the PR-4 equivalence acceptance bar);
+//!   loop over each panel's sub-fleet bit for bit across random fleets,
+//!   panel counts and assignments;
 //! * assignment policies are deterministic under device permutation
 //!   (stable tie-breaks — a fleet is a *set* of devices);
 //! * the joint multi-surface search degenerates to the independent
 //!   scheduler bit-for-bit at zero coupling, and its converged score is
 //!   iteration-order independent at the convergence tolerance.
+
+mod common;
 
 use llama_core::fleet::{Fleet, FleetDevice, Scheduler};
 use llama_core::panels::{Assignment, JointConfig, PanelArray, PanelScheduler};
@@ -94,8 +96,8 @@ proptest! {
     }
 
     /// Per-panel batched probe matrices equal the naive per-device loop
-    /// to 1e-12 across random fleets, panel counts and assignment
-    /// policies.
+    /// over each panel's sub-fleet bit for bit across random fleets,
+    /// panel counts and assignment policies.
     #[test]
     fn batched_panel_matrices_match_naive_loop(
         f in fleet(6),
@@ -106,14 +108,19 @@ proptest! {
         let array = PanelArray::uniform(f.design.clone(), k);
         let map = array.assign(&f, &asg);
         let fast = array.batched_panel_matrices(&f, &map, &probes);
-        let naive = array.naive_panel_matrices(&f, &map, &probes);
+        let naive: Vec<Vec<Vec<f64>>> = array
+            .subfleets(&f, &map)
+            .iter()
+            .map(|(subfleet, _)| common::naive_powers_matrix(subfleet, &probes))
+            .collect();
         prop_assert_eq!(fast.len(), k);
         for (p, (rows_fast, rows_naive)) in fast.iter().zip(&naive).enumerate() {
             prop_assert_eq!(rows_fast.len(), probes.len());
             for (b, (row_fast, row_naive)) in rows_fast.iter().zip(rows_naive).enumerate() {
+                prop_assert_eq!(row_fast.len(), row_naive.len());
                 for (d, (a, n)) in row_fast.iter().zip(row_naive).enumerate() {
                     prop_assert!(
-                        (a - n).abs() < 1e-12,
+                        a.to_bits() == n.to_bits(),
                         "panel {p} bias {b} member {d}: batched {a} vs naive {n}"
                     );
                 }

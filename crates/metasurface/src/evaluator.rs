@@ -394,9 +394,8 @@ impl StackEvaluator {
 
     /// The per-cell reference batch path: folds a [`WaveTransfer`] per
     /// cell exactly like [`StackEvaluator::response`]. Kept public as
-    /// the A/B baseline for the structure-of-arrays kernel — benches
-    /// measure `eval_batch` against this, and the proptests pin the two
-    /// bit for bit.
+    /// the oracle the proptests pin the structure-of-arrays kernel
+    /// against, bit for bit.
     pub fn eval_batch_reference(&self, biases: &[BiasState]) -> Vec<Option<PolarizedS>> {
         self.eval_list(biases, false)
     }
@@ -1102,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn soa_batch_matches_reference_batch() {
+    fn soa_batch_matches_the_per_cell_fold() {
         // The structure-of-arrays fast path against the per-cell fold,
         // across every catalog design and a batch long enough to cover
         // multiple kernel blocks (including a ragged tail).

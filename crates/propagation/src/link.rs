@@ -18,10 +18,7 @@ use rfmath::units::{Dbm, Hertz, Seconds, Watts};
 
 use crate::antenna::OrientedAntenna;
 use crate::environment::{Environment, ScatterDraw};
-use crate::rays::{
-    direct_path, engineered_paths, engineered_paths_into, Deployment, Path, SurfaceLegs,
-    SurfaceMount,
-};
+use crate::rays::{direct_path, engineered_paths, Deployment, Path, SurfaceLegs, SurfaceMount};
 
 /// Calibration knobs of the link model — the parameters the Figure 20
 /// fidelity sweep (`expts --calibrate-fig20`) explores. Defaults
@@ -534,7 +531,7 @@ impl ProbeConstants {
     }
 
     /// Adds the surface-interacting terms under `surface` to `total`, in
-    /// [`engineered_paths_into`]'s path order.
+    /// [`crate::rays::engineered_paths_into`]'s path order.
     fn add_surface_terms<R: ResponseSide>(&self, surface: &R, total: &mut Complex) {
         self.surface
             .for_each_jones(surface, |leg, jones| *total += self.leg(leg, jones));
@@ -728,21 +725,6 @@ impl PreparedLink {
         self.rebuild_static_terms();
     }
 
-    /// Full path set against a precomputed surface response (engineered
-    /// paths rebuilt, static paths reused). Same order as
-    /// [`Link::paths_with`].
-    fn paths_with(&self, surface: Option<&SurfaceResponse>) -> Vec<Path> {
-        let mut paths = Vec::with_capacity(2 + self.static_paths.len());
-        engineered_paths_into(
-            self.link.deployment,
-            surface,
-            self.link.frequency,
-            &mut paths,
-        );
-        paths.extend_from_slice(&self.static_paths);
-        paths
-    }
-
     /// Receive-port amplitude at `t = 0` from the probe cache: the
     /// response's Jones blocks applied to the cached surface legs, plus
     /// the cached direct and static terms under the bias-dependent
@@ -819,42 +801,6 @@ impl PreparedLink {
     /// came from.
     pub fn received_dbm_factored(&self, factors: &ResponseFactors) -> Dbm {
         Watts(self.amplitude(Some(factors)).norm_sqr()).to_dbm()
-    }
-
-    /// [`PreparedLink::received_dbm_with`] the way it was computed before
-    /// the probe cache: the engineered paths rebuilt into a fresh path
-    /// set and every path projected in full. Bit-identical to the cached
-    /// probe; kept only for the fleet evaluator's reference-batch arm,
-    /// the baseline the mobility benchmarks time against.
-    pub fn received_dbm_by_paths(&self, surface: Option<&SurfaceResponse>) -> Dbm {
-        let paths = self.paths_with(surface);
-        Watts(
-            self.link
-                .project_onto(&paths, surface, &self.link.rx, Seconds(0.0))
-                .norm_sqr(),
-        )
-        .to_dbm()
-    }
-
-    /// Per-receiver powers for several mounts sharing this link's
-    /// geometry — one path build, N polarization projections.
-    pub fn received_dbm_for(
-        &self,
-        surface: Option<&SurfaceResponse>,
-        receivers: &[OrientedAntenna],
-    ) -> Vec<Dbm> {
-        let paths = self.paths_with(surface);
-        receivers
-            .iter()
-            .map(|rx| {
-                Watts(
-                    self.link
-                        .project_onto(&paths, surface, rx, Seconds(0.0))
-                        .norm_sqr(),
-                )
-                .to_dbm()
-            })
-            .collect()
     }
 }
 
@@ -1008,12 +954,6 @@ mod tests {
         assert!(
             (prepared.received_dbm_with(None).0 - link.received_dbm_with(None).0).abs() < 1e-12
         );
-        let rxs = vec![link.rx.clone(), link.tx.clone()];
-        let a = prepared.received_dbm_for(Some(&response), &rxs);
-        let b = link.received_dbm_for(Some(&response), &rxs);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x.0 - y.0).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -1120,13 +1060,8 @@ mod tests {
         let surface = Metasurface::llama();
         let response = surface.response(link.frequency);
         for surface in [Some(&response), None] {
-            let cached = prepared.received_dbm_with(surface).0;
             assert_eq!(
-                cached.to_bits(),
-                prepared.received_dbm_by_paths(surface).0.to_bits()
-            );
-            assert_eq!(
-                cached.to_bits(),
+                prepared.received_dbm_with(surface).0.to_bits(),
                 link.received_dbm_with(surface).0.to_bits()
             );
         }

@@ -252,7 +252,6 @@ proptest! {
             let want = link.received_dbm_with(response).0;
             for (arm, got) in [
                 ("fresh", prepared.received_dbm_with(response).0),
-                ("by paths", prepared.received_dbm_by_paths(response).0),
                 ("rebound", pooled.received_dbm_with(response).0),
             ] {
                 prop_assert!(
