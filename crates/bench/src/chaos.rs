@@ -23,12 +23,11 @@
 use std::sync::Arc;
 
 use llama_core::faults::{FaultPlan, FaultWindow, PanelOutage};
-use llama_core::rooms;
 use llama_core::sim::SimReport;
 use llama_core::telemetry::{RecorderHandle, RingRecorder};
 use rfmath::units::Seconds;
 
-use crate::perf::stamp_report;
+use crate::report::{Field, Report, Row, Value};
 
 /// Fault rates swept for the degradation curve.
 pub const RATES: [f64; 4] = [0.05, 0.10, 0.20, 0.30];
@@ -76,22 +75,21 @@ impl ChaosPoint {
             handoffs: report.handoffs,
         }
     }
+}
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"rate\": {:.2}, \"mean_duty\": {:.6}, \"mean_min_power_dbm\": {:.3}, \
-             \"outaged_panel_ticks\": {}, \"reassignments\": {}, \"reports_lost\": {}, \
-             \"reports_exhausted\": {}, \"psu_glitches\": {}, \"handoffs\": {}}}",
-            self.rate,
-            self.mean_duty,
-            self.mean_min_power_dbm,
-            self.outaged_panel_ticks,
-            self.reassignments,
-            self.reports_lost,
-            self.reports_exhausted,
-            self.psu_glitches,
-            self.handoffs,
-        )
+impl Row for ChaosPoint {
+    fn row(&self) -> Vec<Field> {
+        vec![
+            ("rate", self.rate.into()),
+            ("mean_duty", self.mean_duty.into()),
+            ("mean_min_power_dbm", self.mean_min_power_dbm.into()),
+            ("outaged_panel_ticks", self.outaged_panel_ticks.into()),
+            ("reassignments", self.reassignments.into()),
+            ("reports_lost", self.reports_lost.into()),
+            ("reports_exhausted", self.reports_exhausted.into()),
+            ("psu_glitches", self.psu_glitches.into()),
+            ("handoffs", self.handoffs.into()),
+        ]
     }
 }
 
@@ -121,20 +119,11 @@ impl ChaosReport {
     /// Sweeps room `name` under `seed` (`Err` on an unknown room,
     /// listing the catalog).
     pub fn run(name: &str, seed: u64) -> Result<Self, String> {
-        let build = |seed| {
-            rooms::build(name, seed).ok_or_else(|| {
-                format!(
-                    "unknown scenario {name:?}; known scenarios: {}",
-                    rooms::SCENARIOS.join(", ")
-                )
-            })
-        };
-
-        let baseline_report = build(seed)?.run();
+        let baseline_report = crate::room(name, seed)?.run();
         let baseline = ChaosPoint::from_sim(0.0, &baseline_report);
 
         // Gate 1: the empty plan must be bitwise inert.
-        let zero_report = build(seed)?.run_with_faults(FaultPlan::none());
+        let zero_report = crate::room(name, seed)?.run_with_faults(FaultPlan::none());
         let zero_fault_identical = bitwise_identical(&baseline_report, &zero_report);
 
         // The degradation curve. Every nonzero point also scripts a
@@ -144,15 +133,8 @@ impl ChaosReport {
         let mut points = Vec::with_capacity(RATES.len());
         let recorder = RecorderHandle::new(Arc::new(RingRecorder::default()));
         for &rate in RATES.iter() {
-            let mut plan = FaultPlan::with_rates(seed, rate, rate, rate);
-            plan.outages.push(PanelOutage {
-                panel: 0,
-                window: FaultWindow {
-                    start: Seconds(3.0),
-                    duration: Seconds(3.0),
-                },
-            });
-            let report = build(seed)?.run_traced(plan, recorder.clone());
+            let report =
+                crate::room(name, seed)?.run_traced(scripted_plan(seed, rate), recorder.clone());
             points.push(ChaosPoint::from_sim(rate, &report));
         }
 
@@ -166,11 +148,55 @@ impl ChaosReport {
             telemetry: recorder.aggregate_json(),
         })
     }
+}
+
+/// The fault plan of one chaos point: every stochastic rate at `rate`
+/// plus one scripted mid-run outage of panel 0 (seconds 3 to 6), so
+/// the injection, re-home and revival paths always run.
+pub fn scripted_plan(seed: u64, rate: f64) -> FaultPlan {
+    let mut plan = FaultPlan::with_rates(seed, rate, rate, rate);
+    plan.outages.push(PanelOutage {
+        panel: 0,
+        window: FaultWindow {
+            start: Seconds(3.0),
+            duration: Seconds(3.0),
+        },
+    });
+    plan
+}
+
+impl Report for ChaosReport {
+    fn title(&self) -> String {
+        format!("Chaos sweep: {}, seed {}", self.room, self.seed)
+    }
+
+    fn identity(&self) -> Field {
+        ("chaos_room", self.room.as_str().into())
+    }
+
+    /// The highest-rate configuration swept.
+    fn faults(&self) -> FaultPlan {
+        scripted_plan(self.seed, RATES[RATES.len() - 1])
+    }
+
+    fn telemetry(&self) -> String {
+        self.telemetry.clone()
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("seed", self.seed.into()),
+            ("duty_floor", self.duty_floor.into()),
+            ("zero_fault_identical", self.zero_fault_identical.into()),
+            ("baseline", Value::Obj(self.baseline.row())),
+            ("points", Value::rows(&self.points)),
+        ]
+    }
 
     /// True when every gate holds: zero-fault identity, and the 5%/10%
     /// points still serving (finite power, duty above the floor, the
     /// scripted outage's orphans actually re-homed).
-    pub fn passes(&self) -> bool {
+    fn passes(&self) -> bool {
         self.zero_fault_identical
             && self
                 .points
@@ -182,83 +208,6 @@ impl ChaosReport {
                         && p.reassignments > 0
                 })
     }
-
-    /// Human-readable sweep summary.
-    pub fn summary(&self) -> String {
-        let mut out = format!(
-            "chaos sweep: {room}, seed {seed}\n\
-             zero-fault identity: {ident}\n\
-             {r:>6} {d:>10} {p:>12} {o:>8} {m:>8} {l:>6} {x:>6} {g:>6}\n",
-            room = self.room,
-            seed = self.seed,
-            ident = if self.zero_fault_identical {
-                "bitwise"
-            } else {
-                "BROKEN"
-            },
-            r = "rate",
-            d = "duty",
-            p = "min dBm",
-            o = "outages",
-            m = "rehomes",
-            l = "lost",
-            x = "exhst",
-            g = "glitch",
-        );
-        for p in std::iter::once(&self.baseline).chain(&self.points) {
-            out.push_str(&format!(
-                "{:>6.2} {:>10.3} {:>12.1} {:>8} {:>8} {:>6} {:>6} {:>6}\n",
-                p.rate,
-                p.mean_duty,
-                p.mean_min_power_dbm,
-                p.outaged_panel_ticks,
-                p.reassignments,
-                p.reports_lost,
-                p.reports_exhausted,
-                p.psu_glitches,
-            ));
-        }
-        out.push_str(&format!(
-            "duty floor {:.2} at rates <= 0.10 — {}",
-            self.duty_floor,
-            if self.passes() { "PASS" } else { "FAIL" }
-        ));
-        out
-    }
-
-    /// Renders the sweep as a JSON document (hand-assembled; no
-    /// external dependencies), stamped with machine topology and the
-    /// highest-rate fault configuration swept.
-    pub fn to_json(&self) -> String {
-        let top = RATES[RATES.len() - 1];
-        let mut stamp_plan = FaultPlan::with_rates(self.seed, top, top, top);
-        stamp_plan.outages.push(PanelOutage {
-            panel: 0,
-            window: FaultWindow {
-                start: Seconds(3.0),
-                duration: Seconds(3.0),
-            },
-        });
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"chaos_room\": \"{}\",\n", self.room));
-        stamp_report(&mut out, &stamp_plan, &self.telemetry);
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"duty_floor\": {:.2},\n", self.duty_floor));
-        out.push_str(&format!(
-            "  \"zero_fault_identical\": {},\n",
-            self.zero_fault_identical
-        ));
-        out.push_str(&format!("  \"baseline\": {},\n", self.baseline.to_json()));
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 < self.points.len() { "," } else { "" };
-            out.push_str(&format!("    {}{comma}\n", p.to_json()));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"pass\": {}\n", self.passes()));
-        out.push_str("}\n");
-        out
-    }
 }
 
 /// One-shot joint-mode smoke for the chaos lane: runs the room's
@@ -269,16 +218,8 @@ impl ChaosReport {
 /// success, a diagnosis on violation or an unknown room.
 pub fn joint_smoke(name: &str, seed: u64) -> Result<String, String> {
     use llama_core::panels::JointConfig;
-    let build = || {
-        rooms::build(name, seed).ok_or_else(|| {
-            format!(
-                "unknown scenario {name:?}; known scenarios: {}",
-                rooms::SCENARIOS.join(", ")
-            )
-        })
-    };
-    let (ind_a, joint_a) = build()?.joint_comparison(JointConfig::default());
-    let (_, joint_b) = build()?.joint_comparison(JointConfig::default());
+    let (ind_a, joint_a) = crate::room(name, seed)?.joint_comparison(JointConfig::default());
+    let (_, joint_b) = crate::room(name, seed)?.joint_comparison(JointConfig::default());
     if !joint_a.same_allocation(&joint_b)
         || joint_a.score.to_bits() != joint_b.score.to_bits()
         || joint_a.probes != joint_b.probes

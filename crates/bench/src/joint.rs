@@ -25,8 +25,8 @@ use llama_core::rooms;
 use metasurface::stack::BiasState;
 use propagation::coupling::CouplingConfig;
 
-use crate::perf::{stamp_report, time_ms, BenchSample};
-use rfmath::telemetry::null_block_json;
+use crate::perf::{time_ms, BenchSample};
+use crate::report::{Field, Report, Row, Value};
 
 /// Zoo rooms the quality comparison runs on.
 pub const JOINT_ROOMS: [&str; 2] = ["office-floor", "warehouse-aisle"];
@@ -92,18 +92,54 @@ pub struct JointPerfReport {
     pub coupled_slowdown: f64,
     /// Coupled device-evaluations per second at the best-of-N time.
     pub coupled_evals_per_sec: f64,
-    /// Aggregated telemetry block (single-line JSON object). The joint
-    /// bench times its passes directly, so this stays the null stamp;
-    /// `expts --trace` is the instrumented face of the joint path.
-    pub telemetry: String,
 }
 
-impl JointPerfReport {
+impl Row for JointRoomResult {
+    fn row(&self) -> Vec<Field> {
+        vec![
+            ("room", self.room.into()),
+            ("independent_min_dbm", self.independent_min_dbm.into()),
+            ("joint_min_dbm", self.joint_min_dbm.into()),
+            ("lift_db", self.lift_db.into()),
+            ("rounds", self.rounds.into()),
+            ("converged", self.converged.into()),
+            ("coupled_probes", self.coupled_probes.into()),
+            ("cross_energy_fraction", self.cross_energy_fraction.into()),
+        ]
+    }
+}
+
+/// The joint bench times its passes directly, so its telemetry stamp
+/// is the null block; `expts --trace` is the instrumented face of the
+/// joint path.
+impl Report for JointPerfReport {
+    fn title(&self) -> String {
+        "Joint multi-surface serving summary".to_string()
+    }
+
+    fn identity(&self) -> Field {
+        ("pr", 9u64.into())
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("quick", self.quick.into()),
+            ("eval_devices", EVAL_DEVICES.into()),
+            ("eval_panels", EVAL_PANELS.into()),
+            ("benches", Value::rows(&self.samples)),
+            ("rooms", Value::rows(&self.rooms)),
+            ("coupled_slowdown", self.coupled_slowdown.into()),
+            ("coupled_evals_per_sec", self.coupled_evals_per_sec.into()),
+            ("lift_floor_db", JOINT_LIFT_FLOOR_DB.into()),
+            ("slowdown_ceiling", COUPLED_SLOWDOWN_CEILING.into()),
+        ]
+    }
+
     /// True when the joint search lifts at least one room by
     /// [`JOINT_LIFT_FLOOR_DB`], never regresses below its independent
     /// starting point anywhere, and the coupled evaluation stays within
     /// [`COUPLED_SLOWDOWN_CEILING`]× of the independent path.
-    pub fn passes(&self) -> bool {
+    fn passes(&self) -> bool {
         !self.rooms.is_empty()
             && self
                 .rooms
@@ -112,89 +148,6 @@ impl JointPerfReport {
             && self.rooms.iter().any(|r| r.lift_db >= JOINT_LIFT_FLOOR_DB)
             && self.coupled_slowdown.is_finite()
             && self.coupled_slowdown <= COUPLED_SLOWDOWN_CEILING
-    }
-
-    /// Renders the report as a JSON document (hand-assembled; no
-    /// external dependencies).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"pr\": 9,\n");
-        stamp_report(
-            &mut out,
-            &llama_core::faults::FaultPlan::none(),
-            &self.telemetry,
-        );
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str(&format!("  \"eval_devices\": {EVAL_DEVICES},\n"));
-        out.push_str(&format!("  \"eval_panels\": {EVAL_PANELS},\n"));
-        out.push_str("  \"benches\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let comma = if i + 1 < self.samples.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"mean_ms\": {:.6}, \"iters\": {}}}{comma}\n",
-                s.name, s.mean_ms, s.iters
-            ));
-        }
-        out.push_str("  ],\n  \"rooms\": [\n");
-        for (i, r) in self.rooms.iter().enumerate() {
-            let comma = if i + 1 < self.rooms.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"room\": \"{}\", \"independent_min_dbm\": {:.4}, \
-                 \"joint_min_dbm\": {:.4}, \"lift_db\": {:.6}, \"rounds\": {}, \
-                 \"converged\": {}, \"coupled_probes\": {}, \
-                 \"cross_energy_fraction\": {:.6}}}{comma}\n",
-                r.room,
-                r.independent_min_dbm,
-                r.joint_min_dbm,
-                r.lift_db,
-                r.rounds,
-                r.converged,
-                r.coupled_probes,
-                r.cross_energy_fraction
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"coupled_slowdown\": {:.3},\n",
-            self.coupled_slowdown
-        ));
-        out.push_str(&format!(
-            "  \"coupled_evals_per_sec\": {:.1},\n",
-            self.coupled_evals_per_sec
-        ));
-        out.push_str(&format!(
-            "  \"lift_floor_db\": {JOINT_LIFT_FLOOR_DB},\n  \
-             \"slowdown_ceiling\": {COUPLED_SLOWDOWN_CEILING:.1},\n  \"pass\": {}\n}}\n",
-            self.passes()
-        ));
-        out
-    }
-
-    /// One-line console summary.
-    pub fn summary(&self) -> String {
-        let mut out = String::from("== Joint multi-surface serving summary\n");
-        for s in &self.samples {
-            out.push_str(&format!("{:>38}: {:>10.3} ms/iter\n", s.name, s.mean_ms));
-        }
-        for r in &self.rooms {
-            out.push_str(&format!(
-                "{:>38}: {:>+10.3} dB ({} rounds{}, {} coupled probes, \
-                 cross energy {:.1}%)\n",
-                format!("{} joint lift", r.room),
-                r.lift_db,
-                r.rounds,
-                if r.converged { ", converged" } else { "" },
-                r.coupled_probes,
-                r.cross_energy_fraction * 100.0
-            ));
-        }
-        out.push_str(&format!(
-            "{:>38}: {:>10.2} x (ceiling {COUPLED_SLOWDOWN_CEILING:.1}, pass: {})\n",
-            "coupled-eval slowdown",
-            self.coupled_slowdown,
-            self.passes()
-        ));
-        out
     }
 }
 
@@ -268,7 +221,6 @@ pub fn run_joint(quick: bool) -> JointPerfReport {
         rooms: room_results,
         coupled_slowdown: coupled_min / home_min.max(1e-12),
         coupled_evals_per_sec: EVAL_DEVICES as f64 / (coupled_min / 1e3).max(1e-12),
-        telemetry: null_block_json(),
     }
 }
 

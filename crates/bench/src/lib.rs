@@ -13,9 +13,11 @@
 pub mod alloc_counter;
 pub mod calibrate;
 pub mod chaos;
+pub mod cli;
 pub mod joint;
 pub mod matrix;
 pub mod perf;
+pub mod report;
 pub mod scenario;
 pub mod trace;
 
@@ -31,6 +33,17 @@ pub const ALL_IDS: [&str; 18] = [
     "fig2a", "fig2b", "fig8", "fig9", "fig10", "fig11", "table1", "fig12", "fig15", "fig16",
     "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "alg1",
 ];
+
+/// Builds zoo room `name` under `seed`; `Err` on an unknown name,
+/// listing the catalog.
+pub fn room(name: &str, seed: u64) -> Result<llama_core::rooms::RoomScenario, String> {
+    llama_core::rooms::build(name, seed).ok_or_else(|| {
+        format!(
+            "unknown scenario {name:?}; known scenarios: {}",
+            llama_core::rooms::SCENARIOS.join(", ")
+        )
+    })
+}
 
 /// Runs one experiment by id and returns its printed report.
 ///

@@ -24,7 +24,8 @@ use llama_core::fleet::{Fleet, Scheduler};
 use llama_core::panels::{serve_panel_fleets, PanelArray, PanelScheduler};
 use llama_core::rooms;
 
-use crate::perf::stamp_report;
+use crate::perf::time_ms;
+use crate::report::{Field, Report, Row, Value};
 
 /// Base seed for the matrix fleets (offset per fleet index so the jobs
 /// are distinct but reproducible).
@@ -232,7 +233,7 @@ impl MatrixReport {
                             .first()
                             .map(|(fleet, _)| fleet.len())
                             .unwrap_or(devices_n);
-                        let (_, serial_min) = time_min_ms(iters, || {
+                        let (_, serial_min) = time_ms(iters, || {
                             jobs.iter()
                                 .map(|(f, a)| scheduler.run(f, a))
                                 .collect::<Vec<_>>()
@@ -247,7 +248,7 @@ impl MatrixReport {
                         for &threads in &axes.threads {
                             for &shards in &axes.shards {
                                 let server = FleetServer::new(threads).with_shards(shards);
-                                let (mean_ms, min_ms) = time_min_ms(iters, || {
+                                let (mean_ms, min_ms) = time_ms(iters, || {
                                     serve_panel_fleets(&server, &scheduler, &jobs)
                                 });
                                 let server = server.with_recorder(recorder.clone());
@@ -283,154 +284,76 @@ impl MatrixReport {
             telemetry: recorder.aggregate_json(),
         }
     }
+}
+
+impl Row for MatrixCell {
+    fn row(&self) -> Vec<Field> {
+        vec![
+            ("room", self.room.as_str().into()),
+            ("policy", self.policy.as_str().into()),
+            ("fleets", self.fleets.into()),
+            ("devices", self.devices.into()),
+            ("threads", self.threads.into()),
+            ("shards", self.shards.into()),
+            ("mean_ms", self.mean_ms.into()),
+            ("min_ms", self.min_ms.into()),
+            ("fleets_per_sec", self.fleets_per_sec.into()),
+            ("speedup_vs_serial", self.speedup_vs_serial.into()),
+            ("min_power_dbm", self.min_power_dbm.into()),
+            ("steals", self.steals.into()),
+            ("mean_queue_wait_ms", self.mean_queue_wait_ms.into()),
+        ]
+    }
+}
+
+impl Report for MatrixReport {
+    fn title(&self) -> String {
+        format!("Serving matrix: {} cells", self.axes.cells())
+    }
+
+    fn identity(&self) -> Field {
+        ("pr", 9u64.into())
+    }
+
+    fn telemetry(&self) -> String {
+        self.telemetry.clone()
+    }
+
+    /// The axes, then one row per cell (the markdown and CSV tables).
+    fn fields(&self) -> Vec<Field> {
+        let axes = &self.axes;
+        vec![
+            ("quick", self.quick.into()),
+            (
+                "axes",
+                Value::Obj(vec![
+                    ("rooms", Value::list(&axes.rooms)),
+                    ("policies", Value::list(&axes.policies)),
+                    ("fleets", Value::list(&axes.fleets)),
+                    ("devices", Value::list(&axes.devices)),
+                    ("threads", Value::list(&axes.threads)),
+                    ("shards", Value::list(&axes.shards)),
+                ]),
+            ),
+            ("cells", Value::rows(&self.cells)),
+        ]
+    }
 
     /// True when every cell measured a finite, positive wall-clock and
     /// a finite served min power.
-    pub fn passes(&self) -> bool {
+    fn passes(&self) -> bool {
         !self.cells.is_empty()
             && self
                 .cells
                 .iter()
                 .all(|c| c.min_ms.is_finite() && c.min_ms > 0.0 && c.min_power_dbm.is_finite())
     }
-
-    /// The markdown table (also the console summary).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::from(
-            "| room | policy | fleets | devices | threads | shards | mean ms | min ms \
-             | fleets/s | speedup | min dBm | steals | queue wait ms |\n\
-             |---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {:.3} | {:.3} | {:.1} | {:.2} | {:.2} | {} \
-                 | {:.4} |\n",
-                c.room,
-                c.policy,
-                c.fleets,
-                c.devices,
-                c.threads,
-                c.shards,
-                c.mean_ms,
-                c.min_ms,
-                c.fleets_per_sec,
-                c.speedup_vs_serial,
-                c.min_power_dbm,
-                c.steals,
-                c.mean_queue_wait_ms
-            ));
-        }
-        out
-    }
-
-    /// The CSV table (same columns as the markdown).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "room,policy,fleets,devices,threads,shards,mean_ms,min_ms,fleets_per_sec,\
-             speedup_vs_serial,min_power_dbm,steals,mean_queue_wait_ms\n",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{:.6},{:.6},{:.3},{:.4},{:.4},{},{:.6}\n",
-                c.room,
-                c.policy,
-                c.fleets,
-                c.devices,
-                c.threads,
-                c.shards,
-                c.mean_ms,
-                c.min_ms,
-                c.fleets_per_sec,
-                c.speedup_vs_serial,
-                c.min_power_dbm,
-                c.steals,
-                c.mean_queue_wait_ms
-            ));
-        }
-        out
-    }
-
-    /// The JSON document (hand-assembled, machine/alloc stamped like
-    /// every bench artifact).
-    pub fn to_json(&self) -> String {
-        let list = |v: &[usize]| {
-            v.iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let names = |v: &[String]| {
-            v.iter()
-                .map(|n| format!("{n:?}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut out = String::from("{\n");
-        out.push_str("  \"pr\": 9,\n");
-        stamp_report(
-            &mut out,
-            &llama_core::faults::FaultPlan::none(),
-            &self.telemetry,
-        );
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str(&format!(
-            "  \"axes\": {{\"rooms\": [{}], \"policies\": [{}], \"fleets\": [{}], \
-             \"devices\": [{}], \"threads\": [{}], \"shards\": [{}]}},\n",
-            names(&self.axes.rooms),
-            names(&self.axes.policies),
-            list(&self.axes.fleets),
-            list(&self.axes.devices),
-            list(&self.axes.threads),
-            list(&self.axes.shards)
-        ));
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 < self.cells.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"room\": {:?}, \"policy\": {:?}, \"fleets\": {}, \"devices\": {}, \
-                 \"threads\": {}, \"shards\": {}, \"mean_ms\": {:.6}, \"min_ms\": {:.6}, \
-                 \"fleets_per_sec\": {:.3}, \"speedup_vs_serial\": {:.4}, \
-                 \"min_power_dbm\": {:.4}, \"steals\": {}, \
-                 \"mean_queue_wait_ms\": {:.6}}}{comma}\n",
-                c.room,
-                c.policy,
-                c.fleets,
-                c.devices,
-                c.threads,
-                c.shards,
-                c.mean_ms,
-                c.min_ms,
-                c.fleets_per_sec,
-                c.speedup_vs_serial,
-                c.min_power_dbm,
-                c.steals,
-                c.mean_queue_wait_ms
-            ));
-        }
-        out.push_str(&format!("  ],\n  \"pass\": {}\n}}\n", self.passes()));
-        out
-    }
-}
-
-/// Local mean/min timer (mirrors the perf harness: one untimed warm-up,
-/// then `iters` timed runs).
-fn time_min_ms<O>(iters: u64, mut routine: impl FnMut() -> O) -> (f64, f64) {
-    std::hint::black_box(routine());
-    let mut total = 0.0f64;
-    let mut min = f64::INFINITY;
-    for _ in 0..iters {
-        let started = std::time::Instant::now();
-        std::hint::black_box(routine());
-        let ms = started.elapsed().as_secs_f64() * 1e3;
-        total += ms;
-        min = min.min(ms);
-    }
-    (total / iters as f64, min)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{render, Format};
 
     #[test]
     fn parse_list_accepts_commas_and_rejects_junk() {
@@ -472,9 +395,9 @@ mod tests {
         let report = MatrixReport::run(axes, true);
         assert_eq!(report.cells.len(), 4);
         assert!(report.passes());
-        let md = report.to_markdown();
+        let md = render(&report, Format::Markdown);
         assert_eq!(md.lines().count(), 2 + 4);
-        let csv = report.to_csv();
+        let csv = render(&report, Format::Csv);
         assert_eq!(csv.lines().count(), 1 + 4);
         assert!(csv.starts_with("room,policy,fleets,devices,threads,shards"));
         let json = report.to_json();
@@ -512,7 +435,7 @@ mod tests {
             assert_eq!(cell.devices, 8, "the room brings its own population");
             assert!(cell.min_power_dbm.is_finite());
         }
-        assert!(report.to_csv().contains("conference-room,favor"));
+        assert!(render(&report, Format::Csv).contains("conference-room,favor"));
         assert!(report
             .to_json()
             .contains("\"policies\": [\"maxmin\", \"favor\"]"));

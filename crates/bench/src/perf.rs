@@ -22,11 +22,12 @@ use metasurface::evaluator::StackEvaluator;
 use metasurface::response::SurfaceResponse;
 use metasurface::stack::BiasState;
 use propagation::link::PreparedLink;
-use rfmath::telemetry::{null_block_json, RecorderHandle, RingRecorder};
+use rfmath::telemetry::{RecorderHandle, RingRecorder};
 use rfmath::units::Hertz;
 use rfmath::units::Seconds;
 
 use crate::alloc_counter;
+use crate::report::{Field, Report, Row, Value};
 
 /// Band-center frequency every workload runs at.
 const F: Hertz = Hertz(2.44e9);
@@ -35,42 +36,6 @@ const F: Hertz = Hertz(2.44e9);
 /// smoke fails (the PR acceptance bar is 5×; the floor leaves headroom
 /// for noisy shared CI machines).
 const SPEEDUP_FLOOR: f64 = 3.0;
-
-/// Machine topology stamped into every bench artifact: how many
-/// logical cores the host exposes and how many worker threads the
-/// parallel runtime actually uses. Single-core artifacts (like a 0.99×
-/// parallel "speedup" measured on a one-core runner) are then visible
-/// in the JSON instead of being silently committed.
-pub fn machine_json() -> String {
-    format!(
-        "  \"machine\": {{\"logical_cores\": {}, \"threads_used\": {}}},\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        rfmath::par::budget()
-    )
-}
-
-/// The active fault configuration stamped into every bench and scenario
-/// artifact: seed, stochastic rates, scripted-fault counts and the
-/// retry budget. Fault-free artifacts carry the all-zero stamp, so a
-/// number measured under injected faults can never be mistaken for a
-/// healthy-hardware baseline (or vice versa).
-pub fn faults_json(plan: &llama_core::faults::FaultPlan) -> String {
-    format!(
-        "  \"faults\": {{\"seed\": {}, \"panel_outage_rate\": {:.4}, \
-         \"report_loss_rate\": {:.4}, \"psu_glitch_rate\": {:.4}, \
-         \"scripted_outages\": {}, \"dead_columns\": {}, \
-         \"max_report_attempts\": {}}},\n",
-        plan.seed,
-        plan.panel_outage_rate,
-        plan.report_loss_rate,
-        plan.psu_glitch_rate,
-        plan.outages.len(),
-        plan.dead_columns.len(),
-        plan.retry.max_attempts,
-    )
-}
 
 /// Warm-up ticks before the steady-state allocation count starts, and
 /// measured ticks it averages over.
@@ -124,32 +89,6 @@ fn measure_allocs_per_tick() -> Option<f64> {
     Some(allocs as f64 / ALLOC_MEASURED_TICKS as f64)
 }
 
-/// The `allocs_per_tick` stamp every bench/scenario artifact carries
-/// next to the machine stamp: the steady-state hot-kernel allocation
-/// count in debug-assert builds, `null` in release builds (where the
-/// counting hook is compiled out).
-pub fn allocs_json() -> String {
-    match allocs_per_tick() {
-        Some(v) => format!("  \"allocs_per_tick\": {v:.2},\n"),
-        None => String::from("  \"allocs_per_tick\": null,\n"),
-    }
-}
-
-/// The shared stamp block every committed BENCH/scenario/chaos/matrix
-/// artifact carries right after its identity line: machine topology,
-/// steady-state allocation count, the active fault configuration, and
-/// the aggregated telemetry block (`{"mode": "null"}` for an
-/// uninstrumented run, the full counter/histogram summary when a
-/// recorder was attached). One helper, one format — a writer cannot
-/// drift from the others. `telemetry` must be a single-line JSON object
-/// (see [`rfmath::telemetry::Recorder::aggregate_json`]).
-pub fn stamp_report(out: &mut String, plan: &llama_core::faults::FaultPlan, telemetry: &str) {
-    out.push_str(&machine_json());
-    out.push_str(&allocs_json());
-    out.push_str(&faults_json(plan));
-    out.push_str(&format!("  \"telemetry\": {telemetry},\n"));
-}
-
 /// One timed workload.
 #[derive(Clone, Debug)]
 pub struct BenchSample {
@@ -174,67 +113,40 @@ pub struct PerfReport {
     pub heatmap_31x31_speedup: f64,
     /// Naive / batched best-of-N time ratio on single-point evaluation.
     pub single_point_speedup: f64,
-    /// Aggregated telemetry block (single-line JSON object; the null
-    /// block when no recorder was attached to the workloads).
-    pub telemetry: String,
 }
 
-impl PerfReport {
+impl Row for BenchSample {
+    fn row(&self) -> Vec<Field> {
+        vec![
+            ("name", self.name.into()),
+            ("mean_ms", self.mean_ms.into()),
+            ("iters", self.iters.into()),
+        ]
+    }
+}
+
+impl Report for PerfReport {
+    fn title(&self) -> String {
+        "Batched-engine perf summary".to_string()
+    }
+
+    fn identity(&self) -> Field {
+        ("pr", 2u64.into())
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("quick", self.quick.into()),
+            ("benches", Value::rows(&self.samples)),
+            ("single_point_speedup", self.single_point_speedup.into()),
+            ("heatmap_31x31_speedup", self.heatmap_31x31_speedup.into()),
+            ("speedup_floor", SPEEDUP_FLOOR.into()),
+        ]
+    }
+
     /// True when the batched engine clears the regression floor.
-    pub fn passes(&self) -> bool {
+    fn passes(&self) -> bool {
         self.heatmap_31x31_speedup >= SPEEDUP_FLOOR
-    }
-
-    /// Renders the report as a JSON document (no external dependencies,
-    /// so the format is assembled by hand).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"pr\": 2,\n");
-        stamp_report(
-            &mut out,
-            &llama_core::faults::FaultPlan::none(),
-            &self.telemetry,
-        );
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str("  \"benches\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let comma = if i + 1 < self.samples.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"mean_ms\": {:.6}, \"iters\": {}}}{comma}\n",
-                s.name, s.mean_ms, s.iters
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"single_point_speedup\": {:.2},\n",
-            self.single_point_speedup
-        ));
-        out.push_str(&format!(
-            "  \"heatmap_31x31_speedup\": {:.2},\n",
-            self.heatmap_31x31_speedup
-        ));
-        out.push_str(&format!(
-            "  \"speedup_floor\": {SPEEDUP_FLOOR:.1},\n  \"pass\": {}\n}}\n",
-            self.passes()
-        ));
-        out
-    }
-
-    /// One-line console summary.
-    pub fn summary(&self) -> String {
-        let mut out = String::from("== Batched-engine perf summary\n");
-        for s in &self.samples {
-            out.push_str(&format!("{:>38}: {:>10.3} ms/iter\n", s.name, s.mean_ms));
-        }
-        out.push_str(&format!(
-            "{:>38}: {:>10.1} x\n{:>38}: {:>10.1} x (floor {SPEEDUP_FLOOR:.1}, pass: {})\n",
-            "single-point speedup",
-            self.single_point_speedup,
-            "heatmap 31x31 speedup",
-            self.heatmap_31x31_speedup,
-            self.passes()
-        ));
-        out
     }
 }
 
@@ -323,7 +235,6 @@ pub fn run(quick: bool) -> PerfReport {
         samples,
         heatmap_31x31_speedup: naive_grid_min / batched_grid_min.max(1e-12),
         single_point_speedup: naive_single_min / batched_single_min.max(1e-12),
-        telemetry: null_block_json(),
     }
 }
 
@@ -373,93 +284,59 @@ pub struct PanelPerfReport {
     pub telemetry: String,
 }
 
-impl PanelPerfReport {
+impl Report for PanelPerfReport {
+    fn title(&self) -> String {
+        "Panel-array / many-fleet server perf summary".to_string()
+    }
+
+    fn identity(&self) -> Field {
+        ("pr", 4u64.into())
+    }
+
+    fn telemetry(&self) -> String {
+        self.telemetry.clone()
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("quick", self.quick.into()),
+            ("panels", PANEL_COUNT.into()),
+            ("fleet_devices", FLEET_SIZE.into()),
+            ("server_fleets", SERVER_FLEETS.into()),
+            ("benches", Value::rows(&self.samples)),
+            (
+                "panel_min_power_gain_db",
+                self.panel_min_power_gain_db.into(),
+            ),
+            (
+                "server_concurrency_speedup",
+                self.server_concurrency_speedup.into(),
+            ),
+            ("server_workers", self.server_workers.into()),
+            (
+                "server_scaling_efficiency",
+                self.server_scaling_efficiency.into(),
+            ),
+            (
+                "server_mean_queue_wait_ms",
+                self.server_mean_queue_wait_ms.into(),
+            ),
+            (
+                "server_queue_wait_p50_ms",
+                self.server_queue_wait_p50_ms.into(),
+            ),
+            (
+                "server_queue_wait_p95_ms",
+                self.server_queue_wait_p95_ms.into(),
+            ),
+            ("server_steals", self.server_steals.into()),
+        ]
+    }
+
     /// True when the panel array still strictly lifts the shared-bias
     /// min power.
-    pub fn passes(&self) -> bool {
+    fn passes(&self) -> bool {
         self.panel_min_power_gain_db > 0.0
-    }
-
-    /// Renders the report as a JSON document (hand-assembled; no
-    /// external dependencies).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"pr\": 4,\n");
-        stamp_report(
-            &mut out,
-            &llama_core::faults::FaultPlan::none(),
-            &self.telemetry,
-        );
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str(&format!("  \"panels\": {PANEL_COUNT},\n"));
-        out.push_str(&format!("  \"fleet_devices\": {FLEET_SIZE},\n"));
-        out.push_str(&format!("  \"server_fleets\": {SERVER_FLEETS},\n"));
-        out.push_str("  \"benches\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let comma = if i + 1 < self.samples.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"mean_ms\": {:.6}, \"iters\": {}}}{comma}\n",
-                s.name, s.mean_ms, s.iters
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"panel_min_power_gain_db\": {:.3},\n",
-            self.panel_min_power_gain_db
-        ));
-        out.push_str(&format!(
-            "  \"server_concurrency_speedup\": {:.2},\n",
-            self.server_concurrency_speedup
-        ));
-        out.push_str(&format!("  \"server_workers\": {},\n", self.server_workers));
-        out.push_str(&format!(
-            "  \"server_scaling_efficiency\": {:.2},\n",
-            self.server_scaling_efficiency
-        ));
-        out.push_str(&format!(
-            "  \"server_mean_queue_wait_ms\": {:.4},\n",
-            self.server_mean_queue_wait_ms
-        ));
-        out.push_str(&format!(
-            "  \"server_queue_wait_p50_ms\": {:.4},\n",
-            self.server_queue_wait_p50_ms
-        ));
-        out.push_str(&format!(
-            "  \"server_queue_wait_p95_ms\": {:.4},\n",
-            self.server_queue_wait_p95_ms
-        ));
-        out.push_str(&format!("  \"server_steals\": {},\n", self.server_steals));
-        out.push_str(&format!("  \"pass\": {}\n}}\n", self.passes()));
-        out
-    }
-
-    /// One-line console summary.
-    pub fn summary(&self) -> String {
-        let mut out = String::from("== Panel-array / many-fleet server perf summary\n");
-        for s in &self.samples {
-            out.push_str(&format!("{:>38}: {:>10.3} ms/iter\n", s.name, s.mean_ms));
-        }
-        out.push_str(&format!(
-            "{:>38}: {:>10.2} dB (must be > 0)\n",
-            "panel min-power gain vs shared", self.panel_min_power_gain_db
-        ));
-        out.push_str(&format!(
-            "{:>38}: {:>10.1} x over {} workers (efficiency {:.2})\n",
-            "8-fleet server concurrency",
-            self.server_concurrency_speedup,
-            self.server_workers,
-            self.server_scaling_efficiency
-        ));
-        out.push_str(&format!(
-            "{:>38}: {:>10.4} ms (p50 {:.4}, p95 {:.4}, {} steals, pass: {})\n",
-            "mean queue wait",
-            self.server_mean_queue_wait_ms,
-            self.server_queue_wait_p50_ms,
-            self.server_queue_wait_p95_ms,
-            self.server_steals,
-            self.passes()
-        ));
-        out
     }
 }
 
@@ -649,122 +526,61 @@ impl MobilityPerfReport {
             MOBILITY_SPEEDUP_FLOOR
         }
     }
+}
+
+impl Row for HysteresisPoint {
+    fn row(&self) -> Vec<Field> {
+        vec![
+            ("hysteresis_db", self.hysteresis_db.into()),
+            ("dwell_ticks", self.dwell_ticks.into()),
+            ("handoffs", self.handoffs.into()),
+            ("mean_min_power_dbm", self.mean_min_power_dbm.into()),
+            ("mean_duty", self.mean_duty.into()),
+        ]
+    }
+}
+
+impl Report for MobilityPerfReport {
+    fn title(&self) -> String {
+        "Mobility simulator perf summary".to_string()
+    }
+
+    fn identity(&self) -> Field {
+        ("pr", 5u64.into())
+    }
+
+    fn telemetry(&self) -> String {
+        self.telemetry.clone()
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("quick", self.quick.into()),
+            ("fleet_devices", self.devices.into()),
+            ("ticks", self.ticks.into()),
+            ("panels", self.panels.into()),
+            ("cold_wall_ms", self.cold_wall_ms.into()),
+            ("warm_wall_ms", self.warm_wall_ms.into()),
+            ("warm_speedup", self.warm_speedup.into()),
+            ("cold_probes", self.cold_probes.into()),
+            ("warm_probes", self.warm_probes.into()),
+            ("cold_mean_duty", self.cold_mean_duty.into()),
+            ("warm_mean_duty", self.warm_mean_duty.into()),
+            ("warm_handoffs", self.warm_handoffs.into()),
+            ("zero_motion_equivalent", self.zero_motion_equivalent.into()),
+            ("hysteresis_curve", Value::rows(&self.hysteresis_curve)),
+            ("speedup_floor", self.floor().into()),
+        ]
+    }
 
     /// True when the warm engine clears the wall-clock speedup floor,
     /// spends at most half the cold probe bill (a deterministic,
     /// noise-free gate on the same regression), and the zero-motion
     /// equivalence held exactly.
-    pub fn passes(&self) -> bool {
+    fn passes(&self) -> bool {
         self.warm_speedup >= self.floor()
             && self.warm_probes * 2 <= self.cold_probes
             && self.zero_motion_equivalent
-    }
-
-    /// Renders the report as a JSON document (hand-assembled; no
-    /// external dependencies).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"pr\": 5,\n");
-        stamp_report(
-            &mut out,
-            &llama_core::faults::FaultPlan::none(),
-            &self.telemetry,
-        );
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str(&format!("  \"fleet_devices\": {},\n", self.devices));
-        out.push_str(&format!("  \"ticks\": {},\n", self.ticks));
-        out.push_str(&format!("  \"panels\": {},\n", self.panels));
-        out.push_str(&format!("  \"cold_wall_ms\": {:.3},\n", self.cold_wall_ms));
-        out.push_str(&format!("  \"warm_wall_ms\": {:.3},\n", self.warm_wall_ms));
-        out.push_str(&format!("  \"warm_speedup\": {:.2},\n", self.warm_speedup));
-        out.push_str(&format!("  \"cold_probes\": {},\n", self.cold_probes));
-        out.push_str(&format!("  \"warm_probes\": {},\n", self.warm_probes));
-        out.push_str(&format!(
-            "  \"cold_mean_duty\": {:.4},\n",
-            self.cold_mean_duty
-        ));
-        out.push_str(&format!(
-            "  \"warm_mean_duty\": {:.4},\n",
-            self.warm_mean_duty
-        ));
-        out.push_str(&format!("  \"warm_handoffs\": {},\n", self.warm_handoffs));
-        out.push_str(&format!(
-            "  \"zero_motion_equivalent\": {},\n",
-            self.zero_motion_equivalent
-        ));
-        out.push_str("  \"hysteresis_curve\": [\n");
-        for (i, p) in self.hysteresis_curve.iter().enumerate() {
-            let comma = if i + 1 < self.hysteresis_curve.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "    {{\"hysteresis_db\": {:.1}, \"dwell_ticks\": {}, \"handoffs\": {}, \
-                 \"mean_min_power_dbm\": {:.3}, \"mean_duty\": {:.4}}}{comma}\n",
-                p.hysteresis_db, p.dwell_ticks, p.handoffs, p.mean_min_power_dbm, p.mean_duty
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"speedup_floor\": {:.1},\n  \"pass\": {}\n}}\n",
-            self.floor(),
-            self.passes()
-        ));
-        out
-    }
-
-    /// Console summary.
-    pub fn summary(&self) -> String {
-        let mut out = String::from("== Mobility simulator perf summary\n");
-        out.push_str(&format!(
-            "{:>38}: {} devices x {} ticks on {} panels\n",
-            "workload", self.devices, self.ticks, self.panels
-        ));
-        out.push_str(&format!(
-            "{:>38}: {:>10.3} ms total ({:.3} ms/tick)\n",
-            "cold per-tick re-search",
-            self.cold_wall_ms,
-            self.cold_wall_ms / self.ticks as f64
-        ));
-        out.push_str(&format!(
-            "{:>38}: {:>10.3} ms total ({:.3} ms/tick)\n",
-            "warm incremental engine",
-            self.warm_wall_ms,
-            self.warm_wall_ms / self.ticks as f64
-        ));
-        out.push_str(&format!(
-            "{:>38}: {:>10.1} x (floor {:.1})\n",
-            "warm-start speedup",
-            self.warm_speedup,
-            self.floor()
-        ));
-        out.push_str(&format!(
-            "{:>38}: {} vs {} (duty {:.2} vs {:.2})\n",
-            "warm vs cold probes",
-            self.warm_probes,
-            self.cold_probes,
-            self.warm_mean_duty,
-            self.cold_mean_duty
-        ));
-        out.push_str(&format!(
-            "{:>38}: {}\n",
-            "zero-motion equivalence", self.zero_motion_equivalent
-        ));
-        for p in &self.hysteresis_curve {
-            out.push_str(&format!(
-                "{:>38}: {:>3} handoffs, min power {:.2} dBm, duty {:.2}\n",
-                format!(
-                    "hysteresis {:.0} dB / dwell {}",
-                    p.hysteresis_db, p.dwell_ticks
-                ),
-                p.handoffs,
-                p.mean_min_power_dbm,
-                p.mean_duty
-            ));
-        }
-        out.push_str(&format!("{:>38}: {}\n", "pass", self.passes()));
-        out
     }
 }
 
@@ -876,9 +692,15 @@ pub fn run_mobility(quick: bool) -> MobilityPerfReport {
 }
 
 /// Minimum per-thread scaling efficiency at the largest measured worker
-/// count on multi-core hosts (near-linear: ≥ 60% of ideal). Single-core
-/// hosts skip the scaling smoke but stamp the skip into the artifact.
+/// count, against the host's measured parallel capacity (near-linear:
+/// ≥ 60% of ideal).
 const SCALING_EFFICIENCY_FLOOR: f64 = 0.6;
+
+/// Measured parallel capacity below which thread scaling is not
+/// measurable: the host gives less than one and a half cores of
+/// parallel throughput, so a worker pool cannot show scaling. The
+/// scaling smoke is then skipped, and the skip is stamped.
+const MIN_SCALING_CAPACITY: f64 = 1.5;
 
 /// One point of the fleet-throughput thread-scaling sweep.
 #[derive(Clone, Copy, Debug)]
@@ -892,7 +714,7 @@ pub struct ThreadScalingPoint {
     /// Serial / concurrent best-of-N ratio at this worker count.
     pub speedup: f64,
     /// Speedup divided by the effective parallelism
-    /// (`min(workers, logical_cores)`).
+    /// (`min(workers, parallel_capacity)`).
     pub efficiency: f64,
     /// Cross-shard steals during the instrumented pass.
     pub steals: usize,
@@ -907,29 +729,66 @@ pub struct ThreadScalingPoint {
 pub struct ShardedPerfReport {
     /// Whether the run used the reduced quick-mode sample budget.
     pub quick: bool,
-    /// Logical cores the host exposed (scaling context).
-    pub logical_cores: usize,
+    /// The host's measured parallel capacity
+    /// ([`rfmath::par::parallel_capacity`]).
+    pub parallel_capacity: f64,
     /// Individual workload timings.
     pub samples: Vec<BenchSample>,
-    /// Whether the thread-scaling smoke was skipped (single-core host:
-    /// a worker pool cannot beat serial with one core).
+    /// Whether the thread-scaling smoke was skipped (capacity below
+    /// [`MIN_SCALING_CAPACITY`]: a worker pool cannot beat serial
+    /// without a second core's worth of throughput).
     pub thread_scaling_skipped: bool,
     /// Fleet-throughput scaling across worker counts (empty when
     /// skipped).
     pub thread_scaling: Vec<ThreadScalingPoint>,
-    /// Steady-state hot-kernel allocations per tick (debug-assert
-    /// builds; `None` in release).
-    pub allocs_per_tick: Option<f64>,
     /// Aggregated telemetry block captured from the instrumented
     /// thread-scaling stats passes (single-line JSON object; an empty
-    /// ring on single-core hosts where scaling is skipped).
+    /// ring where scaling is skipped).
     pub telemetry: String,
 }
 
-impl ShardedPerfReport {
-    /// True when (on multi-core hosts) fleet throughput scaled
-    /// near-linearly.
-    pub fn passes(&self) -> bool {
+impl Row for ThreadScalingPoint {
+    fn row(&self) -> Vec<Field> {
+        vec![
+            ("workers", self.workers.into()),
+            ("shards", self.shards.into()),
+            ("min_ms", self.min_ms.into()),
+            ("speedup", self.speedup.into()),
+            ("efficiency", self.efficiency.into()),
+            ("steals", self.steals.into()),
+            ("mean_queue_wait_ms", self.mean_queue_wait_ms.into()),
+        ]
+    }
+}
+
+impl Report for ShardedPerfReport {
+    fn title(&self) -> String {
+        "Sharded serving / hot-loop perf summary".to_string()
+    }
+
+    fn identity(&self) -> Field {
+        ("pr", 8u64.into())
+    }
+
+    fn telemetry(&self) -> String {
+        self.telemetry.clone()
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("quick", self.quick.into()),
+            ("benches", Value::rows(&self.samples)),
+            ("parallel_capacity", self.parallel_capacity.into()),
+            ("thread_scaling_skipped", self.thread_scaling_skipped.into()),
+            ("thread_scaling", Value::rows(&self.thread_scaling)),
+            ("scaling_efficiency_floor", SCALING_EFFICIENCY_FLOOR.into()),
+        ]
+    }
+
+    /// True when fleet throughput scaled near-linearly against the
+    /// host's measured parallel capacity, or when the host has too
+    /// little capacity to measure scaling at all.
+    fn passes(&self) -> bool {
         self.thread_scaling_skipped
             || self
                 .thread_scaling
@@ -937,91 +796,15 @@ impl ShardedPerfReport {
                 .is_some_and(|p| p.efficiency >= SCALING_EFFICIENCY_FLOOR)
     }
 
-    /// Renders the report as a JSON document (hand-assembled; no
-    /// external dependencies).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"pr\": 8,\n");
-        stamp_report(
-            &mut out,
-            &llama_core::faults::FaultPlan::none(),
-            &self.telemetry,
-        );
-        out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str("  \"benches\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let comma = if i + 1 < self.samples.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"mean_ms\": {:.6}, \"iters\": {}}}{comma}\n",
-                s.name, s.mean_ms, s.iters
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"thread_scaling_skipped\": {},\n",
-            self.thread_scaling_skipped
-        ));
-        out.push_str("  \"thread_scaling\": [\n");
-        for (i, p) in self.thread_scaling.iter().enumerate() {
-            let comma = if i + 1 < self.thread_scaling.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "    {{\"workers\": {}, \"shards\": {}, \"min_ms\": {:.4}, \
-                 \"speedup\": {:.2}, \"efficiency\": {:.2}, \"steals\": {}, \
-                 \"mean_queue_wait_ms\": {:.4}}}{comma}\n",
-                p.workers,
-                p.shards,
-                p.min_ms,
-                p.speedup,
-                p.efficiency,
-                p.steals,
-                p.mean_queue_wait_ms
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"scaling_efficiency_floor\": {SCALING_EFFICIENCY_FLOOR:.1},\n\
-             \x20 \"pass\": {}\n}}\n",
-            self.passes()
-        ));
-        out
-    }
-
-    /// Console summary.
-    pub fn summary(&self) -> String {
-        let mut out = String::from("== Sharded serving / hot-loop perf summary\n");
-        for s in &self.samples {
-            out.push_str(&format!("{:>38}: {:>10.3} ms/iter\n", s.name, s.mean_ms));
-        }
+    fn notes(&self) -> Vec<String> {
         if self.thread_scaling_skipped {
-            out.push_str(&format!(
-                "{:>38}: skipped ({} logical core)\n",
-                "thread scaling", self.logical_cores
-            ));
+            vec![format!(
+                        "thread scaling: not measurable on this host (parallel capacity {:.2} < {MIN_SCALING_CAPACITY})",
+                self.parallel_capacity
+            )]
         } else {
-            for p in &self.thread_scaling {
-                out.push_str(&format!(
-                    "{:>38}: {:>10.1} x (efficiency {:.2}, {} steals, wait {:.4} ms)\n",
-                    format!("{} workers / {} shards", p.workers, p.shards),
-                    p.speedup,
-                    p.efficiency,
-                    p.steals,
-                    p.mean_queue_wait_ms
-                ));
-            }
+            Vec::new()
         }
-        match self.allocs_per_tick {
-            Some(v) => out.push_str(&format!("{:>38}: {:>10.2}\n", "allocs per tick", v)),
-            None => out.push_str(&format!(
-                "{:>38}: {:>10}\n",
-                "allocs per tick", "n/a (release)"
-            )),
-        }
-        out.push_str(&format!("{:>38}: {}\n", "pass", self.passes()));
-        out
     }
 }
 
@@ -1033,8 +816,8 @@ impl ShardedPerfReport {
 ///   best of N seeded runs;
 /// * **thread scaling** — [`serve_fleets`] throughput across worker
 ///   counts on the sharded work-stealing queue, with an instrumented
-///   pass recording steals and queue wait (skipped-but-stamped on
-///   single-core hosts).
+///   pass recording steals and queue wait (skipped-but-stamped where
+///   the measured parallel capacity is below [`MIN_SCALING_CAPACITY`]).
 pub fn run_sharded(quick: bool) -> ShardedPerfReport {
     let mut samples = Vec::new();
     let logical_cores = std::thread::available_parallelism()
@@ -1090,7 +873,9 @@ pub fn run_sharded(quick: bool) -> ShardedPerfReport {
     // recorder rides every instrumented stats pass (never the timed
     // loops); its aggregate lands in the artifact's telemetry block.
     let ring_recorder = RecorderHandle::new(Arc::new(RingRecorder::default()));
-    let thread_scaling_skipped = logical_cores <= 1;
+    // Probed right before the sweep, so both see the same host window.
+    let parallel_capacity = rfmath::par::parallel_capacity();
+    let thread_scaling_skipped = parallel_capacity < MIN_SCALING_CAPACITY;
     let mut thread_scaling = Vec::new();
     if !thread_scaling_skipped {
         let fleets: Vec<Fleet> = (0..SERVER_FLEETS as u64)
@@ -1117,7 +902,7 @@ pub fn run_sharded(quick: bool) -> ShardedPerfReport {
                 shards: server.shards,
                 min_ms,
                 speedup,
-                efficiency: speedup / workers.min(logical_cores).max(1) as f64,
+                efficiency: speedup / (workers as f64).min(parallel_capacity).max(1.0),
                 steals: stats.steals,
                 mean_queue_wait_ms: stats.mean_queue_wait.0 * 1e3,
             });
@@ -1126,11 +911,10 @@ pub fn run_sharded(quick: bool) -> ShardedPerfReport {
 
     ShardedPerfReport {
         quick,
-        logical_cores,
+        parallel_capacity,
         samples,
         thread_scaling_skipped,
         thread_scaling,
-        allocs_per_tick: allocs_per_tick(),
         telemetry: ring_recorder.aggregate_json(),
     }
 }
@@ -1138,6 +922,7 @@ pub fn run_sharded(quick: bool) -> ShardedPerfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfmath::telemetry::null_block_json;
 
     #[test]
     fn panel_report_serializes_and_gates_on_both_axes() {
@@ -1168,12 +953,12 @@ mod tests {
         assert!(json.contains("\"logical_cores\""));
         assert!(json.contains("\"threads_used\""));
         assert!(json.contains("\"allocs_per_tick\""));
-        assert!(json.contains("\"server_scaling_efficiency\": 0.90"));
-        assert!(json.contains("\"server_mean_queue_wait_ms\": 0.0500"));
-        assert!(json.contains("\"server_queue_wait_p50_ms\": 0.0400"));
-        assert!(json.contains("\"server_queue_wait_p95_ms\": 0.0900"));
+        assert!(json.contains("\"server_scaling_efficiency\": 0.9,"));
+        assert!(json.contains("\"server_mean_queue_wait_ms\": 0.05,"));
+        assert!(json.contains("\"server_queue_wait_p50_ms\": 0.04,"));
+        assert!(json.contains("\"server_queue_wait_p95_ms\": 0.09,"));
         assert!(json.contains("\"server_steals\": 1"));
-        assert!(json.contains("\"panel_min_power_gain_db\": 2.500"));
+        assert!(json.contains("\"panel_min_power_gain_db\": 2.5,"));
         assert!(json.contains("\"pass\": true"));
         assert!(report.passes());
         // A panel array that no longer lifts the min power fails.
@@ -1211,7 +996,7 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"pr\": 5"));
-        assert!(json.contains("\"warm_speedup\": 4.50"));
+        assert!(json.contains("\"warm_speedup\": 4.5,"));
         assert!(json.contains("\"zero_motion_equivalent\": true"));
         assert!(json.contains("\"hysteresis_db\": 2.0"));
         assert!(json.contains("\"pass\": true"));
@@ -1256,7 +1041,7 @@ mod tests {
     fn sharded_report_serializes_and_gates_on_every_axis() {
         let report = ShardedPerfReport {
             quick: true,
-            logical_cores: 4,
+            parallel_capacity: 3.9,
             samples: vec![BenchSample {
                 name: "s",
                 mean_ms: 1.0,
@@ -1272,11 +1057,11 @@ mod tests {
                 steals: 2,
                 mean_queue_wait_ms: 0.01,
             }],
-            allocs_per_tick: Some(0.0),
             telemetry: null_block_json(),
         };
         let json = report.to_json();
         assert!(json.contains("\"pr\": 8"));
+        assert!(json.contains("\"parallel_capacity\": 3.9,"));
         assert!(json.contains("\"thread_scaling_skipped\": false"));
         assert!(json.contains("\"workers\": 4"));
         assert!(json.contains("\"pass\": true"));
@@ -1289,8 +1074,10 @@ mod tests {
             ..report.clone()
         };
         assert!(!sublinear.passes());
-        // A single-core host skips the scaling gate but stamps the skip.
+        // A host without a second core's worth of throughput skips the
+        // scaling gate but stamps the skip and says so.
         let single_core = ShardedPerfReport {
+            parallel_capacity: 1.02,
             thread_scaling_skipped: true,
             thread_scaling: Vec::new(),
             ..report
@@ -1299,6 +1086,9 @@ mod tests {
         assert!(single_core
             .to_json()
             .contains("\"thread_scaling_skipped\": true"));
+        assert!(single_core
+            .summary()
+            .contains("not measurable on this host"));
     }
 
     /// The CI zero-alloc assertion: after warm-up, the per-tick hot
@@ -1363,12 +1153,11 @@ mod tests {
             }],
             heatmap_31x31_speedup: 6.0,
             single_point_speedup: 2.0,
-            telemetry: null_block_json(),
         };
         let json = report.to_json();
-        assert!(json.contains("\"heatmap_31x31_speedup\": 6.00"));
+        assert!(json.contains("\"heatmap_31x31_speedup\": 6.0,"));
         assert!(json.contains("\"pass\": true"));
         assert!(report.passes());
-        assert!(report.summary().contains("heatmap 31x31 speedup"));
+        assert!(report.summary().contains("heatmap_31x31_speedup"));
     }
 }

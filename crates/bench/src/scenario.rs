@@ -14,7 +14,7 @@ use llama_core::rooms;
 use llama_core::sim::SimReport;
 use llama_core::telemetry::{RecorderHandle, RingRecorder};
 
-use crate::perf::stamp_report;
+use crate::report::{Field, Report};
 
 /// Outcome of one scenario run, ready to gate CI on.
 #[derive(Clone, Debug)]
@@ -54,12 +54,7 @@ impl ScenarioReport {
     /// Runs scenario `name` under `seed` (`Err` on an unknown name,
     /// listing the catalog).
     pub fn run(name: &str, seed: u64) -> Result<Self, String> {
-        let mut scenario = rooms::build(name, seed).ok_or_else(|| {
-            format!(
-                "unknown scenario {name:?}; known scenarios: {}",
-                rooms::SCENARIOS.join(", ")
-            )
-        })?;
+        let mut scenario = crate::room(name, seed)?;
         // Every zoo run carries a ring recorder so the committed JSON
         // gets a real aggregated telemetry block, not a null stamp.
         let recorder = RecorderHandle::new(Arc::new(RingRecorder::default()));
@@ -89,71 +84,42 @@ impl ScenarioReport {
             telemetry,
         }
     }
+}
+
+impl Report for ScenarioReport {
+    fn title(&self) -> String {
+        format!("Scenario {}: {}", self.name, self.description)
+    }
+
+    fn identity(&self) -> Field {
+        ("scenario", self.name.as_str().into())
+    }
+
+    fn telemetry(&self) -> String {
+        self.telemetry.clone()
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("description", self.description.as_str().into()),
+            ("seed", self.seed.into()),
+            ("devices", self.devices.into()),
+            ("panels", self.panels.into()),
+            ("ticks", self.ticks.into()),
+            ("mean_duty", self.mean_duty.into()),
+            ("mean_min_power_dbm", self.mean_min_power_dbm.into()),
+            ("probes", self.probes.into()),
+            ("links_reprepared", self.links_reprepared.into()),
+            ("links_rebound", self.links_rebound.into()),
+            ("handoffs", self.handoffs.into()),
+            ("wall_ms", self.wall_ms.into()),
+        ]
+    }
 
     /// True when the room actually served: some airtime went to serving
     /// and the worst-served power is a real number.
-    pub fn passes(&self) -> bool {
+    fn passes(&self) -> bool {
         self.mean_duty > 0.0 && self.mean_min_power_dbm.is_finite()
-    }
-
-    /// Human-readable run summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "scenario {name}: {desc}\n\
-             seed {seed}, {devices} devices, {panels} panels, {ticks} ticks\n\
-             mean duty {duty:.3}, mean served min power {power:.1} dBm\n\
-             {probes} probes, {reprep} links re-prepared, {rebound} rebound, {handoffs} handoffs\n\
-             wall {wall:.1} ms — {verdict}",
-            name = self.name,
-            desc = self.description,
-            seed = self.seed,
-            devices = self.devices,
-            panels = self.panels,
-            ticks = self.ticks,
-            duty = self.mean_duty,
-            power = self.mean_min_power_dbm,
-            probes = self.probes,
-            reprep = self.links_reprepared,
-            rebound = self.links_rebound,
-            handoffs = self.handoffs,
-            wall = self.wall_ms,
-            verdict = if self.passes() { "PASS" } else { "FAIL" },
-        )
-    }
-
-    /// Renders the report as a JSON document (hand-assembled; no
-    /// external dependencies), including the machine topology.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scenario\": \"{}\",\n", self.name));
-        out.push_str(&format!("  \"description\": \"{}\",\n", self.description));
-        // Scenario-zoo runs are fault-free by construction; the stamp
-        // says so explicitly.
-        stamp_report(
-            &mut out,
-            &llama_core::faults::FaultPlan::none(),
-            &self.telemetry,
-        );
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"devices\": {},\n", self.devices));
-        out.push_str(&format!("  \"panels\": {},\n", self.panels));
-        out.push_str(&format!("  \"ticks\": {},\n", self.ticks));
-        out.push_str(&format!("  \"mean_duty\": {:.6},\n", self.mean_duty));
-        out.push_str(&format!(
-            "  \"mean_min_power_dbm\": {:.3},\n",
-            self.mean_min_power_dbm
-        ));
-        out.push_str(&format!("  \"probes\": {},\n", self.probes));
-        out.push_str(&format!(
-            "  \"links_reprepared\": {},\n",
-            self.links_reprepared
-        ));
-        out.push_str(&format!("  \"links_rebound\": {},\n", self.links_rebound));
-        out.push_str(&format!("  \"handoffs\": {},\n", self.handoffs));
-        out.push_str(&format!("  \"wall_ms\": {:.3},\n", self.wall_ms));
-        out.push_str(&format!("  \"pass\": {}\n", self.passes()));
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -177,7 +143,7 @@ mod tests {
         assert!(json.contains("\"scenario\": \"office-floor\""));
         assert!(json.contains("\"machine\""));
         assert!(json.contains("\"faults\""));
-        assert!(json.contains("\"panel_outage_rate\": 0.0000"));
+        assert!(json.contains("\"panel_outage_rate\": 0.0,"));
         assert!(json.contains("\"allocs_per_tick\""));
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("\"mode\": \"ring\""));

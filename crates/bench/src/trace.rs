@@ -21,14 +21,14 @@
 use std::sync::Arc;
 
 use control::server::FleetServer;
-use llama_core::faults::{FaultPlan, FaultWindow, PanelOutage};
+use llama_core::faults::FaultPlan;
 use llama_core::panels::PanelScheduler;
-use llama_core::rooms;
 use llama_core::telemetry::{RecorderHandle, RingRecorder};
 use llama_core::{Fleet, PanelArray};
-use rfmath::units::Seconds;
 
-use crate::perf::{stamp_report, time_ms};
+use crate::chaos::scripted_plan;
+use crate::perf::time_ms;
+use crate::report::{Field, Report};
 
 /// Jobs staged through the single-worker server pass (the room's fleet
 /// snapshot, repeated): enough to land on more than one shard without
@@ -84,86 +84,65 @@ impl TraceReport {
         })
     }
 
-    /// True when the capture replayed byte-identically and every
-    /// required event family showed up.
-    pub fn passes(&self) -> bool {
-        self.deterministic
-            && self.events > 0
-            && REQUIRED_KINDS
-                .iter()
-                .all(|k| self.jsonl.contains(&format!("\"type\": \"{k}\"")))
-    }
-
-    /// Human-readable capture summary.
-    pub fn summary(&self) -> String {
-        let mut kinds: Vec<String> = REQUIRED_KINDS
-            .iter()
-            .map(|k| {
-                let n = self.jsonl.matches(&format!("\"type\": \"{k}\"")).count();
-                format!("{k} {n}")
-            })
-            .collect();
-        kinds.sort();
-        format!(
-            "trace: {room}, seed {seed} — {events} events ({dropped} dropped)\n\
-             replay: {replay}\n\
-             coverage: {kinds}\n\
-             {verdict}",
-            room = self.room,
-            seed = self.seed,
-            events = self.events,
-            dropped = self.dropped,
-            replay = if self.deterministic {
-                "byte-identical"
-            } else {
-                "DIVERGED"
-            },
-            kinds = kinds.join(", "),
-            verdict = if self.passes() { "PASS" } else { "FAIL" },
-        )
-    }
-
-    /// A small JSON header describing the capture (the event log itself
-    /// is the JSONL artifact, written separately).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"trace_room\": \"{}\",\n", self.room));
-        stamp_report(&mut out, &trace_plan(self.seed), &self.telemetry);
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"events\": {},\n", self.events));
-        out.push_str(&format!("  \"dropped\": {},\n", self.dropped));
-        out.push_str(&format!("  \"deterministic\": {},\n", self.deterministic));
-        out.push_str(&format!("  \"pass\": {}\n", self.passes()));
-        out.push_str("}\n");
-        out
+    /// Events of family `kind` in the log.
+    fn family_count(&self, kind: &str) -> usize {
+        self.jsonl.matches(&format!("\"type\": \"{kind}\"")).count()
     }
 }
 
-/// The scripted fault plan every trace runs under: one mid-run outage
-/// of panel 0, so the log always exercises the injection, re-home and
-/// revival paths (the same window the chaos sweep scripts).
-fn trace_plan(seed: u64) -> FaultPlan {
-    let mut plan = FaultPlan::with_rates(seed, 0.0, 0.0, 0.0);
-    plan.outages.push(PanelOutage {
-        panel: 0,
-        window: FaultWindow {
-            start: Seconds(3.0),
-            duration: Seconds(3.0),
-        },
-    });
-    plan
+impl Report for TraceReport {
+    fn title(&self) -> String {
+        format!("Trace: {}, seed {}", self.room, self.seed)
+    }
+
+    fn identity(&self) -> Field {
+        ("trace_room", self.room.as_str().into())
+    }
+
+    fn faults(&self) -> FaultPlan {
+        scripted_plan(self.seed, 0.0)
+    }
+
+    fn telemetry(&self) -> String {
+        self.telemetry.clone()
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("seed", self.seed.into()),
+            ("events", self.events.into()),
+            ("dropped", self.dropped.into()),
+            ("deterministic", self.deterministic.into()),
+        ]
+    }
+
+    /// True when the capture replayed byte-identically and every
+    /// required event family showed up.
+    fn passes(&self) -> bool {
+        self.deterministic
+            && self.events > 0
+            && REQUIRED_KINDS.iter().all(|k| self.family_count(k) > 0)
+    }
+
+    /// How many events of each required family the log holds.
+    fn notes(&self) -> Vec<String> {
+        let kinds: Vec<String> = REQUIRED_KINDS
+            .iter()
+            .map(|k| format!("{k} {}", self.family_count(k)))
+            .collect();
+        vec![format!("coverage: {}", kinds.join(", "))]
+    }
+
+    fn event_log(&self) -> &str {
+        &self.jsonl
+    }
 }
 
 /// One fully-traced capture: the room under the scripted outage, then a
 /// single-worker server pass over the room's fleet. Returns
 /// `(events_jsonl, aggregate_json, event_count, dropped)`.
 fn traced_pass(name: &str, seed: u64) -> Result<(String, String, usize, u64), String> {
-    let mut scenario = rooms::build(name, seed).ok_or_else(|| {
-        format!(
-            "unknown scenario {name:?}; known scenarios: {}",
-            rooms::SCENARIOS.join(", ")
-        )
-    })?;
+    let mut scenario = crate::room(name, seed)?;
     let ring = Arc::new(RingRecorder::default());
     let handle = RecorderHandle::new(ring.clone());
 
@@ -173,7 +152,7 @@ fn traced_pass(name: &str, seed: u64) -> Result<(String, String, usize, u64), St
         .map(|_| (scenario.fleet.fleet().clone(), scenario.array.clone()))
         .collect();
 
-    let _sim = scenario.run_traced(trace_plan(seed), handle.clone());
+    let _sim = scenario.run_traced(scripted_plan(seed, 0.0), handle.clone());
 
     // Single worker: event order across workers is only deterministic
     // when there is exactly one of them (results are deterministic at
@@ -218,23 +197,16 @@ impl OverheadReport {
     /// Times room `name` under `seed` with both recorders, `iters`
     /// runs each (`Err` on an unknown room).
     pub fn run(name: &str, seed: u64, iters: u64) -> Result<Self, String> {
-        let build = |seed| {
-            rooms::build(name, seed).ok_or_else(|| {
-                format!(
-                    "unknown scenario {name:?}; known scenarios: {}",
-                    rooms::SCENARIOS.join(", ")
-                )
-            })
-        };
         // Interleave-free best-of-N per arm; a fresh room each run
         // because the simulation consumes its fleet.
-        build(seed)?; // validate the name once before timing
+        crate::room(name, seed)?; // validate the name once before timing
+        let build = || crate::room(name, seed).expect("validated above");
         let (_, null_ms) = time_ms(iters, || {
-            let mut scenario = build(seed).expect("validated above");
+            let mut scenario = build();
             scenario.run_traced(FaultPlan::none(), RecorderHandle::null())
         });
         let (_, ring_ms) = time_ms(iters, || {
-            let mut scenario = build(seed).expect("validated above");
+            let mut scenario = build();
             let handle = RecorderHandle::new(Arc::new(RingRecorder::default()));
             scenario.run_traced(FaultPlan::none(), handle)
         });
@@ -250,53 +222,33 @@ impl OverheadReport {
             single_core,
         })
     }
+}
+
+impl Report for OverheadReport {
+    fn title(&self) -> String {
+        format!("Telemetry overhead: {}, best of {}", self.room, self.iters)
+    }
+
+    fn identity(&self) -> Field {
+        ("overhead_room", self.room.as_str().into())
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("iters", self.iters.into()),
+            ("null_ms", self.null_ms.into()),
+            ("ring_ms", self.ring_ms.into()),
+            ("overhead", self.overhead.into()),
+            ("ceiling", OVERHEAD_CEILING.into()),
+            ("single_core", self.single_core.into()),
+        ]
+    }
 
     /// True when the ring stays within [`OVERHEAD_CEILING`] of the null
     /// recorder. A single-core host soft-passes: the measurement is
     /// recorded but too noisy to fail CI on.
-    pub fn passes(&self) -> bool {
+    fn passes(&self) -> bool {
         self.single_core || self.overhead <= OVERHEAD_CEILING
-    }
-
-    /// Human-readable gate summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "telemetry overhead: {room}, best of {iters}\n\
-             null {null:.2} ms, ring {ring:.2} ms — {ratio:.3}x (ceiling {ceil:.2}{soft})\n\
-             {verdict}",
-            room = self.room,
-            iters = self.iters,
-            null = self.null_ms,
-            ring = self.ring_ms,
-            ratio = self.overhead,
-            ceil = OVERHEAD_CEILING,
-            soft = if self.single_core {
-                ", soft: single core"
-            } else {
-                ""
-            },
-            verdict = if self.passes() { "PASS" } else { "FAIL" },
-        )
-    }
-
-    /// Renders the gate as a JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"overhead_room\": \"{}\",\n", self.room));
-        stamp_report(
-            &mut out,
-            &FaultPlan::none(),
-            &rfmath::telemetry::null_block_json(),
-        );
-        out.push_str(&format!("  \"iters\": {},\n", self.iters));
-        out.push_str(&format!("  \"null_ms\": {:.3},\n", self.null_ms));
-        out.push_str(&format!("  \"ring_ms\": {:.3},\n", self.ring_ms));
-        out.push_str(&format!("  \"overhead\": {:.4},\n", self.overhead));
-        out.push_str(&format!("  \"ceiling\": {OVERHEAD_CEILING:.2},\n"));
-        out.push_str(&format!("  \"single_core\": {},\n", self.single_core));
-        out.push_str(&format!("  \"pass\": {}\n", self.passes()));
-        out.push_str("}\n");
-        out
     }
 }
 

@@ -57,6 +57,45 @@ fn machine_threads() -> usize {
     })
 }
 
+/// The host's measured parallel capacity, probed once per process: the
+/// serial time of two fixed spin units over the time two threads take
+/// for one unit each, best of three trials. About 2 on two free cores,
+/// about 1 when the host gives one core's worth of parallel throughput
+/// whatever core count it reports. Scaling gates divide by this, not
+/// by [`budget`]. The probe costs a few tens of milliseconds.
+pub fn parallel_capacity() -> f64 {
+    static CAPACITY: OnceLock<f64> = OnceLock::new();
+    *CAPACITY.get_or_init(|| {
+        let mut best = 0.0f64;
+        for _ in 0..3 {
+            let started = std::time::Instant::now();
+            std::hint::black_box(spin_unit());
+            std::hint::black_box(spin_unit());
+            let serial = started.elapsed().as_secs_f64();
+            let started = std::time::Instant::now();
+            std::thread::scope(|s| {
+                let a = s.spawn(spin_unit);
+                let b = s.spawn(spin_unit);
+                std::hint::black_box(a.join().expect("spin thread"));
+                std::hint::black_box(b.join().expect("spin thread"));
+            });
+            best = best.max(serial / started.elapsed().as_secs_f64().max(1e-12));
+        }
+        best
+    })
+}
+
+/// A fixed amount of integer work the optimizer cannot remove.
+fn spin_unit() -> u64 {
+    let mut x = std::hint::black_box(0x9E37_79B9_7F4A_7C15u64);
+    for _ in 0..4_000_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+    }
+    std::hint::black_box(x)
+}
+
 /// Fills `out[i] = f(i)` for every index, fanning contiguous chunks out
 /// across up to `threads` scoped workers. `threads <= 1` (or a slice
 /// shorter than the worker count) runs serially on the calling thread —
@@ -180,6 +219,13 @@ mod tests {
             std::thread::scope(|s| s.spawn(budget).join().unwrap())
         });
         assert_eq!(inner, machine);
+    }
+
+    #[test]
+    fn parallel_capacity_is_measured_once() {
+        let capacity = parallel_capacity();
+        assert!(capacity.is_finite() && capacity > 0.0, "{capacity}");
+        assert_eq!(parallel_capacity().to_bits(), capacity.to_bits());
     }
 
     #[test]
