@@ -15,8 +15,6 @@
 use llama_core::experiments::fig20_calibrated;
 use propagation::link::LinkTuning;
 
-use crate::report::{Field, Report, Row, Value};
-
 /// The paper's Figure 20 with/without-surface mode gap, dB.
 pub const PAPER_MODE_GAP_DB: f64 = 10.0;
 
@@ -72,77 +70,52 @@ pub fn sweep(seed: u64, samples: usize) -> Vec<CalibrationPoint> {
     points
 }
 
-/// Rows of the ranked table the console shows.
-const SHOWN_POINTS: usize = 12;
-
-/// The ranked sweep behind `expts --calibrate-fig20`. It only prints:
-/// the sweep informs a calibration choice and gates nothing.
-#[derive(Clone, Debug)]
-pub struct CalibrationReport {
-    /// Root seed of every distribution study.
-    pub seed: u64,
-    /// RSSI draws per distribution.
-    pub samples: usize,
-    /// Every grid point, best fit first.
-    pub points: Vec<CalibrationPoint>,
-}
-
-impl CalibrationReport {
-    /// Runs the sweep (see [`sweep`]).
-    pub fn run(seed: u64, samples: usize) -> Self {
-        Self {
-            seed,
-            samples,
-            points: sweep(seed, samples),
-        }
+/// Renders the sweep as a ranked table with a best-fit verdict.
+pub fn report(seed: u64, samples: usize) -> String {
+    let points = sweep(seed, samples);
+    let mut out = String::from(
+        "== Figure 20 calibration sweep (paper mode gap ~10 dB)\n\
+         rank  loss(dB)  scatterXPD(dB)  shadow(dB)  mode gap(dB)  |err|\n",
+    );
+    for (i, p) in points.iter().enumerate().take(12) {
+        let xpd = p
+            .scatter_xpd_db
+            .map(|x| format!("{x:>6.1}"))
+            .unwrap_or_else(|| " model".to_string());
+        out.push_str(&format!(
+            "{:>4}  {:>8.1}  {xpd:>14}  {:>10.1}  {:>12.2}  {:>5.2}\n",
+            i + 1,
+            p.surface_excess_loss_db,
+            p.shadow_extra_db,
+            p.mode_gap_db,
+            p.error_db()
+        ));
     }
-}
-
-impl Row for CalibrationPoint {
-    fn row(&self) -> Vec<Field> {
-        vec![
-            ("surface_excess_loss_db", self.surface_excess_loss_db.into()),
-            ("scatter_xpd_db", self.scatter_xpd_db.into()),
-            ("shadow_extra_db", self.shadow_extra_db.into()),
-            ("mode_gap_db", self.mode_gap_db.into()),
-            ("error_db", self.error_db().into()),
-        ]
-    }
-}
-
-impl Report for CalibrationReport {
-    fn title(&self) -> String {
-        format!("Figure 20 calibration sweep (paper mode gap ~{PAPER_MODE_GAP_DB} dB)")
-    }
-
-    fn identity(&self) -> Field {
-        ("calibration_samples", self.samples.into())
-    }
-
-    /// The seed, the uncalibrated model's gap, and the best-ranked
-    /// points (an unset scatter XPD is the model default).
-    fn fields(&self) -> Vec<Field> {
-        let uncalibrated = self.points.iter().find(|p| {
+    let best = &points[0];
+    let default = points
+        .iter()
+        .find(|p| {
             p.surface_excess_loss_db == 0.0
                 && p.scatter_xpd_db.is_none()
                 && p.shadow_extra_db == 0.0
-        });
-        vec![
-            ("seed", self.seed.into()),
-            (
-                "uncalibrated_mode_gap_db",
-                uncalibrated.map(|p| p.mode_gap_db).into(),
-            ),
-            (
-                "ranked",
-                Value::rows(&self.points[..self.points.len().min(SHOWN_POINTS)]),
-            ),
-        ]
-    }
-
-    fn passes(&self) -> bool {
-        true
-    }
+        })
+        .expect("default point is part of the grid");
+    out.push_str(&format!(
+        "\nuncalibrated model: {:.2} dB gap ({:.2} dB short of the paper)\n",
+        default.mode_gap_db,
+        default.error_db()
+    ));
+    out.push_str(&format!(
+        "best fit: loss {:+.1} dB, scatter XPD {}, shadow {:+.1} dB -> {:.2} dB gap (|err| {:.2} dB)\n",
+        best.surface_excess_loss_db,
+        best.scatter_xpd_db
+            .map(|x| format!("{x:.1} dB"))
+            .unwrap_or_else(|| "model default".into()),
+        best.shadow_extra_db,
+        best.mode_gap_db,
+        best.error_db()
+    ));
+    out
 }
 
 #[cfg(test)]

@@ -271,6 +271,7 @@ fn bitwise_identical(a: &SimReport, b: &SimReport) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{render, Format};
 
     #[test]
     fn unknown_room_lists_the_catalog() {
@@ -292,7 +293,7 @@ mod tests {
     #[test]
     fn office_floor_survives_the_sweep_and_serializes() {
         let report = ChaosReport::run("office-floor", crate::SEED).unwrap();
-        assert!(report.passes(), "{}", report.summary());
+        assert!(report.passes(), "{}", render(&report, Format::Summary));
         assert!(report.zero_fault_identical);
         // The scripted outage guarantees degradation is visible at
         // every nonzero point.
@@ -300,7 +301,7 @@ mod tests {
             assert!(p.outaged_panel_ticks > 0);
             assert!(p.reassignments > 0);
         }
-        let json = report.to_json();
+        let json = render(&report, Format::Json);
         assert!(json.contains("\"chaos_room\": \"office-floor\""));
         assert!(json.contains("\"machine\""));
         assert!(json.contains("\"faults\""));
@@ -311,6 +312,6 @@ mod tests {
         assert!(json.contains("sim.phase.reopt_ns"));
         assert!(json.contains("\"zero_fault_identical\": true"));
         assert!(json.contains("\"pass\": true"));
-        assert!(report.summary().contains("PASS"));
+        assert!(render(&report, Format::Summary).contains("PASS"));
     }
 }

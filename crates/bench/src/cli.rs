@@ -12,8 +12,14 @@
 use crate::report::{render, Format, Report};
 use crate::{calibrate, chaos, joint, matrix, perf, scenario, trace, SEED};
 
-/// Runs a mode from its parsed command line.
-pub type Run = fn(&Invocation) -> Result<Box<dyn Report>, String>;
+/// Runs a mode from its parsed command line: its report, or `None`
+/// for a mode that only prints and gates nothing.
+pub type Run = fn(&Invocation) -> Result<Option<Box<dyn Report>>, String>;
+
+/// A gated run's result.
+fn gate(report: impl Report + 'static) -> Result<Option<Box<dyn Report>>, String> {
+    Ok(Some(Box::new(report)))
+}
 
 /// One `expts` mode.
 pub struct Mode {
@@ -28,8 +34,9 @@ pub struct Mode {
     /// that have a [`bench_file`](Mode::bench_file).
     pub run: Option<Run>,
     /// Artifacts written from the last positional: the format, and the
-    /// extension that replaces a trailing `.jsonl` (`None`: the path as
-    /// given).
+    /// extension appended to it (`None`: the path as given). A row whose
+    /// first artifact is a JSONL log names the others after the log
+    /// without its `.jsonl`.
     pub artifacts: &'static [(Format, Option<&'static str>)],
     /// The committed reference `--bench-all` regenerates.
     pub bench_file: Option<&'static str>,
@@ -53,7 +60,7 @@ pub static MODES: &[Mode] = &[
             ("path", Some("target/trace-overhead-{0}.json")),
         ],
         flags: &[],
-        run: Some(|inv| Ok(Box::new(trace::OverheadReport::run(&inv.args[0], SEED, 3)?))),
+        run: Some(|inv| gate(trace::OverheadReport::run(&inv.args[0], SEED, 3)?)),
         artifacts: JSON,
         bench_file: None,
         about: "gate ring-recorder overhead against the null recorder",
@@ -63,7 +70,7 @@ pub static MODES: &[Mode] = &[
         flag: "--trace",
         args: &[("room", None), ("path", Some("target/trace-{0}.jsonl"))],
         flags: &[],
-        run: Some(|inv| Ok(Box::new(trace::TraceReport::run(&inv.args[0], SEED)?))),
+        run: Some(|inv| gate(trace::TraceReport::run(&inv.args[0], SEED)?)),
         artifacts: &[(Format::Jsonl, None), (Format::Json, Some("json"))],
         bench_file: None,
         about: "capture a deterministic JSONL event log of a room, plus a JSON header",
@@ -74,7 +81,7 @@ pub static MODES: &[Mode] = &[
         flag: "--scenario",
         args: &[("name", None), ("path", Some("target/scenario-{0}.json"))],
         flags: &[],
-        run: Some(|inv| Ok(Box::new(scenario::ScenarioReport::run(&inv.args[0], SEED)?))),
+        run: Some(|inv| gate(scenario::ScenarioReport::run(&inv.args[0], SEED)?)),
         artifacts: JSON,
         bench_file: None,
         about: "simulate a room from the scenario zoo",
@@ -93,7 +100,7 @@ pub static MODES: &[Mode] = &[
                     .map_err(|e| format!("joint smoke failed — {e}"))?;
                 println!("{line}");
             }
-            Ok(Box::new(chaos::ChaosReport::run(&inv.args[0], SEED)?))
+            gate(chaos::ChaosReport::run(&inv.args[0], SEED)?)
         }),
         artifacts: JSON,
         bench_file: None,
@@ -114,10 +121,10 @@ pub static MODES: &[Mode] = &[
             "--shards a,b",
         ],
         run: Some(|inv| {
-            Ok(Box::new(matrix::MatrixReport::run(
+            gate(matrix::MatrixReport::run(
                 matrix_axes(inv)?,
                 inv.has("--quick"),
-            )))
+            ))
         }),
         artifacts: &[
             (Format::Markdown, Some("md")),
@@ -132,7 +139,7 @@ pub static MODES: &[Mode] = &[
         flag: "--sharded",
         args: &[("path", Some("target/sharded-report.json"))],
         flags: QUICK,
-        run: Some(|inv| Ok(Box::new(perf::run_sharded(inv.has("--quick"))))),
+        run: Some(|inv| gate(perf::run_sharded(inv.has("--quick")))),
         artifacts: JSON,
         bench_file: Some("BENCH_PR8.json"),
         about: "time the SoA grid and warm ticks, gate thread scaling",
@@ -142,7 +149,7 @@ pub static MODES: &[Mode] = &[
         flag: "--joint",
         args: &[("path", Some("target/joint-report.json"))],
         flags: QUICK,
-        run: Some(|inv| Ok(Box::new(joint::run_joint(inv.has("--quick"))))),
+        run: Some(|inv| gate(joint::run_joint(inv.has("--quick")))),
         artifacts: JSON,
         bench_file: Some("BENCH_PR9.json"),
         about: "joint vs independent multi-surface serving on the zoo",
@@ -163,7 +170,7 @@ pub static MODES: &[Mode] = &[
         flag: "--mobility",
         args: &[("path", Some("target/mobility-report.json"))],
         flags: QUICK,
-        run: Some(|inv| Ok(Box::new(perf::run_mobility(inv.has("--quick"))))),
+        run: Some(|inv| gate(perf::run_mobility(inv.has("--quick")))),
         artifacts: JSON,
         bench_file: Some("BENCH_PR5.json"),
         about: "time the mobility simulator, warm vs cold",
@@ -175,19 +182,22 @@ pub static MODES: &[Mode] = &[
         args: &[("samples", Some("480"))],
         flags: &[],
         run: Some(|inv| match inv.args[0].parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Box::new(calibrate::CalibrationReport::run(SEED, n))),
+            Ok(n) if n > 0 => {
+                print!("{}", calibrate::report(SEED, n));
+                Ok(None)
+            }
             _ => Err("--calibrate-fig20 takes an optional positive sample count".to_string()),
         }),
         artifacts: &[],
         bench_file: None,
         about: "sweep link calibration knobs against the paper's 10 dB gap (prints only)",
-        failure: "",
+        failure: "the calibration sweep gates nothing",
     },
     Mode {
         flag: "--panels",
         args: &[("path", Some("target/panel-report.json"))],
         flags: QUICK,
-        run: Some(|inv| Ok(Box::new(perf::run_panels(inv.has("--quick"))))),
+        run: Some(|inv| gate(perf::run_panels(inv.has("--quick")))),
         artifacts: JSON,
         bench_file: Some("BENCH_PR4.json"),
         about: "time the panel array and the many-fleet server",
@@ -197,7 +207,7 @@ pub static MODES: &[Mode] = &[
         flag: "--bench-json",
         args: &[("path", Some("target/bench-report.json"))],
         flags: QUICK,
-        run: Some(|inv| Ok(Box::new(perf::run(inv.has("--quick"))))),
+        run: Some(|inv| gate(perf::run(inv.has("--quick")))),
         artifacts: JSON,
         bench_file: Some("BENCH_PR2.json"),
         about: "time the batched engine against the naive path",
@@ -234,12 +244,16 @@ impl Invocation {
     /// The artifact files this invocation writes, with their formats.
     pub fn files(&self) -> Vec<(String, Format)> {
         let out = self.args.last().map_or("", String::as_str);
+        let stem = match self.mode.artifacts.first() {
+            Some((Format::Jsonl, _)) => out.trim_end_matches(".jsonl"),
+            _ => out,
+        };
         self.mode
             .artifacts
             .iter()
             .map(|&(format, ext)| match ext {
                 None => (out.to_string(), format),
-                Some(ext) => (format!("{}.{ext}", out.trim_end_matches(".jsonl")), format),
+                Some(ext) => (format!("{stem}.{ext}"), format),
             })
             .collect()
     }
@@ -373,7 +387,7 @@ pub fn matrix_axes(inv: &Invocation) -> Result<matrix::MatrixAxes, String> {
 /// its gate held (printing the mode's failure line when not). `Err`
 /// when an artifact cannot be written.
 pub fn emit(mode: &Mode, report: &dyn Report, files: &[(String, Format)]) -> Result<bool, String> {
-    print!("{}", report.summary());
+    print!("{}", render(report, Format::Summary));
     for (path, format) in files {
         std::fs::write(path, render(report, *format))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -390,7 +404,10 @@ pub fn emit(mode: &Mode, report: &dyn Report, files: &[(String, Format)]) -> Res
 /// [`bench_file`](Mode::bench_file), in file order, into its directory.
 pub fn execute(inv: &Invocation) -> Result<bool, String> {
     if let Some(run) = inv.mode.run {
-        return emit(inv.mode, &*run(inv)?, &inv.files());
+        return match run(inv)? {
+            Some(report) => emit(inv.mode, &*report, &inv.files()),
+            None => Ok(true),
+        };
     }
     let mut benches: Vec<_> = MODES
         .iter()
@@ -405,7 +422,8 @@ pub fn execute(inv: &Invocation) -> Result<bool, String> {
             flags: inv.flags.clone(),
         };
         let path = format!("{}/{file}", inv.args[0]);
-        all_pass &= emit(mode, &*run(&sub)?, &[(path, Format::Json)])?;
+        let report = run(&sub)?.ok_or_else(|| format!("{} writes no report", mode.flag))?;
+        all_pass &= emit(mode, &*report, &[(path, Format::Json)])?;
     }
     if !all_pass {
         eprintln!("error: {}", inv.mode.failure);
@@ -576,6 +594,19 @@ mod tests {
         assert_eq!(
             files(&invocation("--bench-json")),
             ["target/bench-report.json"]
+        );
+        // Only a log's companions drop the `.jsonl`; any other base keeps it.
+        assert_eq!(
+            files(&invocation("--trace office-floor t.jsonl")),
+            ["t.jsonl", "t.json"]
+        );
+        assert_eq!(
+            files(&invocation("--trace office-floor t.log")),
+            ["t.log", "t.log.json"]
+        );
+        assert_eq!(
+            files(&invocation("--matrix m.jsonl")),
+            ["m.jsonl.md", "m.jsonl.csv", "m.jsonl.json"]
         );
         assert_eq!(invocation("--bench-all --quick").args, ["."]);
         assert_eq!(invocation("--calibrate-fig20").args, ["480"]);

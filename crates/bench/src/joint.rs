@@ -227,6 +227,7 @@ pub fn run_joint(quick: bool) -> JointPerfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{render, Format};
 
     #[test]
     fn quick_joint_report_passes_its_own_gates() {
@@ -239,8 +240,12 @@ mod tests {
             assert!(r.coupled_probes > 0);
             assert!(r.cross_energy_fraction > 0.0 && r.cross_energy_fraction < 1.0);
         }
-        assert!(report.passes(), "joint gates failed:\n{}", report.summary());
-        let json = report.to_json();
+        assert!(
+            report.passes(),
+            "joint gates failed:\n{}",
+            render(&report, Format::Summary)
+        );
+        let json = render(&report, Format::Json);
         assert!(json.contains("\"pr\": 9"));
         assert!(json.contains("\"office-floor\""));
         assert!(json.contains("\"warehouse-aisle\""));

@@ -400,7 +400,7 @@ mod tests {
         let csv = render(&report, Format::Csv);
         assert_eq!(csv.lines().count(), 1 + 4);
         assert!(csv.starts_with("room,policy,fleets,devices,threads,shards"));
-        let json = report.to_json();
+        let json = render(&report, Format::Json);
         assert!(json.contains("\"axes\""));
         assert!(json.contains("\"threads\": [1, 2]"));
         assert!(json.contains("\"allocs_per_tick\""));
@@ -436,8 +436,6 @@ mod tests {
             assert!(cell.min_power_dbm.is_finite());
         }
         assert!(render(&report, Format::Csv).contains("conference-room,favor"));
-        assert!(report
-            .to_json()
-            .contains("\"policies\": [\"maxmin\", \"favor\"]"));
+        assert!(render(&report, Format::Json).contains("\"policies\": [\"maxmin\", \"favor\"]"));
     }
 }

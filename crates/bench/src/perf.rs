@@ -248,6 +248,18 @@ const PANEL_COUNT: usize = 4;
 /// Concurrent fleets the server workload multiplexes.
 const SERVER_FLEETS: usize = 8;
 
+// The capacity probe must be at least as wide as the widest pool timed.
+const _: () = assert!(SERVER_FLEETS <= rfmath::par::CAPACITY_PROBE_THREADS);
+
+/// The parallelism a pool of `workers` can use on this host:
+/// `min(workers, capacity)`, at least 1, with `capacity` the measured
+/// [`rfmath::par::parallel_capacity`]. A full-capacity reading (one
+/// core's throughput per core) gives the core-count bound
+/// `min(workers, cores)`; a host that delivers less divides by less.
+fn effective_parallelism(workers: usize, capacity: f64) -> f64 {
+    (workers as f64).min(capacity).max(1.0)
+}
+
 /// Timing summary of the panel-array engine and the many-fleet server
 /// (`BENCH_PR4.json`).
 #[derive(Clone, Debug)]
@@ -267,8 +279,8 @@ pub struct PanelPerfReport {
     /// Worker threads the server bench ran with.
     pub server_workers: usize,
     /// Per-thread scaling efficiency: concurrency speedup divided by
-    /// the effective parallelism (`min(workers, logical_cores)`), so a
-    /// 2-worker run on a 1-core host reports ~1.0, not ~0.5.
+    /// the effective parallelism (`min(workers, parallel_capacity)`), so
+    /// a 2-worker run on a 1-core host reports ~1.0, not ~0.5.
     pub server_scaling_efficiency: f64,
     /// Mean stage-to-pop latency per job on the sharded queue, ms.
     pub server_mean_queue_wait_ms: f64,
@@ -426,9 +438,6 @@ pub fn run_panels(quick: bool) -> PanelPerfReport {
     let (_, stats) = server.try_serve_with_stats(fleets.iter().collect(), |_, fleet: &Fleet| {
         scheduler.run(fleet)
     });
-    let logical_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let speedup = serial_min / served_min.max(1e-12);
 
     PanelPerfReport {
@@ -437,7 +446,8 @@ pub fn run_panels(quick: bool) -> PanelPerfReport {
         panel_min_power_gain_db,
         server_concurrency_speedup: speedup,
         server_workers: workers,
-        server_scaling_efficiency: speedup / workers.min(logical_cores).max(1) as f64,
+        server_scaling_efficiency: speedup
+            / effective_parallelism(workers, rfmath::par::parallel_capacity()),
         server_mean_queue_wait_ms: stats.mean_queue_wait.0 * 1e3,
         server_queue_wait_p50_ms: stats.queue_wait_p50.0 * 1e3,
         server_queue_wait_p95_ms: stats.queue_wait_p95.0 * 1e3,
@@ -873,7 +883,8 @@ pub fn run_sharded(quick: bool) -> ShardedPerfReport {
     // recorder rides every instrumented stats pass (never the timed
     // loops); its aggregate lands in the artifact's telemetry block.
     let ring_recorder = RecorderHandle::new(Arc::new(RingRecorder::default()));
-    // Probed right before the sweep, so both see the same host window.
+    // Probed once per process: here on a lone `--sharded`, by the panel
+    // bench earlier in a `--bench-all`.
     let parallel_capacity = rfmath::par::parallel_capacity();
     let thread_scaling_skipped = parallel_capacity < MIN_SCALING_CAPACITY;
     let mut thread_scaling = Vec::new();
@@ -902,7 +913,7 @@ pub fn run_sharded(quick: bool) -> ShardedPerfReport {
                 shards: server.shards,
                 min_ms,
                 speedup,
-                efficiency: speedup / (workers as f64).min(parallel_capacity).max(1.0),
+                efficiency: speedup / effective_parallelism(workers, parallel_capacity),
                 steals: stats.steals,
                 mean_queue_wait_ms: stats.mean_queue_wait.0 * 1e3,
             });
@@ -922,7 +933,24 @@ pub fn run_sharded(quick: bool) -> ShardedPerfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{render, Format};
     use rfmath::telemetry::null_block_json;
+
+    #[test]
+    fn a_full_capacity_reading_gives_the_core_count_divisor() {
+        for cores in 1..=SERVER_FLEETS {
+            for workers in 1..=SERVER_FLEETS {
+                assert_eq!(
+                    effective_parallelism(workers, cores as f64),
+                    workers.min(cores) as f64
+                );
+            }
+        }
+        // A host delivering less divides by what it delivers, never
+        // below one worker's worth.
+        assert_eq!(effective_parallelism(4, 1.8), 1.8);
+        assert_eq!(effective_parallelism(2, 0.7), 1.0);
+    }
 
     #[test]
     fn panel_report_serializes_and_gates_on_both_axes() {
@@ -943,7 +971,7 @@ mod tests {
             server_steals: 1,
             telemetry: null_block_json(),
         };
-        let json = report.to_json();
+        let json = render(&report, Format::Json);
         assert!(json.contains("\"pr\": 4"));
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("\"mode\": \"null\""));
@@ -994,7 +1022,7 @@ mod tests {
             }],
             telemetry: null_block_json(),
         };
-        let json = report.to_json();
+        let json = render(&report, Format::Json);
         assert!(json.contains("\"pr\": 5"));
         assert!(json.contains("\"warm_speedup\": 4.5,"));
         assert!(json.contains("\"zero_motion_equivalent\": true"));
@@ -1059,7 +1087,7 @@ mod tests {
             }],
             telemetry: null_block_json(),
         };
-        let json = report.to_json();
+        let json = render(&report, Format::Json);
         assert!(json.contains("\"pr\": 8"));
         assert!(json.contains("\"parallel_capacity\": 3.9,"));
         assert!(json.contains("\"thread_scaling_skipped\": false"));
@@ -1083,12 +1111,8 @@ mod tests {
             ..report
         };
         assert!(single_core.passes());
-        assert!(single_core
-            .to_json()
-            .contains("\"thread_scaling_skipped\": true"));
-        assert!(single_core
-            .summary()
-            .contains("not measurable on this host"));
+        assert!(render(&single_core, Format::Json).contains("\"thread_scaling_skipped\": true"));
+        assert!(render(&single_core, Format::Summary).contains("not measurable on this host"));
     }
 
     /// The CI zero-alloc assertion: after warm-up, the per-tick hot
@@ -1154,10 +1178,10 @@ mod tests {
             heatmap_31x31_speedup: 6.0,
             single_point_speedup: 2.0,
         };
-        let json = report.to_json();
+        let json = render(&report, Format::Json);
         assert!(json.contains("\"heatmap_31x31_speedup\": 6.0,"));
         assert!(json.contains("\"pass\": true"));
         assert!(report.passes());
-        assert!(report.summary().contains("heatmap_31x31_speedup"));
+        assert!(render(&report, Format::Summary).contains("heatmap_31x31_speedup"));
     }
 }

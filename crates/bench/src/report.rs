@@ -111,8 +111,8 @@ impl From<String> for Value {
     }
 }
 
-/// A gate's report: its field list and its verdict. Serialization and
-/// the console summary are provided, one implementation for all.
+/// A gate's report: its field list and its verdict. [`render`] turns it
+/// into every output, one implementation for all.
 pub trait Report {
     /// Heading of the console summary.
     fn title(&self) -> String;
@@ -140,42 +140,13 @@ pub trait Report {
     fn event_log(&self) -> &str {
         ""
     }
-
-    /// The JSON artifact.
-    fn to_json(&self) -> String {
-        render(self, Format::Json)
-    }
-
-    /// The console summary.
-    fn summary(&self) -> String {
-        let mut out = format!("== {}\n", self.title());
-        let (key, id) = self.identity();
-        let _ = writeln!(out, "{key:>38}: {}", console(&id));
-        for (key, value) in self.fields() {
-            match value.rows_of() {
-                Some(rows) => {
-                    let _ = writeln!(out, "{key:>38}:");
-                    for row in rows {
-                        let _ = writeln!(out, "{:>40}{}", "", console_row(row));
-                    }
-                }
-                None => {
-                    let _ = writeln!(out, "{key:>38}: {}", console(&value));
-                }
-            }
-        }
-        for note in self.notes() {
-            let _ = writeln!(out, "{:>40}{note}", "");
-        }
-        let verdict = if self.passes() { "PASS" } else { "FAIL" };
-        let _ = writeln!(out, "{:>38}: {verdict}", "pass");
-        out
-    }
 }
 
-/// The artifact formats a report renders to.
+/// The outputs a report renders to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Format {
+    /// The console summary.
+    Summary,
     /// The JSON document.
     Json,
     /// The report's event log, one JSON object per line.
@@ -189,6 +160,30 @@ pub enum Format {
 /// Renders `report` in `format`.
 pub fn render<R: Report + ?Sized>(report: &R, format: Format) -> String {
     match format {
+        Format::Summary => {
+            let mut out = format!("== {}\n", report.title());
+            let (key, id) = report.identity();
+            let _ = writeln!(out, "{key:>38}: {}", console(&id));
+            for (key, value) in report.fields() {
+                match value.rows_of() {
+                    Some(rows) => {
+                        let _ = writeln!(out, "{key:>38}:");
+                        for row in rows {
+                            let _ = writeln!(out, "{:>40}{}", "", console_row(row));
+                        }
+                    }
+                    None => {
+                        let _ = writeln!(out, "{key:>38}: {}", console(&value));
+                    }
+                }
+            }
+            for note in report.notes() {
+                let _ = writeln!(out, "{:>40}{note}", "");
+            }
+            let verdict = if report.passes() { "PASS" } else { "FAIL" };
+            let _ = writeln!(out, "{:>38}: {verdict}", "pass");
+            out
+        }
         Format::Json => {
             let mut doc = vec![report.identity()];
             doc.extend(stamp(&report.faults(), report.telemetry()));
@@ -467,7 +462,7 @@ mod tests {
             wall_ms: f64::INFINITY,
             telemetry: rfmath::telemetry::null_block_json(),
         };
-        let json = report.to_json();
+        let json = render(&report, Format::Json);
         assert_valid_json(&json);
         assert!(json.contains("\"mean_min_power_dbm\": null,"));
         assert!(json.contains("\"mean_duty\": null,"));
@@ -479,7 +474,7 @@ mod tests {
             );
         }
         assert!(json.contains("\"pass\": false"));
-        assert!(report.summary().contains("FAIL"));
+        assert!(render(&report, Format::Summary).contains("FAIL"));
     }
 
     #[test]
@@ -528,7 +523,7 @@ mod tests {
     #[test]
     fn rows_render_as_json_markdown_and_csv() {
         let table = Table(vec![Cell("a,b", 1.5), Cell("c", f64::NAN)]);
-        let json = table.to_json();
+        let json = render(&table, Format::Json);
         assert_valid_json(&json);
         assert!(json.contains("\"axes\": {\"n\": [1, 2]},"));
         assert!(json.contains("    {\"room\": \"a,b\", \"ms\": 1.5},\n"));
@@ -542,7 +537,7 @@ mod tests {
             render(&table, Format::Markdown),
             "| room | ms |\n|---|---|\n| a,b | 1.5 |\n| c | NaN |\n"
         );
-        let summary = table.summary();
+        let summary = render(&table, Format::Summary);
         assert!(summary.contains("room=a,b ms=1.5"));
         assert!(summary.contains("PASS"));
     }

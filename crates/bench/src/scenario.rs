@@ -126,6 +126,7 @@ impl Report for ScenarioReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{render, Format};
 
     #[test]
     fn unknown_scenario_lists_the_catalog() {
@@ -138,8 +139,8 @@ mod tests {
     #[test]
     fn office_floor_serves_and_serializes() {
         let report = ScenarioReport::run("office-floor", crate::SEED).unwrap();
-        assert!(report.passes(), "{}", report.summary());
-        let json = report.to_json();
+        assert!(report.passes(), "{}", render(&report, Format::Summary));
+        let json = render(&report, Format::Json);
         assert!(json.contains("\"scenario\": \"office-floor\""));
         assert!(json.contains("\"machine\""));
         assert!(json.contains("\"faults\""));
@@ -148,6 +149,6 @@ mod tests {
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("\"mode\": \"ring\""));
         assert!(json.contains("\"pass\": true"));
-        assert!(report.summary().contains("PASS"));
+        assert!(render(&report, Format::Summary).contains("PASS"));
     }
 }

@@ -255,6 +255,7 @@ impl Report for OverheadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{render, Format};
 
     #[test]
     fn unknown_room_lists_the_catalog() {
@@ -268,13 +269,13 @@ mod tests {
     #[test]
     fn warehouse_trace_is_deterministic_and_covers_every_layer() {
         let report = TraceReport::run("warehouse-aisle", crate::SEED).unwrap();
-        assert!(report.passes(), "{}", report.summary());
+        assert!(report.passes(), "{}", render(&report, Format::Summary));
         assert!(report.deterministic);
         // The scripted outage shows up with its recovery, and the log
         // carries logical stamps only.
         assert!(report.jsonl.contains("\"type\": \"fault_recovered\""));
         assert!(report.jsonl.starts_with("{\"seq\": 0, \"tick\": 0,"));
-        let json = report.to_json();
+        let json = render(&report, Format::Json);
         assert!(json.contains("\"machine\""));
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("\"deterministic\": true"));
@@ -287,7 +288,7 @@ mod tests {
         assert!(report.null_ms > 0.0);
         assert!(report.ring_ms > 0.0);
         assert!(report.overhead.is_finite());
-        let json = report.to_json();
+        let json = render(&report, Format::Json);
         assert!(json.contains("\"overhead_room\": \"conference-room\""));
         assert!(json.contains("\"ceiling\": 1.05"));
     }

@@ -57,31 +57,40 @@ fn machine_threads() -> usize {
     })
 }
 
-/// The host's measured parallel capacity, probed once per process: the
-/// serial time of two fixed spin units over the time two threads take
-/// for one unit each, best of three trials. About 2 on two free cores,
-/// about 1 when the host gives one core's worth of parallel throughput
-/// whatever core count it reports. Scaling gates divide by this, not
-/// by [`budget`]. The probe costs a few tens of milliseconds.
+/// Threads the [`parallel_capacity`] probe runs at most: at least as
+/// many as the widest worker pool a scaling gate times.
+pub const CAPACITY_PROBE_THREADS: usize = 8;
+
+/// The host's measured parallel capacity, probed once per process: `n`
+/// fixed spin units run serially against `n` threads running one each,
+/// `n` the machine's available parallelism capped at
+/// [`CAPACITY_PROBE_THREADS`]. The ratio is best serial over best
+/// parallel time across three trials, clamped to `n`. It reads about
+/// `n` on `n` free cores, and about 1 when the host gives one core's
+/// worth of parallel throughput whatever core count it reports. Scaling
+/// gates divide by this, not by [`budget`]. The probe costs a few tens
+/// of milliseconds per probed thread.
 pub fn parallel_capacity() -> f64 {
     static CAPACITY: OnceLock<f64> = OnceLock::new();
     *CAPACITY.get_or_init(|| {
-        let mut best = 0.0f64;
+        let n = machine_threads().min(CAPACITY_PROBE_THREADS);
+        let (mut serial, mut parallel) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..3 {
             let started = std::time::Instant::now();
-            std::hint::black_box(spin_unit());
-            std::hint::black_box(spin_unit());
-            let serial = started.elapsed().as_secs_f64();
+            for _ in 0..n {
+                std::hint::black_box(spin_unit());
+            }
+            serial = serial.min(started.elapsed().as_secs_f64());
             let started = std::time::Instant::now();
             std::thread::scope(|s| {
-                let a = s.spawn(spin_unit);
-                let b = s.spawn(spin_unit);
-                std::hint::black_box(a.join().expect("spin thread"));
-                std::hint::black_box(b.join().expect("spin thread"));
+                let spins: Vec<_> = (0..n).map(|_| s.spawn(spin_unit)).collect();
+                for spin in spins {
+                    std::hint::black_box(spin.join().expect("spin thread"));
+                }
             });
-            best = best.max(serial / started.elapsed().as_secs_f64().max(1e-12));
+            parallel = parallel.min(started.elapsed().as_secs_f64());
         }
-        best
+        (serial / parallel.max(1e-12)).min(n as f64)
     })
 }
 
@@ -225,6 +234,8 @@ mod tests {
     fn parallel_capacity_is_measured_once() {
         let capacity = parallel_capacity();
         assert!(capacity.is_finite() && capacity > 0.0, "{capacity}");
+        // Never more than the probed threads could show.
+        assert!(capacity <= machine_threads().min(CAPACITY_PROBE_THREADS) as f64);
         assert_eq!(parallel_capacity().to_bits(), capacity.to_bits());
     }
 
