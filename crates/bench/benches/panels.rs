@@ -75,8 +75,8 @@ fn server_8_fleets(c: &mut Criterion) {
     g.finish();
 
     // Per-thread scaling report: efficiency is wall-clock speedup over
-    // the serial loop divided by the worker count; queue wait and steal
-    // counts come from the sharded queue's instrumented pass.
+    // the serial loop divided by the worker count; queue wait comes from
+    // the server's instrumented pass.
     let time_min = |iters: u32, routine: &mut dyn FnMut()| {
         let mut best = f64::INFINITY;
         routine();
@@ -98,11 +98,9 @@ fn server_8_fleets(c: &mut Criterion) {
     });
     let speedup = serial_ms / concurrent_ms.max(1e-12);
     eprintln!(
-        "server_8_fleets/concurrent: {workers} workers x {} shards, speedup {speedup:.2}x, \
-         efficiency {:.2}, {} steals, mean queue wait {:.4} ms",
-        stats.shards,
+        "server_8_fleets/concurrent: {workers} workers, speedup {speedup:.2}x, \
+         efficiency {:.2}, mean queue wait {:.4} ms",
         speedup / workers.max(1) as f64,
-        stats.steals,
         stats.mean_queue_wait.0 * 1e3,
     );
 }

@@ -118,7 +118,6 @@ pub static MODES: &[Mode] = &[
             "--fleets a,b",
             "--devices a,b",
             "--threads a,b",
-            "--shards a,b",
         ],
         run: Some(|inv| {
             gate(matrix::MatrixReport::run(
@@ -376,7 +375,6 @@ pub fn matrix_axes(inv: &Invocation) -> Result<matrix::MatrixAxes, String> {
             "--fleets" => axes.fleets = list()?,
             "--devices" => axes.devices = list()?,
             "--threads" => axes.threads = list()?,
-            "--shards" => axes.shards = list()?,
             _ => {}
         }
     }
@@ -488,7 +486,7 @@ mod tests {
             (
                 "--matrix target/matrix --quick --rooms synthetic,conference-room \
                  --policy maxmin,favor,timedivision --fleets 2 --devices 4 \
-                 --threads 1,2 --shards 1,2",
+                 --threads 1,2",
                 "--matrix",
                 &[
                     "target/matrix.md",
@@ -548,8 +546,7 @@ mod tests {
     fn matrix_flags_fill_the_axes() {
         let inv = invocation(
             "--matrix target/matrix --quick --rooms synthetic,conference-room \
-             --policy maxmin,favor,timedivision --fleets 2 --devices 4 --threads 1,2 \
-             --shards 1,2",
+             --policy maxmin,favor,timedivision --fleets 2 --devices 4 --threads 1,2",
         );
         let axes = matrix_axes(&inv).unwrap();
         assert_eq!(axes.rooms, ["synthetic", "conference-room"]);
@@ -557,7 +554,6 @@ mod tests {
         assert_eq!(axes.fleets, [2]);
         assert_eq!(axes.devices, [4]);
         assert_eq!(axes.threads, [1, 2]);
-        assert_eq!(axes.shards, [1, 2]);
         assert!(matrix_axes(&invocation("--matrix --fleets 0")).is_err());
         assert!(matrix_axes(&invocation("--matrix --policy fairness")).is_err());
         assert!(parse_line("--matrix --rooms").is_err());

@@ -1,9 +1,9 @@
 //! `expts --matrix` — the many-fleet serving matrix.
 //!
 //! Runs the cross product of `--rooms × --policy × --fleets × --devices
-//! × --threads × --shards` (each a comma-separated list) through the
-//! sharded work-stealing [`FleetServer`], recording wall-clock,
-//! throughput, speedup over a serial baseline, steals, queue wait *and*
+//! × --threads` (each a comma-separated list) through the
+//! [`FleetServer`], recording wall-clock, throughput, speedup over a
+//! serial baseline, queue wait *and*
 //! the served MaxMin headline (worst device power across the cell's
 //! jobs — the figure the legacy `--panels` report carried as its
 //! single-shape summary) for every cell, and renders the same table as
@@ -37,7 +37,7 @@ pub const SYNTHETIC_ROOM: &str = "synthetic";
 /// The names the `--policy` axis accepts.
 pub const POLICIES: [&str; 3] = ["maxmin", "favor", "timedivision"];
 
-/// The six swept axes. Empty lists are rejected at parse time.
+/// The five swept axes. Empty lists are rejected at parse time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MatrixAxes {
     /// Workload rooms: zoo names plus [`SYNTHETIC_ROOM`].
@@ -51,15 +51,13 @@ pub struct MatrixAxes {
     pub devices: Vec<usize>,
     /// Worker threads in the pool.
     pub threads: Vec<usize>,
-    /// Shard deques jobs are hashed across.
-    pub shards: Vec<usize>,
 }
 
 impl MatrixAxes {
     /// The default sweep: the synthetic workload under max-min, one
-    /// fleet-size point, one device point, a 1-vs-all-cores thread axis
-    /// and a 1-vs-4 shard axis — small enough to run as a smoke, wide
-    /// enough to show the scaling shape.
+    /// fleet-size point, one device point and a 1-vs-all-cores thread
+    /// axis — small enough to run as a smoke, wide enough to show the
+    /// scaling shape.
     pub fn default_axes() -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -72,7 +70,6 @@ impl MatrixAxes {
             fleets: vec![8],
             devices: vec![8],
             threads,
-            shards: vec![1, 4],
         }
     }
 
@@ -130,7 +127,6 @@ impl MatrixAxes {
             * self.fleets.len()
             * self.devices.len()
             * self.threads.len()
-            * self.shards.len()
     }
 }
 
@@ -147,8 +143,6 @@ pub struct MatrixCell {
     pub devices: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Shard deques.
-    pub shards: usize,
     /// Mean wall-clock per serve, ms.
     pub mean_ms: f64,
     /// Best-of-N wall-clock per serve, ms.
@@ -160,9 +154,7 @@ pub struct MatrixCell {
     /// Worst served device power across the cell's jobs, dBm — the
     /// legacy `--panels` single-shape headline, folded per cell.
     pub min_power_dbm: f64,
-    /// Cross-shard steals during the instrumented pass.
-    pub steals: usize,
-    /// Mean stage-to-pop queue wait per job, ms.
+    /// Mean stage-to-claim queue wait per job, ms.
     pub mean_queue_wait_ms: f64,
 }
 
@@ -216,7 +208,7 @@ fn jobs_for(room: &str, fleets_n: usize, devices_n: usize) -> Vec<(Fleet, PanelA
 impl MatrixReport {
     /// Measures every cell of `axes`. Serial baselines (and the served
     /// min-power headline) are measured once per distinct workload and
-    /// shared across that workload's thread/shard cells.
+    /// shared across that workload's thread cells.
     pub fn run(axes: MatrixAxes, quick: bool) -> Self {
         let iters = if quick { 2 } else { 4 };
         let mut cells = Vec::with_capacity(axes.cells());
@@ -246,32 +238,27 @@ impl MatrixReport {
                             .map(|(f, a)| scheduler.run(f, a).min_power_dbm())
                             .fold(f64::INFINITY, f64::min);
                         for &threads in &axes.threads {
-                            for &shards in &axes.shards {
-                                let server = FleetServer::new(threads).with_shards(shards);
-                                let (mean_ms, min_ms) = time_ms(iters, || {
-                                    serve_panel_fleets(&server, &scheduler, &jobs)
-                                });
-                                let server = server.with_recorder(recorder.clone());
-                                let (_, stats) = server.try_serve_with_stats(
-                                    jobs.iter().collect(),
-                                    |_, (f, a): &(Fleet, PanelArray)| scheduler.run(f, a),
-                                );
-                                cells.push(MatrixCell {
-                                    room: room.clone(),
-                                    policy: policy.clone(),
-                                    fleets: fleets_n,
-                                    devices: reported_devices,
-                                    threads,
-                                    shards,
-                                    mean_ms,
-                                    min_ms,
-                                    fleets_per_sec: fleets_n as f64 / (min_ms / 1e3).max(1e-12),
-                                    speedup_vs_serial: serial_min / min_ms.max(1e-12),
-                                    min_power_dbm,
-                                    steals: stats.steals,
-                                    mean_queue_wait_ms: stats.mean_queue_wait.0 * 1e3,
-                                });
-                            }
+                            let server = FleetServer::new(threads);
+                            let (mean_ms, min_ms) =
+                                time_ms(iters, || serve_panel_fleets(&server, &scheduler, &jobs));
+                            let server = server.with_recorder(recorder.clone());
+                            let (_, stats) = server.try_serve_with_stats(
+                                jobs.iter().collect(),
+                                |_, (f, a): &(Fleet, PanelArray)| scheduler.run(f, a),
+                            );
+                            cells.push(MatrixCell {
+                                room: room.clone(),
+                                policy: policy.clone(),
+                                fleets: fleets_n,
+                                devices: reported_devices,
+                                threads,
+                                mean_ms,
+                                min_ms,
+                                fleets_per_sec: fleets_n as f64 / (min_ms / 1e3).max(1e-12),
+                                speedup_vs_serial: serial_min / min_ms.max(1e-12),
+                                min_power_dbm,
+                                mean_queue_wait_ms: stats.mean_queue_wait.0 * 1e3,
+                            });
                         }
                     }
                 }
@@ -294,13 +281,11 @@ impl Row for MatrixCell {
             ("fleets", self.fleets.into()),
             ("devices", self.devices.into()),
             ("threads", self.threads.into()),
-            ("shards", self.shards.into()),
             ("mean_ms", self.mean_ms.into()),
             ("min_ms", self.min_ms.into()),
             ("fleets_per_sec", self.fleets_per_sec.into()),
             ("speedup_vs_serial", self.speedup_vs_serial.into()),
             ("min_power_dbm", self.min_power_dbm.into()),
-            ("steals", self.steals.into()),
             ("mean_queue_wait_ms", self.mean_queue_wait_ms.into()),
         ]
     }
@@ -332,7 +317,6 @@ impl Report for MatrixReport {
                     ("fleets", Value::list(&axes.fleets)),
                     ("devices", Value::list(&axes.devices)),
                     ("threads", Value::list(&axes.threads)),
-                    ("shards", Value::list(&axes.shards)),
                 ]),
             ),
             ("cells", Value::rows(&self.cells)),
@@ -361,7 +345,7 @@ mod tests {
             MatrixAxes::parse_list("--threads", "1,2,8").unwrap(),
             vec![1, 2, 8]
         );
-        assert_eq!(MatrixAxes::parse_list("--shards", " 4 ").unwrap(), vec![4]);
+        assert_eq!(MatrixAxes::parse_list("--fleets", " 4 ").unwrap(), vec![4]);
         assert!(MatrixAxes::parse_list("--fleets", "").is_err());
         assert!(MatrixAxes::parse_list("--fleets", "2,0").is_err());
         assert!(MatrixAxes::parse_list("--devices", "two").is_err());
@@ -385,10 +369,9 @@ mod tests {
     #[test]
     fn tiny_matrix_measures_every_cell_in_all_three_formats() {
         let axes = MatrixAxes {
-            fleets: vec![2],
+            fleets: vec![1, 2],
             devices: vec![2],
             threads: vec![1, 2],
-            shards: vec![1, 2],
             ..MatrixAxes::default_axes()
         };
         assert_eq!(axes.cells(), 4);
@@ -399,7 +382,7 @@ mod tests {
         assert_eq!(md.lines().count(), 2 + 4);
         let csv = render(&report, Format::Csv);
         assert_eq!(csv.lines().count(), 1 + 4);
-        assert!(csv.starts_with("room,policy,fleets,devices,threads,shards"));
+        assert!(csv.starts_with("room,policy,fleets,devices,threads,mean_ms"));
         let json = render(&report, Format::Json);
         assert!(json.contains("\"axes\""));
         assert!(json.contains("\"threads\": [1, 2]"));
@@ -419,7 +402,6 @@ mod tests {
             fleets: vec![2],
             devices: vec![2],
             threads: vec![1],
-            shards: vec![1],
         };
         assert_eq!(axes.cells(), 4);
         let report = MatrixReport::run(axes, true);

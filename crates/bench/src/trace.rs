@@ -31,8 +31,8 @@ use crate::perf::time_ms;
 use crate::report::{Field, Report};
 
 /// Jobs staged through the single-worker server pass (the room's fleet
-/// snapshot, repeated): enough to land on more than one shard without
-/// bloating the log.
+/// snapshot, repeated): enough to show several enqueue/complete pairs
+/// without bloating the log.
 pub const TRACE_SERVER_JOBS: usize = 4;
 
 /// Max ring-over-null wall-clock ratio the overhead gate allows.

@@ -14,10 +14,10 @@
 //!   degrees the surface actually rotated the wave;
 //! * [`controller`] — the centralized state machine that ties it all
 //!   together, with report-loss recovery and an audit log;
-//! * [`server`] — the async many-fleet front: a bounded task queue and
-//!   scoped worker pool multiplexing many per-fleet optimizations under
-//!   one controller process, with the controller's corrupt-report
-//!   admission rule.
+//! * [`server`] — the many-fleet front: one job cursor and a scoped
+//!   worker pool (the calling thread among them) multiplexing many
+//!   per-fleet optimizations under one controller process, with the
+//!   controller's corrupt-report admission rule.
 //!
 //! ```
 //! use control::sweep::{coarse_to_fine, SweepConfig};

@@ -1,4 +1,4 @@
-//! Sharded many-fleet serving: one controller process, many fleets.
+//! Many-fleet serving: one controller process, many fleets.
 //!
 //! The paper's controller drives *one* optimization at a time; ROADMAP's
 //! city-block item asks for the next scaling lever — a controller that
@@ -6,16 +6,18 @@
 //! own panel array) concurrently. [`FleetServer`] is that engine,
 //! built from the same primitives as the rest of the workspace:
 //!
-//! * **per-shard deques + work stealing** (no external channel or async
-//!   runtime): every job is hashed to one of `shards` deques up front,
-//!   each worker owns a home shard it drains from the front, and an idle
-//!   worker steals from the *tail* of sibling shards — bursty arrival
-//!   patterns never serialize on a single queue lock, and the steal side
-//!   touches the opposite end of each deque from its owner;
-//! * **`std::thread::scope` workers** (like `rfmath::par`) that pull
-//!   jobs and run a caller-supplied handler — the handler is where a
-//!   typed front (e.g. `llama_core`'s scheduler) plugs in a per-fleet
-//!   optimization;
+//! * **one job cursor** (no external channel or async runtime): every
+//!   job is staged in its own slot before any worker starts, and workers
+//!   claim slots in submission order with one atomic `fetch_add`. Each
+//!   slot is claimed exactly once, so its lock is never contended, and a
+//!   cursor past the end means the run is drained — no condvars, no
+//!   close protocol;
+//! * **the calling thread is worker 0**: a run with `workers` workers
+//!   spawns `workers − 1` `std::thread::scope` threads (like
+//!   `rfmath::par`) and drains alongside them, so one code path serves
+//!   every worker count and a one-worker run spawns nothing. The
+//!   caller-supplied handler is where a typed front (e.g. `llama_core`'s
+//!   scheduler) plugs in a per-fleet optimization;
 //! * **one thread budget**: the submitting thread's
 //!   [`rfmath::par::budget`] is split across the workers, and each job
 //!   runs under its share (`max(1, budget / workers)`), so the batch
@@ -28,24 +30,22 @@
 //!   would have rejected.
 //!
 //! Results come back in submission order and are bit-identical to
-//! running the handler serially — workers share nothing but the shard
-//! deques, so concurrency (and stealing) is purely an elapsed-time
-//! optimization. Which shard ran a job, and whether it was stolen,
-//! never leaks into the result.
+//! running the handler serially — workers share nothing but the cursor
+//! and the slots, so concurrency is purely an elapsed-time optimization.
+//! Which worker ran a job never leaks into the result.
 //!
 //! ```
 //! use control::server::FleetServer;
 //!
-//! let server = FleetServer::new(4).with_shards(2);
+//! let server = FleetServer::new(4);
 //! let squares = server.serve((0..16u64).collect(), |_, n| n * n);
 //! assert_eq!(squares[5], 25);
 //! ```
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use rfmath::telemetry::{RecorderHandle, TelemetryEvent};
@@ -56,90 +56,15 @@ use crate::controller::{FleetReport, Objective};
 #[allow(unused_imports)] // rustdoc link target
 use crate::controller::Controller;
 
-/// The work-stealing shard set: every job lands in one deque up front
-/// (hashed by submission index), workers drain their home shard from
-/// the front and steal from the tail of siblings when idle. All jobs
-/// are staged before any worker starts, so an empty sweep across every
-/// shard means the run is drained — no condvars, no close protocol.
-struct ShardedQueue<T> {
-    shards: Vec<Mutex<VecDeque<(Instant, T)>>>,
-    /// Jobs taken from a non-home shard.
-    steals: AtomicUsize,
-    /// Summed stage-to-pop latency across all jobs, nanoseconds.
-    wait_nanos: AtomicU64,
-}
-
-impl<T> ShardedQueue<T> {
-    fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            steals: AtomicUsize::new(0),
-            wait_nanos: AtomicU64::new(0),
-        }
-    }
-
-    /// Stages one job on `shard` (pre-worker, single-threaded).
-    fn stage(&self, shard: usize, job: T) {
-        self.shards[shard % self.shards.len()]
-            .lock()
-            .expect("shard poisoned")
-            .push_back((Instant::now(), job));
-    }
-
-    /// Takes the next job for a worker homed on `home`: front of the
-    /// home shard first, then the tail of each sibling shard in
-    /// round-robin order. `None` means every shard is empty — with all
-    /// jobs staged up front, that is the drained state. A `Some` carries
-    /// the shard the job actually came from and the stage-to-pop
-    /// latency in nanoseconds, so the caller can attribute steals and
-    /// queue wait per job.
-    fn pop(&self, home: usize) -> Option<(T, usize, u64)> {
-        let k = self.shards.len();
-        let home = home % k;
-        for offset in 0..k {
-            let shard = (home + offset) % k;
-            let taken = {
-                let mut deque = match self.shards[shard].lock() {
-                    Ok(deque) => deque,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                if offset == 0 {
-                    deque.pop_front()
-                } else {
-                    deque.pop_back()
-                }
-            };
-            if let Some((staged, job)) = taken {
-                if offset != 0 {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                let waited = staged.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                self.wait_nanos.fetch_add(waited, Ordering::Relaxed);
-                return Some((job, shard, waited));
-            }
-        }
-        None
-    }
-}
-
-/// The shard a submission index hashes to (splitmix64 finalizer — the
-/// same seeded-stream primitive `core::faults` draws from, so nearby
-/// indices scatter instead of clustering on one shard).
-fn shard_of(index: usize, shards: usize) -> usize {
-    let mut z = (index as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % shards.max(1) as u64) as usize
-}
+/// One job's slot: filled before the workers start or when its job
+/// finishes, emptied once.
+type Slot<T> = Mutex<Option<T>>;
 
 /// Why one job of a [`FleetServer::try_serve_with_stats`] run failed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JobError {
     /// The handler panicked; the worker caught the unwind, kept
-    /// draining the shards, and recorded the panic payload here.
+    /// claiming jobs, and recorded the panic payload here.
     Panicked(String),
     /// The handler returned, but only after the server's per-job
     /// deadline had passed — its result is discarded as stale (a fleet
@@ -183,41 +108,37 @@ pub struct ServeStats {
     /// Jobs that came back as a [`JobError`] (panicked handler or a
     /// blown deadline).
     pub failed: usize,
-    /// Shard deques the run distributed jobs across.
-    pub shards: usize,
-    /// Jobs a worker took from a shard other than its home — the
-    /// load-imbalance signal (zero when every shard drained locally).
+    /// Always 0. Workers claim jobs from one shared cursor, so no job is
+    /// ever taken from another worker's queue; the field stays so
+    /// existing readers of the stats keep compiling.
     pub steals: usize,
-    /// Mean stage-to-pop latency per job, in **seconds** (the `Seconds`
-    /// newtype carries the unit): how long work sat in a shard deque
-    /// before a worker picked it up.
+    /// Mean stage-to-claim latency per job, in **seconds** (the
+    /// `Seconds` newtype carries the unit): how long a staged job waited
+    /// before a worker claimed it.
     pub mean_queue_wait: Seconds,
-    /// Median stage-to-pop latency, in seconds — exact (computed from
+    /// Median stage-to-claim latency, in seconds — exact (computed from
     /// the per-job waits, not a histogram estimate). The mean alone
     /// hides a starved tail; p50/p95 together expose it.
     pub queue_wait_p50: Seconds,
-    /// 95th-percentile stage-to-pop latency, in seconds (exact).
+    /// 95th-percentile stage-to-claim latency, in seconds (exact).
     pub queue_wait_p95: Seconds,
     /// Workers that ran at least one job.
     pub workers_used: usize,
 }
 
-/// The many-fleet controller front: a fixed worker pool draining
-/// per-fleet jobs from work-stealing shard deques.
+/// The many-fleet controller front: a fixed worker pool, the calling
+/// thread among them, claiming per-fleet jobs from one cursor.
 ///
 /// `FleetServer` is deliberately generic over the job type — the control
 /// crate sits *below* the fleet model, so the typed integration
 /// (`Fleet` in, `FleetOutcome` out) lives with the fleet types and plugs
 /// in through the handler closure. What the server owns is the
-/// scheduling contract: sharded admission with stealing, deterministic
+/// scheduling contract: per-job panic isolation, deterministic
 /// submission-order results, and the shared report-admission rule.
 #[derive(Clone, Debug)]
 pub struct FleetServer {
-    /// Worker threads draining the shards (≥ 1).
+    /// Workers claiming jobs (≥ 1), the calling thread included.
     pub workers: usize,
-    /// Shard deques jobs are hashed across (≥ 1). More shards cut
-    /// contention between workers; fewer shards cut steal traffic.
-    pub shards: usize,
     /// Optional per-job wall-clock limit, checked after the fact: when
     /// a handler returns later than this, its result comes back as
     /// [`JobError::DeadlineExceeded`] from
@@ -228,31 +149,21 @@ pub struct FleetServer {
     pub deadline: Option<Seconds>,
     /// Telemetry sink. Defaults to the null recorder (zero overhead);
     /// with a ring attached the server emits `job_enqueued` /
-    /// `job_stolen` / `job_completed` events and queue-wait / job-wall
-    /// duration histograms. Event *order* across workers is only
+    /// `job_completed` events and queue-wait / job-wall duration
+    /// histograms. Event *order* across workers is only
     /// deterministic with `workers == 1` (the `--trace` configuration);
     /// results are deterministic regardless.
     pub recorder: RecorderHandle,
 }
 
 impl FleetServer {
-    /// A server with `workers` threads and one shard per worker (each
-    /// worker home-drains its own deque; stealing only kicks in when
-    /// the hash leaves a shard short).
+    /// A server with `workers` workers (clamped to ≥ 1).
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         Self {
-            workers,
-            shards: workers,
+            workers: workers.max(1),
             deadline: None,
             recorder: RecorderHandle::null(),
         }
-    }
-
-    /// Sets the shard count (clamped to ≥ 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// Sets the per-job deadline: a post-hoc staleness check that fails
@@ -272,14 +183,17 @@ impl FleetServer {
     /// The fault-isolating serve: every job comes back as a
     /// `Result<R, JobError>` in submission order. A panicking handler is
     /// caught *inside* its worker — the worker records the failure for
-    /// that one job and keeps draining the shards, so one poisoned fleet
+    /// that one job and keeps claiming jobs, so one poisoned fleet
     /// cannot take down its siblings. With a
     /// [`deadline`](FleetServer::deadline) set, a job whose handler
     /// returns after the deadline is failed as stale.
     ///
-    /// Each job runs under `max(1, budget / workers)` of the calling
-    /// thread's [`rfmath::par::budget`], `workers` being the threads this
-    /// run spawns (never more than the job count).
+    /// The run uses `workers` workers (never more than the job count):
+    /// the calling thread is worker 0 and the other `workers − 1` are
+    /// scoped threads, so a one-worker run spawns no thread. Each job
+    /// runs under `max(1, budget / workers)` of the calling thread's
+    /// [`rfmath::par::budget`]; the caller's budget is restored when the
+    /// run returns.
     pub fn try_serve_with_stats<J, R>(
         &self,
         jobs: Vec<J>,
@@ -290,132 +204,109 @@ impl FleetServer {
         R: Send,
     {
         let n = jobs.len();
-        let shards = self.shards.max(1);
         let workers = self.workers.max(1).min(n.max(1));
         let deadline = self.deadline;
         let job_budget = (rfmath::par::budget() / workers).max(1);
         let recorder = &self.recorder;
         let traced = recorder.enabled();
-        let queue: ShardedQueue<(usize, J)> = ShardedQueue::new(shards);
-        // Stage everything before any worker starts: the shard a job
-        // hashes to depends only on its submission index, and results
-        // land in indexed slots, so execution order (including steals)
-        // cannot perturb the output. Enqueue events fire here, in
-        // submission order, before any worker thread exists — the
-        // deterministic prefix of the event stream.
-        let mut depths = vec![0u64; shards];
-        for (idx, job) in jobs.into_iter().enumerate() {
-            let shard = shard_of(idx, shards);
-            queue.stage(shard, (idx, job));
-            if traced {
-                depths[shard] += 1;
-                recorder.emit(TelemetryEvent::JobEnqueued { shard, job: idx });
-            }
-        }
-        if traced {
-            recorder.add("server.jobs", n as u64);
-            for &depth in &depths {
-                recorder.record_value("server.shard_depth", depth);
-            }
-        }
-        let results: Vec<Mutex<Option<Result<R, JobError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        // Per-job stage-to-pop wait, for exact p50/p95 after the join
-        // (slot 0 is also "never popped", which cannot survive a drain).
-        let waits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let used = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            let queue = &queue;
-            let results = &results;
-            let waits = &waits;
-            let handler = &handler;
-            let used = &used;
-            for worker in 0..workers {
-                scope.spawn(move || {
-                    let mut ran_any = false;
-                    let home = worker % shards;
-                    while let Some(((idx, job), from, waited_ns)) = queue.pop(worker) {
-                        ran_any = true;
-                        waits[idx].store(waited_ns, Ordering::Relaxed);
-                        if traced {
-                            recorder.duration_ns("server.queue_wait_ns", waited_ns);
-                            if from != home {
-                                recorder.emit(TelemetryEvent::JobStolen {
-                                    home,
-                                    from,
-                                    job: idx,
-                                });
-                            }
-                        }
-                        let started = Instant::now();
-                        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            rfmath::par::with_budget(job_budget, || handler(idx, job))
-                        }));
-                        let took = Seconds(started.elapsed().as_secs_f64());
-                        let entry = match out {
-                            Ok(result) => match deadline {
-                                Some(limit) if took.0 > limit.0 => {
-                                    Err(JobError::DeadlineExceeded { limit, took })
-                                }
-                                _ => Ok(result),
-                            },
-                            Err(payload) => Err(JobError::Panicked(panic_message(&*payload))),
-                        };
-                        if traced {
-                            recorder
-                                .duration_ns("server.job_wall_ns", (took.0 * 1e9).max(0.0) as u64);
-                            recorder.emit(TelemetryEvent::JobCompleted {
-                                shard: from,
-                                job: idx,
-                                ok: entry.is_ok(),
-                            });
-                        }
-                        let mut slot = match results[idx].lock() {
-                            Ok(slot) => slot,
-                            Err(poisoned) => poisoned.into_inner(),
-                        };
-                        *slot = Some(entry);
-                    }
-                    if ran_any {
-                        used.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-
-        let out: Vec<Result<R, JobError>> = results
+        // Stage everything before any worker starts: results land in
+        // indexed slots, so claim order cannot perturb the output.
+        // Enqueue events fire here, in submission order, before any
+        // worker runs — the deterministic prefix of the event stream.
+        let staged: Vec<Slot<(Instant, J)>> = jobs
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .unwrap_or(Err(JobError::Abandoned))
+            .enumerate()
+            .map(|(idx, job)| {
+                if traced {
+                    recorder.emit(TelemetryEvent::JobEnqueued { job: idx });
+                }
+                Mutex::new(Some((Instant::now(), job)))
             })
             .collect();
-        let wait_secs: Vec<f64> = waits
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed) as f64 * 1e-9)
-            .collect();
+        if traced {
+            recorder.add("server.jobs", n as u64);
+        }
+        // Each slot holds the job's stage-to-claim wait (ns) next to its
+        // result, for exact p50/p95 after the join.
+        let results: Vec<Slot<(u64, Result<R, JobError>)>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
+        let cursor = AtomicUsize::new(0);
+        let used = AtomicUsize::new(0);
+
+        let work = || {
+            let mut ran_any = false;
+            // `fetch_add` hands every index out exactly once, so each
+            // slot's lock is taken by one worker only. `Relaxed` suffices:
+            // the cursor publishes no data, the slot's mutex does.
+            loop {
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = staged.get(idx) else {
+                    break;
+                };
+                let (staged_at, job) = slot
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take()
+                    .expect("each index is claimed once");
+                ran_any = true;
+                let waited_ns = staged_at.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                if traced {
+                    recorder.duration_ns("server.queue_wait_ns", waited_ns);
+                }
+                let started = Instant::now();
+                let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    rfmath::par::with_budget(job_budget, || handler(idx, job))
+                }));
+                let took = Seconds(started.elapsed().as_secs_f64());
+                let entry = match out {
+                    Ok(result) => match deadline {
+                        Some(limit) if took.0 > limit.0 => {
+                            Err(JobError::DeadlineExceeded { limit, took })
+                        }
+                        _ => Ok(result),
+                    },
+                    Err(payload) => Err(JobError::Panicked(panic_message(&*payload))),
+                };
+                if traced {
+                    recorder.duration_ns("server.job_wall_ns", (took.0 * 1e9).max(0.0) as u64);
+                    recorder.emit(TelemetryEvent::JobCompleted {
+                        job: idx,
+                        ok: entry.is_ok(),
+                    });
+                }
+                *results[idx].lock().unwrap_or_else(PoisonError::into_inner) =
+                    Some((waited_ns, entry));
+            }
+            if ran_any {
+                used.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
+        });
+
+        let mut out = Vec::with_capacity(n);
+        let mut waits_ns = Vec::with_capacity(n);
+        for slot in results {
+            let (waited_ns, entry) = slot
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .unwrap_or((0, Err(JobError::Abandoned)));
+            waits_ns.push(waited_ns);
+            out.push(entry);
+        }
+        let wait_secs: Vec<f64> = waits_ns.iter().map(|&w| w as f64 * 1e-9).collect();
+        let over_jobs = |value: f64| Seconds(if n == 0 { 0.0 } else { value });
         let stats = ServeStats {
             completed: n,
             failed: out.iter().filter(|r| r.is_err()).count(),
-            shards,
-            steals: queue.steals.load(Ordering::Relaxed),
-            mean_queue_wait: Seconds(if n == 0 {
-                0.0
-            } else {
-                queue.wait_nanos.load(Ordering::Relaxed) as f64 * 1e-9 / n as f64
-            }),
-            queue_wait_p50: Seconds(if n == 0 {
-                0.0
-            } else {
-                rfmath::stats::percentile(&wait_secs, 50.0)
-            }),
-            queue_wait_p95: Seconds(if n == 0 {
-                0.0
-            } else {
-                rfmath::stats::percentile(&wait_secs, 95.0)
-            }),
+            steals: 0,
+            mean_queue_wait: over_jobs(waits_ns.iter().sum::<u64>() as f64 * 1e-9 / n as f64),
+            queue_wait_p50: over_jobs(rfmath::stats::percentile(&wait_secs, 50.0)),
+            queue_wait_p95: over_jobs(rfmath::stats::percentile(&wait_secs, 95.0)),
             workers_used: used.load(Ordering::Relaxed),
         };
         (out, stats)
@@ -514,7 +405,6 @@ mod tests {
             assert_eq!(*sq, (i as u64) * (i as u64));
         }
         assert_eq!(stats.completed, 40);
-        assert_eq!(stats.shards, 3);
     }
 
     #[test]
@@ -536,69 +426,20 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_do_not_change_results() {
-        // The sharding contract: any shard count yields the identical
-        // result vector (shard choice only moves work between deques).
-        let work = |idx: usize, n: u64| (idx as u64).wrapping_mul(31).wrapping_add(n * n);
-        let jobs: Vec<u64> = (0..50).collect();
-        let reference = FleetServer::new(1).serve(jobs.clone(), work);
-        for shards in [1usize, 2, 7, 50, 128] {
-            let sharded = FleetServer::new(4)
-                .with_shards(shards)
-                .serve(jobs.clone(), work);
-            assert_eq!(sharded, reference, "shards = {shards}");
-        }
-    }
-
-    #[test]
-    fn idle_workers_steal_from_loaded_shards() {
-        // 2 workers homed on 2 shards, but every job hashed to a single
-        // shard: worker 1 can only make progress by stealing, and the
-        // run must still complete with the stats recording the steals.
-        let server = FleetServer::new(2).with_shards(1);
-        let (out, stats) = server.serve_with_stats((0..64u64).collect(), |_, n| {
-            std::thread::sleep(std::time::Duration::from_micros(50));
-            n + 1
-        });
-        assert_eq!(out, (1..=64).collect::<Vec<u64>>());
-        // One shard, two workers: worker 1's home is shard 1 % 1 = 0 as
-        // well, so no cross-shard steals here — now check a genuinely
-        // imbalanced layout.
-        assert_eq!(stats.shards, 1);
-        let imbalanced = FleetServer::new(4).with_shards(2);
-        let (out, stats) = imbalanced.serve_with_stats((0..64u64).collect(), |_, n| {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            n
-        });
-        assert_eq!(out.len(), 64);
-        // 4 workers over 2 shards: workers 2 and 3 share home shards
-        // with 0 and 1; on a multi-core host steals are likely but not
-        // guaranteed, so only assert the counter is consistent.
-        assert!(stats.steals <= 64);
-        assert!(stats.mean_queue_wait.0 >= 0.0);
-    }
-
-    #[test]
-    fn shard_hash_spreads_indices() {
-        // splitmix64 over sequential indices must not collapse onto one
-        // shard (the failure mode of `index % shards` under strided
-        // submission patterns).
-        let shards = 8;
-        let mut counts = vec![0usize; shards];
-        for idx in 0..800 {
-            counts[shard_of(idx, shards)] += 1;
-        }
-        for (s, &c) in counts.iter().enumerate() {
-            assert!(c > 0, "shard {s} starved across 800 sequential indices");
-        }
-    }
-
-    #[test]
     fn more_jobs_than_workers_all_complete() {
         let server = FleetServer::new(2);
         let (out, stats) = server.serve_with_stats((0..100u64).collect(), |_, n| n + 1);
         assert_eq!(out, (1..=100).collect::<Vec<u64>>());
         assert!(stats.workers_used >= 1 && stats.workers_used <= 2);
+    }
+
+    #[test]
+    fn one_worker_runs_every_job_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let (ran_on, stats) = FleetServer::new(1)
+            .serve_with_stats((0..6u64).collect(), |_, _| std::thread::current().id());
+        assert!(ran_on.iter().all(|&id| id == caller), "{ran_on:?}");
+        assert_eq!(stats.workers_used, 1);
     }
 
     #[test]
@@ -754,9 +595,7 @@ mod tests {
         use std::sync::Arc;
 
         let ring = Arc::new(RingRecorder::new(1024));
-        let server = FleetServer::new(1)
-            .with_shards(2)
-            .with_recorder(RecorderHandle::new(ring.clone()));
+        let server = FleetServer::new(1).with_recorder(RecorderHandle::new(ring.clone()));
         let out = server.serve((0..8u64).collect(), |_, n| n * 2);
         assert_eq!(out, (0..8u64).map(|n| n * 2).collect::<Vec<_>>());
         assert_eq!(ring.counter("server.jobs"), 8);
@@ -771,10 +610,6 @@ mod tests {
             .count();
         assert_eq!(enqueued, 8);
         assert_eq!(completed, 8);
-        // Single worker homed on shard 0 over 2 shards: every job on
-        // shard 1 arrives via a steal, and the events agree with stats.
-        let (_, stats) = server.serve_with_stats((0..8u64).collect(), |_, n| n);
-        assert!(stats.steals > 0, "shard 1 can only drain by stealing");
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Property tests for the sharded work-stealing [`FleetServer`]: for
-//! any job list, worker count and shard count, the results must be
-//! *bit-identical* to a serial in-order run of the same handler — the
-//! sharded queue and steal traffic may reorder execution, but never the
+//! Property tests for the job-cursor [`FleetServer`]: for any job list
+//! and worker count, every job reaches the handler exactly once and the
+//! results are *bit-identical* to a serial in-order run of the same
+//! handler — concurrent workers may reorder execution, but never the
 //! output — and the run telemetry must stay self-consistent.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use control::server::{FleetServer, JobError};
 use proptest::prelude::*;
@@ -20,8 +22,8 @@ fn churn(idx: usize, x: f64) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sharded execution is bit-identical to the serial loop for shard
-    /// counts {1, 2, 7, N} at every worker count.
+    /// Served execution is bit-identical to the serial loop at every
+    /// worker count, including more workers than jobs.
     #[test]
     fn sharded_matches_serial_bitwise(
         jobs in prop::collection::vec(-100.0f64..100.0, 0..48),
@@ -33,31 +35,45 @@ proptest! {
             .map(|(idx, &x)| churn(idx, x).to_bits())
             .collect();
         let n = jobs.len();
-        for shards in [1usize, 2, 7, n.max(1)] {
-            let server = FleetServer::new(workers).with_shards(shards);
-            let (results, stats) =
-                server.try_serve_with_stats(jobs.clone(), churn);
-            prop_assert_eq!(results.len(), n);
-            for (idx, result) in results.iter().enumerate() {
-                match result {
-                    Ok(value) => prop_assert!(
-                        value.to_bits() == serial[idx],
-                        "job {} diverged under {} shards / {} workers",
-                        idx,
-                        shards,
-                        workers
-                    ),
-                    Err(err) => prop_assert!(false, "job {} failed: {}", idx, err),
-                }
+        let server = FleetServer::new(workers);
+        let (results, stats) = server.try_serve_with_stats(jobs, churn);
+        prop_assert_eq!(results.len(), n);
+        for (idx, result) in results.iter().enumerate() {
+            match result {
+                Ok(value) => prop_assert!(
+                    value.to_bits() == serial[idx],
+                    "job {} diverged under {} workers",
+                    idx,
+                    workers
+                ),
+                Err(err) => prop_assert!(false, "job {} failed: {}", idx, err),
             }
-            prop_assert_eq!(stats.completed, n);
-            prop_assert_eq!(stats.failed, 0);
-            prop_assert_eq!(stats.shards, shards);
-            prop_assert!(stats.mean_queue_wait.0 >= 0.0);
-            prop_assert!(stats.workers_used <= workers);
-            if n > 0 {
-                prop_assert!(stats.workers_used >= 1);
-            }
+        }
+        prop_assert_eq!(stats.completed, n);
+        prop_assert_eq!(stats.failed, 0);
+        prop_assert!(stats.mean_queue_wait.0 >= 0.0);
+        prop_assert!(stats.workers_used <= workers);
+        if n > 0 {
+            prop_assert!(stats.workers_used >= 1);
+        }
+    }
+
+    /// Every submission index reaches the handler exactly once, at every
+    /// worker count (including more workers than jobs).
+    #[test]
+    fn every_job_runs_exactly_once(
+        n in 0usize..48,
+        workers in 1usize..5,
+    ) {
+        let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let out = FleetServer::new(workers).serve((0..n).collect(), |idx, job| {
+            calls[idx].fetch_add(1, Ordering::Relaxed);
+            job
+        });
+        prop_assert_eq!(out, (0..n).collect::<Vec<_>>());
+        for (idx, count) in calls.iter().enumerate() {
+            let count = count.load(Ordering::Relaxed);
+            prop_assert!(count == 1, "job {} reached the handler {} times", idx, count);
         }
     }
 
@@ -68,10 +84,9 @@ proptest! {
         jobs in prop::collection::vec(-50.0f64..50.0, 1..24),
         poison in 0usize..24,
         workers in 1usize..4,
-        shards in 1usize..8,
     ) {
         let poison = poison % jobs.len();
-        let server = FleetServer::new(workers).with_shards(shards);
+        let server = FleetServer::new(workers);
         let (results, stats) = server.try_serve_with_stats(jobs.clone(), |idx, x| {
             assert!(idx != poison, "poisoned fleet");
             churn(idx, x)

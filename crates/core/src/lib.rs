@@ -22,7 +22,7 @@
 //!   ([`panels::PanelArray`]) under one controller, per-device panel
 //!   assignment by geometry/polarization, a per-panel Algorithm 1
 //!   scheduler ([`panels::PanelScheduler`]), and the typed front of the
-//!   async many-fleet [`control::server::FleetServer`];
+//!   many-fleet [`control::server::FleetServer`];
 //! * [`faults`] — seeded fault injection: deterministic, time-windowed
 //!   plans of dead unit-cell columns, PSU glitches, lost probe reports
 //!   and whole-panel outages that the serving stack degrades through;

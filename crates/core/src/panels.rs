@@ -25,9 +25,9 @@
 //!   [`PlanCache`] per distinct design so a carrier served on every
 //!   panel compiles once, not K times;
 //! * [`serve_fleets`] / [`serve_panel_fleets`] — the typed front of
-//!   [`control::server::FleetServer`]: many fleets multiplexed over the
-//!   sharded work-stealing queue and scoped worker pool, each outcome
-//!   bit-identical to serial execution;
+//!   [`control::server::FleetServer`]: many fleets multiplexed over its
+//!   job cursor and scoped worker pool, each outcome bit-identical to
+//!   serial execution;
 //! * **joint multi-surface search** ([`PanelScheduler::with_joint`]) —
 //!   block coordinate descent over the per-panel bias vector against the
 //!   *superposed* field ([`propagation::coupling::MultiSurfaceField`]):
@@ -717,8 +717,8 @@ impl PanelScheduler {
     }
 
     /// [`PanelScheduler::run`] drawing compiled plans from caller-owned
-    /// caches — the sharded serving path: a worker thread serving many
-    /// `(fleet, array)` jobs passes shard-local [`PlanCache`] handles
+    /// caches — the served path: each of many `(fleet, array)` jobs
+    /// passes its own local [`PlanCache`] handles
     /// (see [`SharedPlanCache::handle`](metasurface::SharedPlanCache))
     /// so every job reuses process-wide compilations instead of
     /// recompiling per job. The caches **must** cover every design in
@@ -1322,8 +1322,8 @@ impl CoupledEvaluator {
 }
 
 /// Serves many independent fleets concurrently through a
-/// [`FleetServer`]: each fleet is one job on the sharded work-stealing
-/// queue, each worker runs the full shared-bias scheduler, and the
+/// [`FleetServer`]: each fleet is one job claimed from the server's
+/// cursor, each worker runs the full shared-bias scheduler, and the
 /// results come back in submission order — bit-identical to calling
 /// [`Scheduler::run`] serially (workers share nothing).
 pub fn serve_fleets(
@@ -1341,8 +1341,8 @@ pub fn serve_fleets(
 ///
 /// Compiled cascade plans are shared across jobs through one
 /// [`SharedPlanCache`](metasurface::SharedPlanCache) per distinct design:
-/// each worker wraps the shared store in its own shard-local
-/// [`PlanCache`] handles, so K panels × N fleets compile each
+/// each job wraps the shared store in its own local [`PlanCache`]
+/// handles, so K panels × N fleets compile each
 /// `(design, carrier)` plan once process-wide and never contend on a
 /// cache lock during probing.
 pub fn serve_panel_fleets(
@@ -1584,6 +1584,38 @@ mod tests {
             .per_panel
             .iter()
             .all(|p| p.outcome.per_device.is_empty()));
+    }
+
+    #[test]
+    fn served_empty_fleet_takes_the_shared_guard_beside_its_siblings() {
+        let design = metasurface::designs::fr4_optimized();
+        let jobs: Vec<(Fleet, PanelArray)> = vec![
+            quad_fleet(),
+            Fleet::new(design.clone()),
+            Fleet::mixed_wifi_ble(6, 77),
+        ]
+        .into_iter()
+        .map(|fleet| (fleet, PanelArray::uniform(design.clone(), 3)))
+        .collect();
+        let scheduler = PanelScheduler::max_min();
+        let served = serve_panel_fleets(&FleetServer::new(2), &scheduler, &jobs);
+        assert_eq!(served.len(), 3);
+        let empty = &served[1];
+        assert!(empty.per_device.is_empty());
+        assert!(empty.assignment.is_empty());
+        assert_eq!(empty.probes, 0);
+        assert_eq!(empty.min_power_dbm(), f64::NEG_INFINITY);
+        assert_eq!(empty.per_panel.len(), 3);
+        assert!(empty
+            .per_panel
+            .iter()
+            .all(|p| p.outcome.per_device.is_empty()));
+        for idx in [0, 2] {
+            let (fleet, array) = &jobs[idx];
+            let direct = scheduler.run(fleet, array);
+            assert!(served[idx].same_allocation(&direct), "job {idx}");
+            assert_eq!(served[idx].probes, direct.probes, "job {idx}");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Unified telemetry plane: counters, gauges, log-binned histograms,
 //! RAII span timing and a bounded structured event log.
 //!
-//! The serving stack (sharded server, sweep controller, panel
-//! scheduler, mobility simulator, fault engine) reports into a single
-//! [`Recorder`] so a run can answer "where did this tick's budget go"
-//! and "which shard starved" without growing one-off report fields.
+//! The serving stack (fleet server, sweep controller, panel scheduler,
+//! mobility simulator, fault engine) reports into a single [`Recorder`]
+//! so a run can answer "where did this tick's budget go" and "which
+//! layer regressed" without growing one-off report fields.
 //! Two implementations ship:
 //!
 //! * [`NullRecorder`] — the default. Every method is a no-op and
@@ -31,33 +31,20 @@ use std::time::Instant;
 
 /// One structured event in the serving stack's taxonomy.
 ///
-/// Every payload field is deterministic for a fixed seed: shard/panel
+/// Every payload field is deterministic for a fixed seed: job/panel
 /// indices, logical tick numbers, probe counts, and objective values
 /// computed by the (deterministic) numeric pipeline. Wall-clock
 /// durations are *not* representable here by design — they belong in
 /// the duration histograms.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TelemetryEvent {
-    /// A job was staged onto a shard queue before the workers started.
+    /// A job was staged before the workers started.
     JobEnqueued {
-        /// Home shard the job was staged on.
-        shard: usize,
-        /// Job index within the submitted batch.
-        job: usize,
-    },
-    /// An idle worker stole a job from a sibling shard's tail.
-    JobStolen {
-        /// The worker's home shard.
-        home: usize,
-        /// The shard the job was actually taken from.
-        from: usize,
         /// Job index within the submitted batch.
         job: usize,
     },
     /// A job finished (successfully or not).
     JobCompleted {
-        /// Shard the job was popped from.
-        shard: usize,
         /// Job index within the submitted batch.
         job: usize,
         /// Whether the handler returned a value (vs deadline/panic).
@@ -137,7 +124,6 @@ impl TelemetryEvent {
     pub fn kind(&self) -> &'static str {
         match self {
             TelemetryEvent::JobEnqueued { .. } => "job_enqueued",
-            TelemetryEvent::JobStolen { .. } => "job_stolen",
             TelemetryEvent::JobCompleted { .. } => "job_completed",
             TelemetryEvent::SweepSpan { .. } => "sweep_span",
             TelemetryEvent::JointRound { .. } => "joint_round",
@@ -152,19 +138,14 @@ impl TelemetryEvent {
     }
 
     /// The payload rendered as JSON object fields (no braces), e.g.
-    /// `"shard": 1, "job": 5`. Deterministic: integer fields print
+    /// `"job": 5, "ok": true`. Deterministic: integer fields print
     /// exactly and the single f64 field (`lift_db`) prints with a fixed
     /// precision, so identical bits yield identical text.
     pub fn fields_json(&self) -> String {
         match self {
-            TelemetryEvent::JobEnqueued { shard, job } => {
-                format!("\"shard\": {shard}, \"job\": {job}")
-            }
-            TelemetryEvent::JobStolen { home, from, job } => {
-                format!("\"home\": {home}, \"from\": {from}, \"job\": {job}")
-            }
-            TelemetryEvent::JobCompleted { shard, job, ok } => {
-                format!("\"shard\": {shard}, \"job\": {job}, \"ok\": {ok}")
+            TelemetryEvent::JobEnqueued { job } => format!("\"job\": {job}"),
+            TelemetryEvent::JobCompleted { job, ok } => {
+                format!("\"job\": {job}, \"ok\": {ok}")
             }
             TelemetryEvent::SweepSpan {
                 panel,
@@ -666,7 +647,7 @@ mod tests {
         h.add("jobs", 2);
         h.add("jobs", 1);
         h.set_tick(4);
-        h.emit(TelemetryEvent::JobEnqueued { shard: 1, job: 0 });
+        h.emit(TelemetryEvent::JobEnqueued { job: 0 });
         assert_eq!(ring.counter("jobs"), 3);
         let events = ring.events();
         assert_eq!(events.len(), 1);
@@ -675,8 +656,7 @@ mod tests {
         let jsonl = ring.events_jsonl();
         assert_eq!(
             jsonl,
-            "{\"seq\": 0, \"tick\": 4, \"type\": \"job_enqueued\", \
-             \"shard\": 1, \"job\": 0}\n"
+            "{\"seq\": 0, \"tick\": 4, \"type\": \"job_enqueued\", \"job\": 0}\n"
         );
     }
 
