@@ -1,6 +1,7 @@
 //! Hot-loop benches under the Criterion harness: the SoA batch kernel
-//! on a 24×24 probe grid, the warm mobility tick, and the 64-device
-//! time-division probe matrix. These are the numbers
+//! on a 24×24 probe grid, the warm mobility tick, the 64-device
+//! time-division probe matrix and the 31×31 Figure 15 power heatmap.
+//! These are the numbers
 //! `scripts/bench-criterion` tracks across branches (save a baseline on
 //! `main`, compare on the branch, fail on a >10% regression) — keep the
 //! group/function IDs stable.
@@ -9,6 +10,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use llama_core::fleet::{Fleet, FleetEvaluator, Scheduler};
 use llama_core::panels::{PanelArray, PanelScheduler};
 use llama_core::sim::{DynamicFleet, MobilitySim, SimConfig};
+use llama_core::{LlamaSystem, Scenario};
 use metasurface::designs::fr4_optimized;
 use metasurface::evaluator::StackEvaluator;
 use metasurface::stack::BiasState;
@@ -93,5 +95,28 @@ fn fleet_64_time_division(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, probe_grid, mobility_tick, fleet_64_time_division);
+/// The Figure 15 heatmap as `LlamaSystem::power_heatmap` serves it: a
+/// 31×31 bias grid through the SoA kernel, each cell projected onto the
+/// prepared link inside the grid pass. Timed at a budget of 1, like the
+/// time-division matrix, so the compare does not ride on how much
+/// parallel capacity the host has spare.
+fn heatmap_31x31(c: &mut Criterion) {
+    let mut sys = LlamaSystem::new(Scenario::transmissive_default());
+    let mut g = c.benchmark_group("heatmap_31x31");
+    g.warm_up_time(Duration::from_millis(500));
+    g.measurement_time(Duration::from_secs(3));
+    g.sample_size(4000);
+    g.bench_function("power_heatmap", |b| {
+        b.iter(|| rfmath::par::with_budget(1, || sys.power_heatmap(black_box(31))))
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    probe_grid,
+    mobility_tick,
+    fleet_64_time_division,
+    heatmap_31x31
+);
 criterion_main!(benches);

@@ -245,7 +245,10 @@ impl Fleet {
 /// link-probes in one window of the same host, and 0.63–0.93× at 4800
 /// in another. The break-even moves with the host's spare capacity
 /// more than with the probe cost, so the threshold stays until a
-/// capacity-aware default is measured.
+/// capacity-aware default is measured. Every ratio above was taken when
+/// a budget-2 fan-out spawned two threads while the caller idled in
+/// `join`; the caller now works the first chunk and spawns one, and
+/// the break-even has not been re-measured since.
 /// Algorithm 1's 3×3 and 5×5 grids over a panel's sub-fleet stay
 /// serial; the time-division matrices of large fleets still fan out.
 pub const FAN_OUT_MIN_PROBES: usize = 1024;

@@ -270,12 +270,13 @@ impl LlamaSystem {
     ///
     /// Runs on the batched engine: one [`StackEvaluator`] grid pass
     /// (`O(steps)` per-axis branch solves, then the structure-of-arrays
-    /// kernel across the thread budget) feeds a single [`PreparedLink`],
-    /// so each cell costs one cached probe instead of a full
-    /// cascade-and-link rebuild. With one link per cell, the probe
-    /// derives each response factor once, and only those its mount reads
-    /// (a reflective heatmap never takes the shadow's logarithms).
-    /// Bit-identical to
+    /// kernel across the thread budget) projects each cell onto a single
+    /// [`PreparedLink`] as the kernel emits it, inside the grid's
+    /// fan-out, so each cell costs one cached probe instead of a full
+    /// cascade-and-link rebuild and no response grid is kept. With one
+    /// link per cell, the probe derives each response factor once, and
+    /// only those its mount reads (a reflective heatmap never takes the
+    /// shadow's logarithms). Bit-identical at every thread budget to
     /// [`Link::received_dbm_with`](propagation::link::Link::received_dbm_with)
     /// per cell.
     pub fn power_heatmap(&mut self, steps: usize) -> (Vec<f64>, Vec<f64>) {
@@ -292,11 +293,9 @@ impl LlamaSystem {
         let f = self.scenario.frequency;
         let link = PreparedLink::new(self.scenario.link());
         let evaluator = StackEvaluator::new(&self.surface.design().stack, f);
-        let grid = evaluator
-            .eval_grid(&applied, &applied)
-            .into_iter()
-            .map(|r| link.received_dbm_with(Some(&SurfaceResponse::new(f, r))).0)
-            .collect();
+        let grid = evaluator.eval_grid_map(&applied, &applied, |r| {
+            link.received_dbm_with(Some(&SurfaceResponse::new(f, r))).0
+        });
         (volts, grid)
     }
 }
@@ -409,14 +408,18 @@ mod tests {
     fn heatmap_is_bitwise_the_per_cell_link_projection() {
         // The Figure 15/21 grid through one prepared link must equal the
         // reference projection cell by cell, on both mounts and in a
-        // multipath room.
-        for scenario in [
+        // multipath room, serially and with the projections fanned out
+        // (31×31 cells cross the grid's fan-out threshold on any host).
+        for (scenario, threads) in [
             Scenario::transmissive_default(),
             Scenario::reflective_default(),
             Scenario::wifi_iot_default(),
-        ] {
+        ]
+        .into_iter()
+        .flat_map(|s| [(s.clone(), 1), (s, 4)])
+        {
             let mut sys = LlamaSystem::new(scenario);
-            let (volts, grid) = sys.power_heatmap(31);
+            let (volts, grid) = rfmath::par::with_budget(threads, || sys.power_heatmap(31));
             let applied: Vec<f64> = volts
                 .iter()
                 .map(|v| v.clamp(0.0, sys.surface.v_max.0))
@@ -440,7 +443,7 @@ mod tests {
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
-                    "{:?} cell {i}: {got} vs {want}",
+                    "{:?} budget {threads} cell {i}: {got} vs {want}",
                     sys.scenario.deployment.surface
                 );
             }

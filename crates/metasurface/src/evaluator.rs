@@ -22,15 +22,17 @@
 //! Two layers sit on top of the per-point plan:
 //!
 //! * **Structure-of-arrays batches.** [`StackEvaluator::eval_batch`]
-//!   and [`StackEvaluator::eval_grid`] lower axis-aligned plans (every
-//!   catalog design) to contiguous per-component `f64` slabs: static
-//!   stages become broadcast 4×4 complex multiplies and tuned stages
-//!   two-term diagonal updates, with no per-cell `WaveTransfer` structs
-//!   in the inner loop — the layout the compiler can autovectorize. The
-//!   per-cell fold serves rotated tuned panels, lone stages and the
-//!   [`StackEvaluator::eval_batch_reference`] arm; the kernel keeps the
-//!   fold's operation order, so both agree bit for bit
-//!   (property-tested).
+//!   and [`StackEvaluator::eval_grid_map`] lower axis-aligned plans
+//!   (every catalog design) to contiguous per-component `f64` slabs:
+//!   static stages become broadcast 4×4 complex multiplies and tuned
+//!   stages two-term diagonal updates, with no per-cell `WaveTransfer`
+//!   structs in the inner loop — the layout the compiler can
+//!   autovectorize. The per-cell fold serves rotated tuned panels, lone
+//!   stages and the [`StackEvaluator::eval_batch_reference`] arm; the
+//!   kernel keeps the fold's operation order, so both agree bit for bit
+//!   (property-tested). The grid entry point maps each cell (a heatmap
+//!   projects it onto a link) as it leaves the kernel, inside the same
+//!   fan-out; [`StackEvaluator::eval_grid`] is its identity map.
 //! * **Shared plan compilation.** [`SharedPlanCache`] owns compiled
 //!   plans behind one short-lived mutex; [`PlanCache`] is a cheap
 //!   shard-local handle over it, so worker threads serving disjoint
@@ -389,7 +391,7 @@ impl StackEvaluator {
     /// # Panics
     /// Panics when `out.len() != cells.len()`.
     pub fn eval_cells_into(&self, cells: &BiasCells, out: &mut [Option<PolarizedS>]) {
-        self.eval_cells(&cells.vxs, &cells.vys, &cells.cells, true, out);
+        self.eval_cells(&cells.vxs, &cells.vys, &cells.cells, true, out, |r| r);
     }
 
     /// The per-cell reference batch path: folds a [`WaveTransfer`] per
@@ -404,57 +406,80 @@ impl StackEvaluator {
     fn eval_list(&self, biases: &[BiasState], soa: bool) -> Vec<Option<PolarizedS>> {
         let cells = BiasCells::new(biases.iter().copied());
         let mut out = vec![None; cells.len()];
-        self.eval_cells(&cells.vxs, &cells.vys, &cells.cells, soa, &mut out);
+        self.eval_cells(&cells.vxs, &cells.vys, &cells.cells, soa, &mut out, |r| r);
         out
     }
 
     /// Evaluates the response over a bias grid, row-major with rows
     /// indexed by `vys` (cell `[iy·len(vxs) + ix]` holds the response at
-    /// `(vxs[ix], vys[iy])`) — the layout of the Figure 15/21 heatmaps
-    /// and Table 1.
+    /// `(vxs[ix], vys[iy])`) — the layout of Table 1. The identity case
+    /// of [`StackEvaluator::eval_grid_map`]; bit-identical to
+    /// [`StackEvaluator::eval_batch_reference`] over the same cells.
+    pub fn eval_grid(&self, vxs: &[f64], vys: &[f64]) -> Vec<Option<PolarizedS>> {
+        self.eval_grid_map(vxs, vys, |r| r)
+    }
+
+    /// Evaluates the response over a bias grid and maps each cell's
+    /// response through `map` as it leaves the kernel, row-major with
+    /// rows indexed by `vys`: cell `[iy·len(vxs) + ix]` holds `map` of
+    /// the response at `(vxs[ix], vys[iy])`, the layout of the Figure
+    /// 15/21 heatmaps. A heatmap projects each cell onto its link here,
+    /// so the projections share the grid's fan-out and no response grid
+    /// is ever materialized.
     ///
     /// Each tuned panel's branches are evaluated once per axis voltage
     /// (`O(T)` instead of `O(T²)` ABCD solves). The cells then run
     /// through the same dispatch as [`StackEvaluator::eval_batch`] — the
     /// structure-of-arrays kernel for axis-aligned plans, the per-cell
-    /// fold otherwise — fanned out up to the caller's
-    /// [`rfmath::par::budget`] workers when the grid is large enough to
-    /// amortize thread spawn. Grid cells already index the axis tables,
-    /// so no deduplication pass runs. Bit-identical to
-    /// [`StackEvaluator::eval_batch_reference`] over the same cells.
-    pub fn eval_grid(&self, vxs: &[f64], vys: &[f64]) -> Vec<Option<PolarizedS>> {
+    /// fold for rotated, lone or tiny plans — fanned out up to the
+    /// caller's [`rfmath::par::budget`] workers (the caller among them)
+    /// when the grid is large enough to amortize thread spawn. Grid cells
+    /// already index the axis tables, so no deduplication pass runs.
+    /// Each cell's response is computed and mapped in the same
+    /// operation order at every budget, so the output equals
+    /// [`StackEvaluator::eval_grid`] followed by `map`, bit for bit.
+    pub fn eval_grid_map<T, F>(&self, vxs: &[f64], vys: &[f64], map: F) -> Vec<T>
+    where
+        T: Default + Send,
+        F: Fn(Option<PolarizedS>) -> T + Sync,
+    {
         let cells: Vec<(usize, usize)> = (0..vys.len())
             .flat_map(|iy| (0..vxs.len()).map(move |ix| (ix, iy)))
             .collect();
-        let mut out = vec![None; cells.len()];
-        self.eval_cells(vxs, vys, &cells, true, &mut out);
+        let mut out = Vec::new();
+        out.resize_with(cells.len(), T::default);
+        self.eval_cells(vxs, vys, &cells, true, &mut out, map);
         out
     }
 
     /// The one batch dispatch behind every batch entry point: evaluates
-    /// each `(ix, iy)` of `cells` at `(vxs[ix], vys[iy])` into the
-    /// matching slot of `out`. `soa` admits the structure-of-arrays
-    /// kernel for eligible plans; everything else — the reference arm,
-    /// rotated tuned panels, lone stages, tiny batches — folds a
-    /// [`WaveTransfer`] per cell exactly like
-    /// [`StackEvaluator::response`].
-    fn eval_cells(
+    /// each `(ix, iy)` of `cells` at `(vxs[ix], vys[iy])` and writes its
+    /// response, mapped through `map`, into the matching slot of `out`.
+    /// `soa` admits the structure-of-arrays kernel for eligible plans;
+    /// everything else — the reference arm, rotated tuned panels, lone
+    /// stages, tiny batches — folds a [`WaveTransfer`] per cell exactly
+    /// like [`StackEvaluator::response`].
+    fn eval_cells<T, F>(
         &self,
         vxs: &[f64],
         vys: &[f64],
         cells: &[(usize, usize)],
         soa: bool,
-        out: &mut [Option<PolarizedS>],
-    ) {
+        out: &mut [T],
+        map: F,
+    ) where
+        T: Send,
+        F: Fn(Option<PolarizedS>) -> T + Sync,
+    {
         assert_eq!(out.len(), cells.len(), "one output slot per cell");
         let core = &*self.core;
         if cells.is_empty() || core.opaque {
-            out.fill(None);
+            out.fill_with(|| map(None));
             return;
         }
         if let Some(lone) = &core.lone {
             for (slot, &(ix, iy)) in out.iter_mut().zip(cells) {
-                *slot = Some(self.lone_stage(lone, vxs[ix], vys[iy]));
+                *slot = map(Some(self.lone_stage(lone, vxs[ix], vys[iy])));
             }
             return;
         }
@@ -484,13 +509,12 @@ impl StackEvaluator {
                 z0: core.statics.first().map(|t| t.z0()).unwrap_or(ETA0),
             };
             rfmath::par::par_fill_chunked(out, threads, |offset, chunk| {
-                soa_fill(&ctx, offset, chunk)
+                soa_fill(&ctx, offset, chunk, &map)
             });
             return;
         }
 
-        rfmath::par::par_fill(out, threads, |i| {
-            let (ix, iy) = cells[i];
+        let fold = |(ix, iy): (usize, usize)| {
             let mut acc: Option<WaveTransfer> = None;
             for step in &core.steps {
                 let t = match step {
@@ -507,7 +531,8 @@ impl StackEvaluator {
                 }
             }
             acc?.to_s()
-        });
+        };
+        rfmath::par::par_fill(out, threads, |i| map(fold(cells[i])));
     }
 }
 
@@ -558,11 +583,13 @@ impl BranchTable {
     }
 
     /// Panel `k`'s X branch at X voltage index `ix`.
+    #[inline]
     fn x(&self, k: usize, ix: usize) -> SParams {
         self.params[k * self.nx + ix]
     }
 
     /// Panel `k`'s Y branch at Y voltage index `iy`.
+    #[inline]
     fn y(&self, k: usize, iy: usize) -> SParams {
         self.params[self.y_start + k * self.ny + iy]
     }
@@ -642,25 +669,29 @@ struct Slabs<'a> {
 
 impl<'a> Slabs<'a> {
     /// Splits `rows · w` values off the front of `buf`.
+    #[inline]
     fn take(buf: &mut &'a mut [f64], rows: usize, w: usize) -> Self {
         let (data, rest) = std::mem::take(buf).split_at_mut(rows * w);
         *buf = rest;
         Self { w, data }
     }
 
+    #[inline]
     fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.w..(r + 1) * self.w]
     }
 
+    #[inline]
     fn row_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.data[r * self.w..(r + 1) * self.w]
     }
 }
 
-/// Fills one worker's contiguous range in L1-sized blocks. The working
+/// Fills one worker's contiguous range in L1-sized blocks, mapping each
+/// cell's response through `map` as its block finishes. The working
 /// slabs are allocated once per range and only as wide as its largest
 /// block, so a grid of a few cells does not clear a full block's worth.
-fn soa_fill(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>]) {
+fn soa_fill<T>(ctx: &SoaCtx, offset: usize, out: &mut [T], map: &impl Fn(Option<PolarizedS>) -> T) {
     let w = out.len().min(SOA_BLOCK);
     // 16 re + 16 im chain components, the same for the next state, and
     // 8 re + 8 im gathered per-axis transfers.
@@ -670,7 +701,7 @@ fn soa_fill(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>]) {
         let m = (out.len() - start).min(w);
         let mut buf = slab_data.as_mut_slice();
         let slabs = [16, 16, 16, 16, 8, 8].map(|rows| Slabs::take(&mut buf, rows, w));
-        soa_block(ctx, offset + start, &mut out[start..start + m], slabs);
+        soa_block(ctx, offset + start, &mut out[start..start + m], slabs, map);
         start += m;
     }
 }
@@ -686,9 +717,19 @@ fn soa_fill(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>]) {
 /// per-axis scalars. Every inner loop runs over the contiguous cell
 /// axis with no struct hops — the autovectorizable shape. Every slab a
 /// step reads was written earlier in the same block, so the slabs
-/// carry nothing between blocks.
+/// carry nothing between blocks. Each cell's response goes through
+/// `map` straight into its slot. A non-identity map instantiates the
+/// kernel in the caller's crate, so the slab and branch-table accessors
+/// it calls are `#[inline]`: without that, the serial 31×31 heatmap
+/// ran 10–20% slower on a 2-vCPU host.
 #[allow(clippy::needless_range_loop)]
-fn soa_block(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>], slabs: [Slabs; 6]) {
+fn soa_block<T>(
+    ctx: &SoaCtx,
+    offset: usize,
+    out: &mut [T],
+    slabs: [Slabs; 6],
+    map: &impl Fn(Option<PolarizedS>) -> T,
+) {
     let m = out.len();
     let [mut acc_re, mut acc_im, mut nxt_re, mut nxt_im, mut g_re, mut g_im] = slabs;
     // Gathered per-axis transfers for the current tuned step: slabs
@@ -823,7 +864,7 @@ fn soa_block(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>], slabs:
     }
 
     for (i, slot) in out.iter_mut().enumerate() {
-        *slot = if valid[i] {
+        *slot = map(if valid[i] {
             let mut comps = [Complex::ZERO; 16];
             for (c, comp) in comps.iter_mut().enumerate() {
                 *comp = Complex::new(acc_re.row(c)[i], acc_im.row(c)[i]);
@@ -831,7 +872,7 @@ fn soa_block(ctx: &SoaCtx, offset: usize, out: &mut [Option<PolarizedS>], slabs:
             WaveTransfer::from_components(comps, ctx.z0).to_s()
         } else {
             None
-        };
+        });
     }
 }
 
@@ -1051,6 +1092,42 @@ mod tests {
         assert_eq!(threaded.len(), 400);
         assert!(threaded.iter().all(Option::is_some));
         assert_eq!(bits(&threaded), bits(&sequential));
+    }
+
+    #[test]
+    fn grid_map_on_fold_plans_equals_grid_then_map() {
+        // Rotated tuned panels and a lone tuned panel take the per-cell
+        // fold, not the kernel. 20×20 cells cross the fan-out threshold,
+        // so at a budget of three the rotated plan maps on spawned
+        // workers as well as on the caller. Either way the mapped grid
+        // must equal the grid mapped afterwards.
+        let mut rotated = fr4_optimized().stack;
+        for panel in &mut rotated.panels {
+            if panel.sheet.x.is_tuned() || panel.sheet.y.is_tuned() {
+                panel.rotation = Radians(0.3);
+            }
+        }
+        let tuned = rotated.panels.iter().find(|p| p.sheet.x.is_tuned());
+        let lone = SurfaceStack::new(vec![tuned.unwrap().clone()], vec![]);
+        let vxs: Vec<f64> = (0..20).map(|i| 1.5 * i as f64).collect();
+        let vys: Vec<f64> = vxs.iter().map(|v| 30.0 - v).collect();
+        let cell_bits = |r: Option<PolarizedS>| bits(&[r]).pop().flatten();
+        for stack in [&rotated, &lone] {
+            let ev = StackEvaluator::new(stack, F);
+            assert!(!ev.soa_eligible());
+            for threads in [1, 3] {
+                let (mapped, grid) = rfmath::par::with_budget(threads, || {
+                    (
+                        ev.eval_grid_map(&vxs, &vys, cell_bits),
+                        ev.eval_grid(&vxs, &vys),
+                    )
+                });
+                assert_eq!(mapped.len(), 400);
+                assert!(mapped.iter().all(Option::is_some));
+                let then_mapped: Vec<_> = grid.into_iter().map(cell_bits).collect();
+                assert_eq!(mapped, then_mapped, "budget {threads}");
+            }
+        }
     }
 
     #[test]

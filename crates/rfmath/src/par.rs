@@ -6,6 +6,13 @@
 //! threads, no external dependencies. One helper keeps the chunk
 //! arithmetic (and its edge cases) in a single place.
 //!
+//! The calling thread is worker 0: it fills the first chunk itself
+//! while `threads − 1` scoped workers fill the rest, so a budget-2
+//! fan-out spawns one thread and a budget of 1 spawns none. Every call
+//! still spawns fresh threads; a persistent pool would have to lend
+//! the caller's slices to long-lived threads, which the workspace's
+//! `unsafe_code = "deny"` lint rules out.
+//!
 //! It also owns the process's one thread budget. Every kernel that fans
 //! out asks [`budget`] how many workers it may use; a caller that runs
 //! kernels from its own worker threads (the fleet server) scopes a
@@ -105,44 +112,37 @@ fn spin_unit() -> u64 {
     std::hint::black_box(x)
 }
 
-/// Fills `out[i] = f(i)` for every index, fanning contiguous chunks out
-/// across up to `threads` scoped workers. `threads <= 1` (or a slice
-/// shorter than the worker count) runs serially on the calling thread —
-/// callers decide their own "worth spawning for" threshold by passing
-/// `1`. `f` must be pure: the call order across chunks is unspecified.
+/// Fills `out[i] = f(i)` for every index, split into at most
+/// `min(threads, out.len())` contiguous chunks as
+/// [`par_fill_chunked`] splits it: the calling thread fills the first
+/// chunk and one scoped worker fills each other, so `threads <= 1` runs
+/// serially on the caller without spawning. Callers decide their own
+/// "worth spawning for" threshold by passing `1`. `f` must be pure: the
+/// call order across chunks is unspecified.
 pub fn par_fill<T, F>(out: &mut [T], threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let n = out.len();
-    let threads = threads.min(n);
-    if threads <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return;
-    }
-    let per = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (chunk_idx, chunk) in out.chunks_mut(per).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    *slot = f(chunk_idx * per + j);
-                }
-            });
+    par_fill_chunked(out, threads, |offset, chunk| {
+        for (j, slot) in chunk.iter_mut().enumerate() {
+            *slot = f(offset + j);
         }
     });
 }
 
-/// Fills `out` by handing each of up to `threads` scoped workers one
-/// contiguous chunk: `f(offset, chunk)` must fill `chunk`, whose first
-/// element is `out[offset]`. Unlike [`par_fill`] the kernel sees whole
-/// ranges, so it can keep per-worker scratch (structure-of-arrays slabs,
-/// reusable buffers) alive across every element it owns instead of
-/// paying per-index call overhead. `threads <= 1` runs serially as
-/// `f(0, out)`. `f` must be pure per chunk: chunk order is unspecified.
+/// Fills `out` in at most `min(threads, out.len())` contiguous chunks of
+/// `ceil(len / min(threads, len))` elements (the last may be shorter):
+/// `f(offset, chunk)` must fill `chunk`, whose first element is
+/// `out[offset]`. The calling thread runs chunk 0 itself and spawns one
+/// scoped worker per remaining chunk, so a `threads`-way fill spawns at
+/// most `threads − 1` threads and `threads <= 1` is `f(0, out)` with no
+/// spawn. Unlike [`par_fill`] the kernel sees
+/// whole ranges, so it can keep per-worker scratch (structure-of-arrays
+/// slabs, reusable buffers) alive across every element it owns instead
+/// of paying per-index call overhead. `f` must be pure per chunk: chunk
+/// order is unspecified. A panicking chunk, the caller's or a worker's,
+/// propagates once every other chunk has finished.
 pub fn par_fill_chunked<T, F>(out: &mut [T], threads: usize, f: F)
 where
     T: Send,
@@ -152,17 +152,17 @@ where
     if n == 0 {
         return;
     }
-    let threads = threads.min(n);
-    if threads <= 1 {
-        f(0, out);
-        return;
+    let per = n.div_ceil(threads.clamp(1, n));
+    let (first, rest) = out.split_at_mut(per);
+    if rest.is_empty() {
+        return f(0, first);
     }
-    let per = n.div_ceil(threads);
     std::thread::scope(|scope| {
-        for (chunk_idx, chunk) in out.chunks_mut(per).enumerate() {
+        for (k, chunk) in rest.chunks_mut(per).enumerate() {
             let f = &f;
-            scope.spawn(move || f(chunk_idx * per, chunk));
+            scope.spawn(move || f((k + 1) * per, chunk));
         }
+        f(0, first);
     });
 }
 
@@ -217,6 +217,61 @@ mod tests {
         let mut empty: Vec<u8> = Vec::new();
         par_fill_chunked(&mut empty, 8, |_, _| unreachable!("no items"));
         assert!(empty.is_empty());
+    }
+
+    /// The thread that filled each of `len` slots in a `threads`-way
+    /// [`par_fill`].
+    fn filling_threads(len: usize, threads: usize) -> Vec<std::thread::ThreadId> {
+        let mut out = vec![std::thread::current().id(); len];
+        par_fill(&mut out, threads, |_| std::thread::current().id());
+        out
+    }
+
+    #[test]
+    fn chunk_zero_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        // 3 workers over 20 items: chunks of 7, 7, 6.
+        let ids = filling_threads(20, 3);
+        assert!(ids[..7].iter().all(|&id| id == caller));
+        assert!(ids[7..].iter().all(|&id| id != caller));
+        let mut offsets = vec![None; 3];
+        par_fill_chunked(&mut offsets, 3, |offset, chunk| {
+            chunk[0] = Some((offset, std::thread::current().id()));
+        });
+        assert_eq!(offsets[0], Some((0, caller)));
+        assert!(offsets[1..].iter().all(|o| o.unwrap().1 != caller));
+    }
+
+    #[test]
+    fn a_threads_way_fill_spawns_threads_minus_one() {
+        let caller = std::thread::current().id();
+        for threads in 1..=4 {
+            let distinct: std::collections::HashSet<_> =
+                filling_threads(40, threads).into_iter().collect();
+            assert_eq!(distinct.len(), threads);
+            let spawned = distinct.iter().filter(|&&id| id != caller).count();
+            assert_eq!(spawned, threads - 1);
+        }
+    }
+
+    #[test]
+    fn a_panicking_chunk_propagates_after_its_siblings_finish() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Chunk 0 is the caller's own, chunk 2 a spawned worker's; the
+        // other two chunks sleep, so an early propagation would catch
+        // them unfinished.
+        for panicking in [0, 2] {
+            let finished = AtomicUsize::new(0);
+            let caught = std::panic::catch_unwind(|| {
+                par_fill_chunked(&mut [0u8; 3], 3, |offset, _| {
+                    assert_ne!(offset, panicking, "chunk {offset} failed");
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            });
+            assert!(caught.is_err());
+            assert_eq!(finished.load(Ordering::SeqCst), 2, "chunk {panicking}");
+        }
     }
 
     #[test]
