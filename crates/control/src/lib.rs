@@ -47,7 +47,7 @@ pub use estimator::{estimate_rotation, RotationEstimate, RotationRig};
 pub use psu::{PowerSupply, PsuError, Reply};
 pub use server::{FleetServer, JobError, ServeStats};
 pub use sweep::{
-    coarse_to_fine, coarse_to_fine_multi, warm_refine_multi, Probe, SweepConfig, SweepOutcome,
-    WarmConfig,
+    coarse_to_fine, coarse_to_fine_multi, warm_refine_multi, ColdSearch, Probe, SweepConfig,
+    SweepOutcome, WarmConfig,
 };
 pub use sync::{estimate_offset, label_samples, BiasSchedule};

@@ -18,6 +18,15 @@
 //! coupled field) loops over the slice in order. Visit order, winner
 //! selection (the first probe to reach the best score wins), airtime
 //! billing and `history` are exactly those of a probe-by-probe loop.
+//!
+//! **The cold search is round-driven.** [`ColdSearch`] holds Algorithm
+//! 1's state between iterations: it yields a grid, takes the grid's
+//! rows, and only then yields the next grid. [`coarse_to_fine_multi`]
+//! is one search driven by one `measure` closure. A caller with many
+//! independent searches — the panel scheduler, one search per panel —
+//! advances them round by round and measures every live search's grid
+//! in one batch. A search's outcome depends only on its own rows, so
+//! the lockstep schedule is bitwise the one-at-a-time schedule.
 
 use rfmath::telemetry::{RecorderHandle, TelemetryEvent};
 use rfmath::units::{Seconds, Volts};
@@ -115,6 +124,7 @@ pub struct MultiSweepOutcome {
 
 /// The running winner of a sweep: the first probe to reach the best
 /// score seen so far, and where its metric row sits in the history.
+#[derive(Clone, Debug)]
 struct Leader {
     probe: Probe,
     score: f64,
@@ -195,6 +205,116 @@ fn finish(
     }
 }
 
+/// Algorithm 1 as a round-driven search: it yields one iteration's grid
+/// at a time ([`ColdSearch::grid`]) and takes that grid's metric rows
+/// back ([`ColdSearch::take`]) before it yields the next. The caller
+/// decides how a grid is measured, so one caller can probe many
+/// searches' grids together — the panel scheduler advances every
+/// panel's search in lockstep and sends each round's grids to the batch
+/// kernel as one call. [`coarse_to_fine_multi`] drives one search with
+/// one `measure` closure.
+///
+/// The refinement logic is Algorithm 1: `N` iterations of a `T×T` grid,
+/// each window centred on the running winner.
+#[derive(Clone, Debug)]
+pub struct ColdSearch {
+    config: SweepConfig,
+    /// The current window, `(lo, hi)` per axis.
+    window: [(f64, f64); 2],
+    leader: Leader,
+    history: Vec<(Probe, Vec<f64>)>,
+    /// The grid awaiting its rows; empty once the search is done.
+    grid: Vec<Probe>,
+    /// Iterations whose rows have been taken.
+    round: usize,
+}
+
+impl ColdSearch {
+    /// A fresh search over `config`'s full range, its first grid ready.
+    ///
+    /// # Panics
+    /// Panics on a configuration with no iteration or fewer than two
+    /// steps per axis.
+    pub fn new(config: &SweepConfig) -> Self {
+        assert!(config.iterations >= 1, "need at least one iteration");
+        assert!(
+            config.steps_per_axis >= 2,
+            "need at least two steps per axis"
+        );
+        let t = config.steps_per_axis;
+        let range = (config.v_min.0, config.v_max.0);
+        let mut grid = Vec::with_capacity(t * t);
+        push_grid(&mut grid, t, range, range);
+        Self {
+            config: *config,
+            window: [range, range],
+            leader: Leader {
+                probe: Probe {
+                    vx: config.v_min,
+                    vy: config.v_min,
+                },
+                score: f64::NEG_INFINITY,
+                row: None,
+            },
+            // Every iteration records exactly T² probes; reserve the
+            // whole run up front so the history never reallocates.
+            history: Vec::with_capacity(config.iterations * t * t),
+            grid,
+            round: 0,
+        }
+    }
+
+    /// The grid to measure next, x-major; `None` once every iteration's
+    /// rows are in.
+    pub fn grid(&self) -> Option<&[Probe]> {
+        (!self.grid.is_empty()).then_some(self.grid.as_slice())
+    }
+
+    /// Takes the current grid's metric rows, in grid order, scores them
+    /// and narrows the window around the running winner for the next
+    /// iteration.
+    ///
+    /// # Panics
+    /// Panics when the search is done or `rows` holds other than one
+    /// row per probe.
+    pub fn take(&mut self, rows: Vec<Vec<f64>>, score: &impl Fn(&[f64]) -> f64) {
+        assert!(!self.grid.is_empty(), "the search is done");
+        let rows = rows.into_iter();
+        record(&self.grid, rows, score, &mut self.leader, &mut self.history);
+        self.round += 1;
+        self.grid.clear();
+        if self.round == self.config.iterations {
+            return;
+        }
+        // Narrow the window to one coarse step around the winner (the
+        // paper returns [v − Vs, v] per axis; we center for symmetry,
+        // clamped to the configured range).
+        let t = self.config.steps_per_axis;
+        let (v_min, v_max) = (self.config.v_min.0, self.config.v_max.0);
+        let best = [self.leader.probe.vx.0, self.leader.probe.vy.0];
+        for ((lo, hi), v) in self.window.iter_mut().zip(best) {
+            let step = (*hi - *lo) / (t - 1) as f64;
+            *lo = (v - step).max(v_min);
+            *hi = (v + step).min(v_max);
+        }
+        push_grid(&mut self.grid, t, self.window[0], self.window[1]);
+    }
+
+    /// The finished search's outcome. A live recorder gets the probe
+    /// bill and a `"cold"` [`TelemetryEvent::SweepSpan`] tagged with
+    /// `panel`.
+    pub fn finish(self, recorder: &RecorderHandle, panel: usize) -> MultiSweepOutcome {
+        finish(
+            recorder,
+            panel,
+            "cold",
+            &self.config,
+            self.leader,
+            self.history,
+        )
+    }
+}
+
 /// Runs Algorithm 1 against a *vector* metric: each probe measures one
 /// value per device (or per objective component) and `score` folds the
 /// vector into the scalar the refinement maximizes — `min` for max-min
@@ -202,9 +322,8 @@ fn finish(
 /// the classic single-link sweep ([`coarse_to_fine`] is exactly that
 /// N = 1 case).
 ///
-/// The refinement logic is Algorithm 1: `N` iterations of a `T×T` grid,
-/// each window centred on the previous winner. `measure` is called once
-/// per iteration with that iteration's whole grid (see the module docs).
+/// This drives one [`ColdSearch`]: `measure` is called once per
+/// iteration with that iteration's whole grid (see the module docs).
 ///
 /// The whole sweep is timed as a `sweep.cold_ns` span on `recorder`,
 /// and a live recorder also gets the probe bill and a `"cold"`
@@ -221,46 +340,14 @@ pub fn coarse_to_fine_multi(
     mut measure: impl FnMut(&[Probe]) -> Vec<Vec<f64>>,
     score: impl Fn(&[f64]) -> f64,
 ) -> MultiSweepOutcome {
-    assert!(config.iterations >= 1, "need at least one iteration");
-    assert!(
-        config.steps_per_axis >= 2,
-        "need at least two steps per axis"
-    );
     let span = recorder.span("sweep.cold_ns");
-    let t = config.steps_per_axis;
-    let (mut lo_x, mut hi_x) = (config.v_min.0, config.v_max.0);
-    let (mut lo_y, mut hi_y) = (config.v_min.0, config.v_max.0);
-    let mut leader = Leader {
-        probe: Probe {
-            vx: config.v_min,
-            vy: config.v_min,
-        },
-        score: f64::NEG_INFINITY,
-        row: None,
-    };
-    // Every iteration records exactly T² probes; reserve the whole run
-    // up front so the history never reallocates mid-sweep.
-    let mut history = Vec::with_capacity(config.iterations * t * t);
-    let mut grid = Vec::with_capacity(t * t);
-
-    for _iter in 0..config.iterations {
-        grid.clear();
-        push_grid(&mut grid, t, (lo_x, hi_x), (lo_y, hi_y));
-        let rows = measure(&grid).into_iter();
-        record(&grid, rows, &score, &mut leader, &mut history);
-        // Narrow the window to one coarse step around the winner
-        // (the paper returns [v − Vs, v] per axis; we center for
-        // symmetry, clamped to the configured range).
-        let step_x = (hi_x - lo_x) / (t - 1) as f64;
-        let step_y = (hi_y - lo_y) / (t - 1) as f64;
-        let best = leader.probe;
-        lo_x = (best.vx.0 - step_x).max(config.v_min.0);
-        hi_x = (best.vx.0 + step_x).min(config.v_max.0);
-        lo_y = (best.vy.0 - step_y).max(config.v_min.0);
-        hi_y = (best.vy.0 + step_y).min(config.v_max.0);
+    let mut search = ColdSearch::new(config);
+    while let Some(grid) = search.grid() {
+        let rows = measure(grid);
+        search.take(rows, &score);
     }
     drop(span);
-    finish(recorder, panel, "cold", config, leader, history)
+    search.finish(recorder, panel)
 }
 
 /// Parameters of a warm-start re-optimization: a refinement sweep seeded

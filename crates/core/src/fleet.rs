@@ -43,11 +43,14 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use control::controller::Objective;
-use control::sweep::{coarse_to_fine_multi, warm_refine_multi, Probe, SweepConfig, WarmConfig};
+use control::sweep::{
+    coarse_to_fine_multi, warm_refine_multi, ColdSearch, MultiSweepOutcome, Probe, SweepConfig,
+    WarmConfig,
+};
 use devices::profile::DeviceProfile;
 use metasurface::designs::Design;
 use metasurface::evaluator::{BiasCells, PlanCache, StackEvaluator};
@@ -57,7 +60,7 @@ use microwave::polarized::PolarizedS;
 use propagation::capacity::{capacity_bits, duty_cycled_throughput};
 use propagation::link::{PreparedLink, ResponseFactors};
 use propagation::rays::Deployment;
-use rfmath::rng::SeedSplitter;
+use rfmath::rng::{MixState, SeedSplitter};
 use rfmath::telemetry::RecorderHandle;
 use rfmath::units::{Dbm, Degrees, Meters, Seconds, Volts};
 
@@ -271,13 +274,200 @@ pub struct FleetEvaluator {
     buffers: RefCell<BatchBuffers>,
 }
 
-/// [`FleetEvaluator`]'s reusable batch buffers: the deduplicated bias
-/// list, one plan's responses, and every plan's probe factors.
+/// The reusable buffers of one probe batch ([`BatchBuffers::powers`]):
+/// the batch's distinct applied biases, each request's indices into
+/// them, the distinct plans, each plan's cells, and every plan's probe
+/// factors.
 #[derive(Default)]
 struct BatchBuffers {
+    /// Applied bias bit patterns → index into `distinct`.
+    keys: HashMap<(u64, u64), usize, MixState>,
+    distinct: Vec<BiasState>,
+    /// Every request's probes as indices into `distinct`, request after
+    /// request.
+    slots: Vec<usize>,
+    /// Each distinct plan (by `Rc` identity) as the `(request, plan)`
+    /// index of its first use.
+    plans: Vec<(usize, usize)>,
+    /// Request `r`'s plan `k` → index into `plans`, at
+    /// `plan_starts[r] + k`.
+    plan_ids: Vec<usize>,
+    plan_starts: Vec<usize>,
+    /// Plan `g`'s factor index of distinct bias `i`, at
+    /// `g · distinct.len() + i` (`usize::MAX` where no fleet on plan `g`
+    /// probes bias `i`).
+    factor_of: Vec<usize>,
+    /// One request's device → `g · distinct.len()` of its plan `g`.
+    device_rows: Vec<usize>,
+    plan_cells: Vec<BiasState>,
     cells: BiasCells,
     responses: Vec<Option<PolarizedS>>,
     factors: Vec<ResponseFactors>,
+    /// Cells sent to the cascade kernel over these buffers' lifetime.
+    cascade_cells: u64,
+}
+
+/// An element of a probe list: a sweep's [`Probe`] or a [`BiasState`].
+trait AsBias: Copy {
+    fn bias(self) -> BiasState;
+}
+
+impl AsBias for BiasState {
+    fn bias(self) -> BiasState {
+        self
+    }
+}
+
+impl AsBias for Probe {
+    fn bias(self) -> BiasState {
+        BiasState {
+            vx: self.vx,
+            vy: self.vy,
+        }
+    }
+}
+
+impl BatchBuffers {
+    /// The probe matrices of many fleets in one batch: request `r` is a
+    /// fleet and its probe list, and `sink(r, rows)` receives its matrix
+    /// (`rows[b][d]` is device `d`'s power under the `b`-th probe, after
+    /// that fleet's clamp and fault).
+    ///
+    /// Applied biases are deduplicated across the whole batch. Each
+    /// distinct compiled plan (fleets drawing from one [`PlanCache`]
+    /// share its `Rc`) then evaluates, in one cascade call, every
+    /// distinct cell that some fleet on it probes, and each such
+    /// `(plan, cell)` gets one [`ResponseFactors`]. Every cell's
+    /// response is independent of what else is in its batch (the SoA
+    /// kernel and the per-cell fold agree bit for bit), so each matrix
+    /// is bitwise the one that fleet's own call would return.
+    fn powers<B: AsBias>(
+        &mut self,
+        requests: &[(&FleetEvaluator, &[B])],
+        mut sink: impl FnMut(usize, Vec<Vec<f64>>),
+    ) {
+        let Self {
+            keys,
+            distinct,
+            slots,
+            plans,
+            plan_ids,
+            plan_starts,
+            factor_of,
+            device_rows,
+            plan_cells,
+            cells,
+            responses,
+            factors,
+            cascade_cells,
+        } = self;
+        keys.clear();
+        distinct.clear();
+        slots.clear();
+        for (fleet, probes) in requests {
+            for probe in probes.iter() {
+                let applied = fleet.faulted(probe.bias().clamped(fleet.v_max));
+                let key = (applied.vx.0.to_bits(), applied.vy.0.to_bits());
+                let next = distinct.len();
+                let i = *keys.entry(key).or_insert(next);
+                if i == next {
+                    distinct.push(applied);
+                }
+                slots.push(i);
+            }
+        }
+        plans.clear();
+        plan_ids.clear();
+        plan_starts.clear();
+        for (r, (fleet, _)) in requests.iter().enumerate() {
+            plan_starts.push(plan_ids.len());
+            for (k, plan) in fleet.plans.iter().enumerate() {
+                let g = plans
+                    .iter()
+                    .position(|&(r0, k0)| Rc::ptr_eq(&requests[r0].0.plans[k0], plan))
+                    .unwrap_or_else(|| {
+                        plans.push((r, k));
+                        plans.len() - 1
+                    });
+                plan_ids.push(g);
+            }
+        }
+
+        // One cascade call per distinct plan over the cells its fleets
+        // probe; plan `g`'s factors follow plan `g − 1`'s.
+        let nd = distinct.len();
+        factor_of.clear();
+        factor_of.resize(plans.len() * nd, usize::MAX);
+        factors.clear();
+        for (g, &(r0, k0)) in plans.iter().enumerate() {
+            let map = &mut factor_of[g * nd..(g + 1) * nd];
+            plan_cells.clear();
+            let mut start = 0;
+            for (r, (fleet, probes)) in requests.iter().enumerate() {
+                let own = &slots[start..start + probes.len()];
+                start += probes.len();
+                let ids = &plan_ids[plan_starts[r]..plan_starts[r] + fleet.plans.len()];
+                if !ids.contains(&g) {
+                    continue;
+                }
+                for &i in own {
+                    if map[i] == usize::MAX {
+                        map[i] = factors.len() + plan_cells.len();
+                        plan_cells.push(distinct[i]);
+                    }
+                }
+            }
+            let plan = &requests[r0].0.plans[k0];
+            cells.refill(plan_cells.iter().copied());
+            responses.clear();
+            responses.resize(cells.len(), None);
+            plan.eval_cells_into(cells, responses);
+            *cascade_cells += cells.len() as u64;
+            let f = plan.frequency();
+            factors.extend(
+                responses
+                    .iter()
+                    .map(|&r| ResponseFactors::new(&SurfaceResponse::new(f, r))),
+            );
+        }
+
+        // Row `b` of request `r` holds device `d`'s probe of its plan's
+        // factors at the `b`-th probe, filled across the caller's
+        // [`rfmath::par::budget`] from [`FAN_OUT_MIN_PROBES`]
+        // link-probes up. The closure captures only `Sync` pieces — the
+        // plans hold `RefCell` memos and stay on this thread; their
+        // responses are already computed.
+        let mut start = 0;
+        for (r, (fleet, probes)) in requests.iter().enumerate() {
+            let n = probes.len();
+            let own = &slots[start..start + n];
+            start += n;
+            // Device `d`'s plan row of `factor_of`.
+            let ids = &plan_ids[plan_starts[r]..];
+            device_rows.clear();
+            device_rows.extend(fleet.plan_of.iter().map(|&k| ids[k] * nd));
+            let (links, device_rows, factors, factor_of) =
+                (&fleet.links, &*device_rows, &*factors, &*factor_of);
+            let threads = if n * links.len() < FAN_OUT_MIN_PROBES {
+                1
+            } else {
+                rfmath::par::budget()
+            };
+            let mut rows: Vec<Vec<f64>> = vec![Vec::new(); n];
+            rfmath::par::par_fill(&mut rows, threads, |b| {
+                let cell = own[b];
+                links
+                    .iter()
+                    .zip(device_rows)
+                    .map(|(link, &row)| {
+                        link.received_dbm_factored(&factors[factor_of[row + cell]])
+                            .0
+                    })
+                    .collect()
+            });
+            sink(r, rows);
+        }
+    }
 }
 
 impl FleetEvaluator {
@@ -380,79 +570,61 @@ impl FleetEvaluator {
     /// (clamped to the supply ceiling, like `Metasurface::set_bias`):
     /// the one-row case of [`FleetEvaluator::powers_matrix`].
     pub fn powers_dbm(&self, bias: BiasState) -> Vec<f64> {
-        self.powers_of([bias])
+        self.powers_of(&[bias])
             .pop()
             .expect("one bias yields one row")
     }
 
     /// The full probe matrix: `result[b][d]` is device `d`'s power under
-    /// `biases[b]` (each bias clamped to the supply ceiling). Each plan's
-    /// cascades are evaluated in one batch (per-axis solves deduplicated
-    /// across the whole probe list), and each response's link-independent
-    /// probe factors ([`ResponseFactors`]: its Jones products, mean
-    /// efficiency and default-tuning shadow) are computed once per
-    /// `(plan, bias)`. Per-bias device projections then fan out across
-    /// the caller's [`rfmath::par::budget`] once the matrix reaches
-    /// [`FAN_OUT_MIN_PROBES`], each device applying only its own link's
-    /// terms (and its own shadow `powf` if its tuning is not the
-    /// default). Every row is bitwise the powers a
-    /// one-bias call returns (property-tested), whatever the budget.
+    /// `biases[b]` (each bias clamped to the supply ceiling): the
+    /// one-fleet case of the batch that a panel schedule's fleets share
+    /// (see [`crate::panels::PanelScheduler::run_with_caches`]). Each plan's
+    /// distinct cells are evaluated in one cascade call (per-axis solves
+    /// deduplicated across the whole probe list), and each response's
+    /// link-independent probe factors ([`ResponseFactors`]: its Jones
+    /// products, mean efficiency and default-tuning shadow) are computed
+    /// once per `(plan, cell)`. Per-bias device projections then fan out
+    /// across the caller's [`rfmath::par::budget`] once the matrix
+    /// reaches [`FAN_OUT_MIN_PROBES`], each device applying only its own
+    /// link's terms (and its own shadow `powf` if its tuning is not the
+    /// default). Every row is bitwise the powers a one-bias call returns
+    /// (property-tested), whatever the budget.
     pub fn powers_matrix(&self, biases: &[BiasState]) -> Vec<Vec<f64>> {
-        self.powers_of(biases.iter().copied())
+        self.powers_of(biases)
     }
 
     /// An Algorithm 1 measurement over this fleet: each sweep iteration's
     /// probe grid is one [`FleetEvaluator::powers_matrix`] call.
     pub(crate) fn measure_grid(&self) -> impl FnMut(&[Probe]) -> Vec<Vec<f64>> + '_ {
-        |probes| self.powers_of(probes.iter().map(|p| BiasState { vx: p.vx, vy: p.vy }))
+        |probes| self.powers_of(probes)
     }
 
-    /// [`FleetEvaluator::powers_matrix`] over any bias sequence.
-    fn powers_of(&self, biases: impl IntoIterator<Item = BiasState>) -> Vec<Vec<f64>> {
-        let applied = biases
-            .into_iter()
-            .map(|b| self.faulted(b.clamped(self.v_max)));
-        // One deduplicated bias list and one batched cascade pass per
-        // distinct carrier; plan `k`'s factors land at `[k·n, (k+1)·n)`.
-        let mut buffers = self.buffers.borrow_mut();
-        let BatchBuffers {
-            cells,
-            responses,
-            factors,
-        } = &mut *buffers;
-        cells.refill(applied);
-        let n = cells.len();
-        responses.clear();
-        responses.resize(n, None);
-        factors.clear();
-        for plan in &self.plans {
-            plan.eval_cells_into(cells, responses);
-            let f = plan.frequency();
-            factors.extend(
-                responses
-                    .iter()
-                    .map(|&r| ResponseFactors::new(&SurfaceResponse::new(f, r))),
-            );
-        }
-        // Row `b` holds device `d`'s probe of `factors[plan_of[d]·n + b]`,
-        // filled across the caller's [`rfmath::par::budget`] from
-        // [`FAN_OUT_MIN_PROBES`] link-probes up. The closure captures only
-        // `Sync` pieces — the plans hold `RefCell` memos and stay on this
-        // thread; their responses are already computed.
-        let (links, plan_of, factors) = (&self.links, &self.plan_of, &*factors);
-        let threads = if n * links.len() < FAN_OUT_MIN_PROBES {
-            1
-        } else {
-            rfmath::par::budget()
+    /// [`FleetEvaluator::powers_matrix`] over a probe list, in this
+    /// evaluator's own buffers.
+    fn powers_of<B: AsBias>(&self, probes: &[B]) -> Vec<Vec<f64>> {
+        let mut rows = Vec::new();
+        self.buffers
+            .borrow_mut()
+            .powers(&[(self, probes)], |_, r| rows = r);
+        rows
+    }
+
+    /// Several fleets' probe matrices in one batch, in the buffers of
+    /// the first fleet: element `r` is `requests[r].0`'s
+    /// [`FleetEvaluator::powers_matrix`] over `requests[r].1`, bit for
+    /// bit. Fleets that draw plans from one [`PlanCache`] share each
+    /// compiled plan's cascade call and every distinct cell's
+    /// [`ResponseFactors`] — a panel array probes each carrier's cells
+    /// once, not once per panel.
+    pub(crate) fn powers_batch(requests: &[(&FleetEvaluator, &[BiasState])]) -> Vec<Vec<Vec<f64>>> {
+        let Some((first, _)) = requests.first() else {
+            return Vec::new();
         };
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); n];
-        rfmath::par::par_fill(&mut out, threads, |b| {
-            links
-                .iter()
-                .zip(plan_of)
-                .map(|(link, &k)| link.received_dbm_factored(&factors[k * n + b]).0)
-                .collect()
-        });
+        let mut out = vec![Vec::new(); requests.len()];
+        first
+            .buffers
+            .borrow_mut()
+            .powers(requests, |r, rows| out[r] = rows);
         out
     }
 }
@@ -602,35 +774,70 @@ impl Scheduler {
         self.run_with_evaluator(fleet, &FleetEvaluator::new(fleet))
     }
 
-    /// [`Scheduler::run`] against an externally compiled evaluator — the
-    /// panel-array path, where K panel schedules draw their plans from a
-    /// shared [`PlanCache`] instead of compiling per panel. The
-    /// evaluator must have been compiled from this exact fleet.
+    /// [`Scheduler::run`] against an externally compiled evaluator (the
+    /// mobility simulator keeps one per panel across ticks). The
+    /// evaluator must have been compiled from this exact fleet. This is
+    /// the one-fleet case of the lockstep driver that the panel
+    /// scheduler runs over all its panels at once.
     pub fn run_with_evaluator(&self, fleet: &Fleet, evaluator: &FleetEvaluator) -> FleetOutcome {
         if fleet.is_empty() {
             return FleetOutcome::empty(self.policy);
         }
+        let mut searches = [self.search(fleet, evaluator)];
+        drive(&mut searches, &[evaluator]);
+        let [search] = searches;
+        self.outcome(fleet, evaluator, search)
+    }
+
+    /// Opens the policy's search over a non-empty fleet.
+    pub(crate) fn search(&self, fleet: &Fleet, evaluator: &FleetEvaluator) -> Search {
+        match self.objective(fleet, evaluator) {
+            Some(objective) => Search::Shared {
+                search: ColdSearch::new(&self.sweep),
+                objective,
+            },
+            None => Search::TimeDivision(TdSearch::new(&self.sweep, fleet.len())),
+        }
+    }
+
+    /// The objective a shared-bias policy scores each probe by (`None`
+    /// for time division), after checking the evaluator and the policy
+    /// against the non-empty `fleet`.
+    fn objective(&self, fleet: &Fleet, evaluator: &FleetEvaluator) -> Option<Objective> {
         assert_eq!(
             evaluator.device_count(),
             fleet.len(),
             "evaluator compiled for a different fleet"
         );
-        if let Policy::Favor { favored } = self.policy {
-            assert!(favored < fleet.len(), "favored index out of range");
-            // Isolation is a margin over the *other* devices; with no
-            // other device every probe would score -inf and the
-            // "allocation" would be meaningless.
-            assert!(
-                fleet.len() >= 2,
-                "Favor needs at least two devices to isolate between"
-            );
-        }
         match self.policy {
-            Policy::MaxMin => self.run_shared(fleet, evaluator, Objective::WorstLink),
+            Policy::MaxMin => Some(Objective::WorstLink),
             Policy::Favor { favored } => {
-                self.run_shared(fleet, evaluator, Objective::Isolation { favored })
+                assert!(favored < fleet.len(), "favored index out of range");
+                // Isolation is a margin over the *other* devices; with no
+                // other device every probe would score -inf and the
+                // "allocation" would be meaningless.
+                assert!(
+                    fleet.len() >= 2,
+                    "Favor needs at least two devices to isolate between"
+                );
+                Some(Objective::Isolation { favored })
             }
-            Policy::TimeDivision => self.run_time_division(fleet, evaluator),
+            Policy::TimeDivision => None,
+        }
+    }
+
+    /// The allocation a finished [`Scheduler::search`] arrived at.
+    pub(crate) fn outcome(
+        &self,
+        fleet: &Fleet,
+        evaluator: &FleetEvaluator,
+        search: Search,
+    ) -> FleetOutcome {
+        match search {
+            Search::Shared { search, .. } => {
+                self.shared_outcome(fleet, evaluator, search.finish(&RecorderHandle::null(), 0))
+            }
+            Search::TimeDivision(search) => self.time_division_outcome(fleet, search.history),
         }
     }
 
@@ -657,24 +864,9 @@ impl Scheduler {
         if fleet.is_empty() {
             return FleetOutcome::empty(self.policy);
         }
-        let objective = match self.policy {
-            Policy::MaxMin => Objective::WorstLink,
-            Policy::Favor { favored } => {
-                assert!(favored < fleet.len(), "favored index out of range");
-                assert!(
-                    fleet.len() >= 2,
-                    "Favor needs at least two devices to isolate between"
-                );
-                Objective::Isolation { favored }
-            }
-            Policy::TimeDivision => return self.run_with_evaluator(fleet, evaluator),
-        };
-        assert_eq!(
-            evaluator.device_count(),
-            fleet.len(),
-            "evaluator compiled for a different fleet"
-        );
-        let Some(prev_bias) = prev.shared_bias else {
+        let (Some(objective), Some(prev_bias)) =
+            (self.objective(fleet, evaluator), prev.shared_bias)
+        else {
             return self.run_with_evaluator(fleet, evaluator);
         };
         let null = RecorderHandle::null();
@@ -708,32 +900,14 @@ impl Scheduler {
         self.shared_outcome(fleet, evaluator, outcome)
     }
 
-    /// Shared-bias policies: one vector-objective Algorithm 1 run, every
-    /// probe evaluated for the whole fleet through the shared plans.
-    fn run_shared(
-        &self,
-        fleet: &Fleet,
-        evaluator: &FleetEvaluator,
-        objective: Objective,
-    ) -> FleetOutcome {
-        let outcome = coarse_to_fine_multi(
-            &RecorderHandle::null(),
-            0,
-            &self.sweep,
-            evaluator.measure_grid(),
-            |powers| objective.score(powers).unwrap_or(f64::NEG_INFINITY),
-        );
-        self.shared_outcome(fleet, evaluator, outcome)
-    }
-
     /// Assembles a [`FleetOutcome`] from a completed shared-bias sweep —
-    /// the common tail of the cold ([`Scheduler::run_shared`]) and warm
+    /// the common tail of the cold ([`Scheduler::outcome`]) and warm
     /// ([`Scheduler::run_warm`]) paths.
     fn shared_outcome(
         &self,
         fleet: &Fleet,
         evaluator: &FleetEvaluator,
-        outcome: control::sweep::MultiSweepOutcome,
+        outcome: MultiSweepOutcome,
     ) -> FleetOutcome {
         let bias = BiasState {
             vx: outcome.best.vx,
@@ -776,79 +950,15 @@ impl Scheduler {
         }
     }
 
-    /// Time division: a coarse full-range grid probes every device at
-    /// once, then each device's refinement window is probed in one
-    /// deduplicated shared batch; every device keeps the best bias *it*
-    /// saw anywhere in the probe history.
-    fn run_time_division(&self, fleet: &Fleet, evaluator: &FleetEvaluator) -> FleetOutcome {
-        let t = self.sweep.steps_per_axis.max(2);
+    /// Time division's allocation from its probe history: every device
+    /// keeps the best bias *it* saw anywhere in the history (see
+    /// [`TdSearch`]) for one slot per frame.
+    fn time_division_outcome(
+        &self,
+        fleet: &Fleet,
+        history: Vec<(BiasState, Vec<f64>)>,
+    ) -> FleetOutcome {
         let n_dev = fleet.len();
-        let grid = |lo: f64, hi: f64, i: usize| lo + (hi - lo) * i as f64 / (t - 1) as f64;
-
-        // Round 1: coarse grid over the full supply range.
-        let mut biases: Vec<BiasState> = Vec::with_capacity(t * t);
-        for ix in 0..t {
-            for iy in 0..t {
-                biases.push(BiasState::new(
-                    grid(self.sweep.v_min.0, self.sweep.v_max.0, ix),
-                    grid(self.sweep.v_min.0, self.sweep.v_max.0, iy),
-                ));
-            }
-        }
-        let mut history: Vec<(BiasState, Vec<f64>)> = biases
-            .iter()
-            .copied()
-            .zip(evaluator.powers_matrix(&biases))
-            .collect();
-
-        // Per-device winners of round 1 seed the refinement windows.
-        let winner_of = |history: &[(BiasState, Vec<f64>)], d: usize| {
-            history
-                .iter()
-                .max_by(|a, b| a.1[d].total_cmp(&b.1[d]))
-                .map(|(b, m)| (*b, m[d]))
-                .expect("non-empty history")
-        };
-
-        // The refinement window narrows geometrically round over round,
-        // matching the Algorithm 1 core: each round probes ±step around
-        // the winner at a 2·step/(t−1) spacing, which becomes the next
-        // round's step.
-        let mut step = (self.sweep.v_max.0 - self.sweep.v_min.0) / (t - 1) as f64;
-        for _ in 1..self.sweep.iterations {
-            let mut refined: Vec<BiasState> = Vec::new();
-            let mut seen: HashSet<(u64, u64)> = history
-                .iter()
-                .map(|(b, _)| (b.vx.0.to_bits(), b.vy.0.to_bits()))
-                .collect();
-            for d in 0..n_dev {
-                let (best, _) = winner_of(&history, d);
-                let lo_x = (best.vx.0 - step).max(self.sweep.v_min.0);
-                let hi_x = (best.vx.0 + step).min(self.sweep.v_max.0);
-                let lo_y = (best.vy.0 - step).max(self.sweep.v_min.0);
-                let hi_y = (best.vy.0 + step).min(self.sweep.v_max.0);
-                for ix in 0..t {
-                    for iy in 0..t {
-                        let b = BiasState::new(grid(lo_x, hi_x, ix), grid(lo_y, hi_y, iy));
-                        let key = (b.vx.0.to_bits(), b.vy.0.to_bits());
-                        if seen.insert(key) {
-                            refined.push(b);
-                        }
-                    }
-                }
-            }
-            if refined.is_empty() {
-                break;
-            }
-            history.extend(
-                refined
-                    .iter()
-                    .copied()
-                    .zip(evaluator.powers_matrix(&refined)),
-            );
-            step = 2.0 * step / (t - 1) as f64;
-        }
-
         // Frame model: every device gets one slot per frame; each slot
         // boundary burns one PSU switch of the slot's airtime.
         let duty = if n_dev == 0 {
@@ -889,6 +999,186 @@ impl Scheduler {
             history,
         }
     }
+}
+
+/// The bias at which device `d` saw its best power in `history`, and
+/// that power (the last of equal maxima).
+fn winner_of(history: &[(BiasState, Vec<f64>)], d: usize) -> (BiasState, f64) {
+    history
+        .iter()
+        .max_by(|a, b| a.1[d].total_cmp(&b.1[d]))
+        .map(|(b, m)| (*b, m[d]))
+        .expect("non-empty history")
+}
+
+/// One fleet's schedule as a round-driven search: it yields a probe grid
+/// ([`Search::grid`]), takes that grid's rows ([`Search::take`]) and
+/// yields the next until it is done. [`drive`] advances any number of
+/// searches in lockstep.
+pub(crate) enum Search {
+    /// `MaxMin` / `Favor`: Algorithm 1 over the policy's objective.
+    Shared {
+        search: ColdSearch,
+        objective: Objective,
+    },
+    /// `TimeDivision`'s coarse grid and per-device refinement rounds.
+    TimeDivision(TdSearch),
+}
+
+impl Search {
+    /// The grid to probe next; `None` once the search is done.
+    fn grid(&self) -> Option<&[Probe]> {
+        match self {
+            Search::Shared { search, .. } => search.grid(),
+            Search::TimeDivision(search) => search.grid(),
+        }
+    }
+
+    /// Takes the current grid's rows, in grid order.
+    fn take(&mut self, rows: Vec<Vec<f64>>) {
+        match self {
+            Search::Shared { search, objective } => {
+                let objective = *objective;
+                search.take(rows, &|powers: &[f64]| {
+                    objective.score(powers).unwrap_or(f64::NEG_INFINITY)
+                })
+            }
+            Search::TimeDivision(search) => search.take(rows),
+        }
+    }
+}
+
+/// Time division as a round-driven search: a coarse full-range grid
+/// probes every device at once, then each round probes every device's
+/// refinement window as one grid, deduplicated against everything
+/// already probed. The window narrows geometrically round over round,
+/// matching the Algorithm 1 core: each round probes ±step around a
+/// device's best bias so far at a 2·step/(t−1) spacing, which becomes
+/// the next round's step. Every device keeps the best bias *it* saw
+/// anywhere in the history.
+pub(crate) struct TdSearch {
+    config: SweepConfig,
+    /// Grid points per axis (at least two).
+    t: usize,
+    devices: usize,
+    /// The next refinement window's half-width.
+    step: f64,
+    /// Rounds whose rows have been taken.
+    round: usize,
+    history: Vec<(BiasState, Vec<f64>)>,
+    /// Bit patterns of every bias in `history` or `grid`.
+    seen: HashSet<(u64, u64), MixState>,
+    /// The grid awaiting its rows; empty once the search is done.
+    grid: Vec<Probe>,
+}
+
+impl TdSearch {
+    /// A fresh search for `devices` devices, its coarse grid ready.
+    fn new(config: &SweepConfig, devices: usize) -> Self {
+        let t = config.steps_per_axis.max(2);
+        let mut search = Self {
+            config: *config,
+            t,
+            devices,
+            step: (config.v_max.0 - config.v_min.0) / (t - 1) as f64,
+            round: 0,
+            history: Vec::new(),
+            seen: HashSet::default(),
+            grid: Vec::with_capacity(t * t),
+        };
+        let range = (config.v_min.0, config.v_max.0);
+        search.push_window(range, range, false);
+        search
+    }
+
+    /// Appends the `t × t` probes spanning `x × y`, x-major, skipping
+    /// biases already seen when `dedup` is set.
+    fn push_window(&mut self, (lo_x, hi_x): (f64, f64), (lo_y, hi_y): (f64, f64), dedup: bool) {
+        let t = self.t;
+        let at = |lo: f64, hi: f64, i: usize| lo + (hi - lo) * i as f64 / (t - 1) as f64;
+        for ix in 0..t {
+            for iy in 0..t {
+                let probe = Probe {
+                    vx: Volts(at(lo_x, hi_x, ix)),
+                    vy: Volts(at(lo_y, hi_y, iy)),
+                };
+                if self
+                    .seen
+                    .insert((probe.vx.0.to_bits(), probe.vy.0.to_bits()))
+                    || !dedup
+                {
+                    self.grid.push(probe);
+                }
+            }
+        }
+    }
+
+    fn grid(&self) -> Option<&[Probe]> {
+        (!self.grid.is_empty()).then_some(self.grid.as_slice())
+    }
+
+    /// Takes the current grid's rows, then opens the next refinement
+    /// round (none after the configured iterations, or when every
+    /// device's window was probed already).
+    fn take(&mut self, rows: Vec<Vec<f64>>) {
+        assert_eq!(rows.len(), self.grid.len(), "one metric row per probe");
+        self.history.extend(
+            self.grid
+                .drain(..)
+                .map(|p| BiasState { vx: p.vx, vy: p.vy })
+                .zip(rows),
+        );
+        if self.round > 0 {
+            self.step = 2.0 * self.step / (self.t - 1) as f64;
+        }
+        self.round += 1;
+        if self.round >= self.config.iterations {
+            return;
+        }
+        let (v_min, v_max) = (self.config.v_min.0, self.config.v_max.0);
+        let step = self.step;
+        for d in 0..self.devices {
+            let (best, _) = winner_of(&self.history, d);
+            self.push_window(
+                ((best.vx.0 - step).max(v_min), (best.vx.0 + step).min(v_max)),
+                ((best.vy.0 - step).max(v_min), (best.vy.0 + step).min(v_max)),
+                true,
+            );
+        }
+    }
+}
+
+/// Advances `searches` in lockstep, search `i` probing through
+/// `evaluators[i]`: each round, every live search's grid goes into one
+/// [`FleetEvaluator`] batch, so searches whose fleets draw plans from
+/// one [`PlanCache`] share each plan's cascade call and each distinct
+/// cell's factors. A search's outcome depends only on its own rows, so
+/// each ends exactly as it would alone. Returns the cells sent to the
+/// cascade kernel.
+pub(crate) fn drive(searches: &mut [Search], evaluators: &[&FleetEvaluator]) -> u64 {
+    assert_eq!(searches.len(), evaluators.len(), "one evaluator per search");
+    let Some(first) = evaluators.first() else {
+        return 0;
+    };
+    let mut buffers = first.buffers.borrow_mut();
+    let before = buffers.cascade_cells;
+    loop {
+        let (live, requests): (Vec<usize>, Vec<(&FleetEvaluator, &[Probe])>) = searches
+            .iter()
+            .zip(evaluators)
+            .enumerate()
+            .filter_map(|(i, (search, &evaluator))| Some((i, (evaluator, search.grid()?))))
+            .unzip();
+        if live.is_empty() {
+            break;
+        }
+        let mut matrices = vec![Vec::new(); live.len()];
+        buffers.powers(&requests, |r, rows| matrices[r] = rows);
+        for (i, rows) in live.into_iter().zip(matrices) {
+            searches[i].take(rows);
+        }
+    }
+    buffers.cascade_cells - before
 }
 
 #[cfg(test)]

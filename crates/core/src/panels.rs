@@ -23,7 +23,12 @@
 //!   one Algorithm 1 search *per panel* over its sub-fleet, reusing the
 //!   [`FleetEvaluator`] shared-plan batch path with one
 //!   [`PlanCache`] per distinct design so a carrier served on every
-//!   panel compiles once, not K times;
+//!   panel compiles once, not K times. The searches advance in
+//!   lockstep: each sweep round probes every live panel's grid in one
+//!   batch, so a carrier's plan evaluates a cell that several panels
+//!   probe once — the first round's full-range lattice is the same on
+//!   every panel. Each panel still ends bitwise where its own
+//!   [`Scheduler::run`] would (property-tested);
 //! * [`serve_fleets`] / [`serve_panel_fleets`] — the typed front of
 //!   [`control::server::FleetServer`]: many fleets multiplexed over its
 //!   job cursor and scoped worker pool, each outcome bit-identical to
@@ -77,7 +82,9 @@ use rfmath::complex::Complex;
 use rfmath::units::{Dbm, Degrees, Hertz, Seconds, Watts};
 use rfmath::vec2::Point2;
 
-use crate::fleet::{DeviceService, Fleet, FleetEvaluator, FleetOutcome, Policy, Scheduler};
+use crate::fleet::{
+    drive, DeviceService, Fleet, FleetEvaluator, FleetOutcome, Policy, Scheduler, Search,
+};
 use crate::scenario::Scenario;
 
 /// The reference bias the measurement-driven assignment probes each
@@ -435,10 +442,32 @@ impl PanelArray {
         out
     }
 
+    /// One evaluator per populated panel of `subfleets`, its plans drawn
+    /// from the cache of the panel's design; `None` for an empty panel.
+    fn panel_evaluators(
+        &self,
+        subfleets: &[(Fleet, Vec<usize>)],
+        caches: &[(&'static str, PlanCache)],
+    ) -> Vec<Option<FleetEvaluator>> {
+        subfleets
+            .iter()
+            .zip(&self.panels)
+            .map(|((subfleet, _), panel)| {
+                (!subfleet.is_empty()).then(|| {
+                    FleetEvaluator::with_plan_cache(
+                        subfleet,
+                        Self::cache_for(caches, &panel.design),
+                    )
+                })
+            })
+            .collect()
+    }
+
     /// Per-panel probe matrices on the shared-plan batch path:
     /// `result[k][b][i]` is the power of panel `k`'s `i`-th assigned
-    /// device under `biases[b]`, with compiled plans shared across
-    /// panels of the same design. Bitwise the per-device loop over each
+    /// device under `biases[b]`. Every populated panel goes into one
+    /// batch, so panels of one design evaluate each carrier's cells
+    /// once between them. Bitwise the per-device loop over each
     /// [`PanelArray::subfleets`] member (property-tested).
     pub fn batched_panel_matrices(
         &self,
@@ -446,16 +475,16 @@ impl PanelArray {
         assignment: &[usize],
         biases: &[BiasState],
     ) -> Vec<Vec<Vec<f64>>> {
-        let caches = self.plan_caches();
-        self.subfleets(fleet, assignment)
-            .into_iter()
-            .enumerate()
-            .map(|(k, (subfleet, _))| {
-                if subfleet.is_empty() {
-                    return vec![Vec::new(); biases.len()];
-                }
-                let cache = Self::cache_for(&caches, &self.panels[k].design);
-                FleetEvaluator::with_plan_cache(&subfleet, cache).powers_matrix(biases)
+        let evaluators =
+            self.panel_evaluators(&self.subfleets(fleet, assignment), &self.plan_caches());
+        let requests: Vec<(&FleetEvaluator, &[BiasState])> =
+            evaluators.iter().flatten().map(|e| (e, biases)).collect();
+        let mut matrices = FleetEvaluator::powers_batch(&requests).into_iter();
+        evaluators
+            .iter()
+            .map(|e| match e {
+                Some(_) => matrices.next().expect("one matrix per populated panel"),
+                None => vec![Vec::new(); biases.len()],
             })
             .collect()
     }
@@ -709,6 +738,8 @@ impl PanelScheduler {
     /// Runs assignment plus per-panel Algorithm 1 against the array.
     /// An empty fleet yields an empty outcome through the same guard as
     /// [`Scheduler::run`] (every panel schedules an empty sub-fleet).
+    /// Each panel's allocation is bitwise [`Scheduler::run`] over its
+    /// [`PanelArray::subfleets`] member (property-tested).
     pub fn run(&self, fleet: &Fleet, array: &PanelArray) -> PanelOutcome {
         // One cache set serves both assignment (reference responses) and
         // per-panel evaluation — each design × carrier compiles once per
@@ -720,9 +751,17 @@ impl PanelScheduler {
     /// caches — the served path: each of many `(fleet, array)` jobs
     /// passes its own local [`PlanCache`] handles
     /// (see [`SharedPlanCache::handle`](metasurface::SharedPlanCache))
-    /// so every job reuses process-wide compilations instead of
-    /// recompiling per job. The caches **must** cover every design in
-    /// `array` (keyed by design name).
+    /// so every job reuses process-wide compilations, and every branch
+    /// S-parameter another job already solved, instead of redoing them
+    /// per job. The caches **must** cover every design in `array`
+    /// (keyed by design name).
+    ///
+    /// The panels' searches run in lockstep: each sweep round probes
+    /// every live panel's grid in one batch, so panels that share a
+    /// design (and with it each carrier's compiled plan) evaluate a
+    /// cell that several panels probe once, with one set of response
+    /// factors. A live recorder gets the cells sent to the cascade
+    /// kernel as the `fleet.cascade_cells` counter.
     pub fn run_with_caches(
         &self,
         fleet: &Fleet,
@@ -730,92 +769,58 @@ impl PanelScheduler {
         caches: &[(&'static str, PlanCache)],
     ) -> PanelOutcome {
         let assignment = array.assign_with_caches(fleet, &self.assignment, caches);
-        let independent = self.run_assigned(
-            fleet,
-            array,
-            assignment,
-            caches,
-            "cold",
-            |_, scheduler, sub, eval| scheduler.run_with_evaluator(sub, eval),
-        );
+        let independent = self.run_assigned(fleet, array, assignment, caches);
         match &self.joint {
             Some(cfg) => self.joint_refine(fleet, array, caches, independent, cfg),
             None => independent,
         }
     }
 
-    /// Warm-start re-optimization against a previous outcome: every
-    /// panel keeps `prev`'s device assignment and refines from its own
-    /// previous bias through [`Scheduler::run_warm`] (per-panel cold
-    /// widening included). Re-assignment under mobility is deliberately
-    /// *not* this method's job — the simulator's hysteresis policy
-    /// ([`crate::sim::HandoffPolicy`]) owns that decision, because a
-    /// bare re-assignment per tick would flap devices between panels on
-    /// every fade. This is the stateless warm front; the event-stepped
-    /// simulator ([`crate::sim::MobilitySim`]) adds persistent
-    /// evaluators on top so unchanged links are not even re-prepared.
-    ///
-    /// Joint refinement is deliberately *not* applied here: the warm
-    /// path is the per-tick mobility fast path, and the simulator
-    /// rejects joint-mode schedulers up front.
-    pub fn run_warm(
-        &self,
-        fleet: &Fleet,
-        array: &PanelArray,
-        prev: &PanelOutcome,
-        warm: &WarmConfig,
-    ) -> PanelOutcome {
-        assert_eq!(
-            prev.assignment.len(),
-            fleet.len(),
-            "previous outcome covers a different fleet"
-        );
-        assert_eq!(
-            prev.per_panel.len(),
-            array.len(),
-            "previous outcome ran on a different array"
-        );
-        let caches = array.plan_caches();
-        self.run_assigned(
-            fleet,
-            array,
-            prev.assignment.clone(),
-            &caches,
-            "warm",
-            |k, scheduler, sub, eval| {
-                scheduler.run_warm(sub, eval, &prev.per_panel[k].outcome, warm)
-            },
-        )
-    }
-
-    /// The shared per-panel scheduling loop: split `fleet` under a fixed
-    /// `assignment`, run `schedule` per populated panel (empty panels
-    /// take the empty-fleet guard), and assemble the array outcome.
+    /// The cold per-panel schedule: split `fleet` under a fixed
+    /// `assignment`, advance every populated panel's search in lockstep
+    /// ([`crate::fleet::drive`]) — empty panels take the empty-fleet
+    /// guard — and assemble the array outcome.
     fn run_assigned(
         &self,
         fleet: &Fleet,
         array: &PanelArray,
         assignment: Vec<usize>,
         caches: &[(&'static str, PlanCache)],
-        kind: &'static str,
-        schedule: impl Fn(usize, &Scheduler, &Fleet, &FleetEvaluator) -> FleetOutcome,
     ) -> PanelOutcome {
+        // Asked before the schedule: a recorder that stamps its calls
+        // then charges the whole lockstep search to the sweep events.
         let traced = self.recorder.enabled();
         let subfleets = array.subfleets(fleet, &assignment);
+        let schedulers: Vec<Scheduler> = subfleets
+            .iter()
+            .map(|(_, members)| self.panel_scheduler(members))
+            .collect();
+        let evaluators = array.panel_evaluators(&subfleets, caches);
+        let (mut searches, live): (Vec<Search>, Vec<&FleetEvaluator>) = evaluators
+            .iter()
+            .zip(&subfleets)
+            .zip(&schedulers)
+            .filter_map(|((evaluator, (subfleet, _)), scheduler)| {
+                let evaluator = evaluator.as_ref()?;
+                Some((scheduler.search(subfleet, evaluator), evaluator))
+            })
+            .unzip();
+        let cascade_cells = drive(&mut searches, &live);
+
+        let mut searches = searches.into_iter();
         let mut per_panel = Vec::with_capacity(array.len());
         let mut services: Vec<Option<DeviceService>> = vec![None; fleet.len()];
         let mut probes = 0usize;
         let mut elapsed = 0.0f64;
-        for (k, (subfleet, members)) in subfleets.into_iter().enumerate() {
-            let scheduler = self.panel_scheduler(&members);
-            // Empty sub-fleets take `run`'s empty-fleet guard; populated
-            // ones reuse the array-wide plan cache for their design.
-            let outcome = if subfleet.is_empty() {
-                scheduler.run(&subfleet)
-            } else {
-                let cache = PanelArray::cache_for(caches, &array.panels()[k].design);
-                let evaluator = FleetEvaluator::with_plan_cache(&subfleet, cache);
-                schedule(k, &scheduler, &subfleet, &evaluator)
+        for (k, ((subfleet, members), scheduler)) in
+            subfleets.into_iter().zip(schedulers).enumerate()
+        {
+            let outcome = match &evaluators[k] {
+                Some(evaluator) => {
+                    let search = searches.next().expect("one search per populated panel");
+                    scheduler.outcome(&subfleet, evaluator, search)
+                }
+                None => FleetOutcome::empty(scheduler.policy),
             };
             probes += outcome.probes;
             elapsed = elapsed.max(outcome.elapsed.0);
@@ -824,7 +829,7 @@ impl PanelScheduler {
                     .record_value("panels.probes_per_panel", outcome.probes as u64);
                 self.recorder.emit(TelemetryEvent::SweepSpan {
                     panel: k,
-                    kind,
+                    kind: "cold",
                     probes: outcome.probes,
                 });
             }
@@ -836,6 +841,9 @@ impl PanelScheduler {
                 devices: members,
                 outcome,
             });
+        }
+        if traced {
+            self.recorder.add("fleet.cascade_cells", cascade_cells);
         }
 
         let per_device: Vec<DeviceService> = services
@@ -1342,9 +1350,12 @@ pub fn serve_fleets(
 /// Compiled cascade plans are shared across jobs through one
 /// [`SharedPlanCache`](metasurface::SharedPlanCache) per distinct design:
 /// each job wraps the shared store in its own local [`PlanCache`]
-/// handles, so K panels × N fleets compile each
-/// `(design, carrier)` plan once process-wide and never contend on a
-/// cache lock during probing.
+/// handles, so K panels × N fleets compile each `(design, carrier)`
+/// plan once process-wide, solve each branch voltage once process-wide
+/// (a handle's local miss reads the store's solve), and never contend
+/// on a cache lock during probing. Within a job the panels' searches
+/// run in lockstep ([`PanelScheduler::run_with_caches`]). No computed
+/// response outlives its job's schedule.
 pub fn serve_panel_fleets(
     server: &FleetServer,
     scheduler: &PanelScheduler,
@@ -1515,20 +1526,48 @@ mod tests {
     }
 
     #[test]
-    fn warm_panel_run_keeps_assignment_and_never_regresses() {
-        let fleet = Fleet::mixed_wifi_ble(8, 77);
-        let array = PanelArray::uniform(fleet.design.clone(), 2);
-        let scheduler = PanelScheduler::max_min();
-        let cold = scheduler.run(&fleet, &array);
-        let warm = scheduler.run_warm(&fleet, &array, &cold, &WarmConfig::paper_default());
-        assert_eq!(warm.assignment, cold.assignment);
-        assert!(
-            warm.min_power_dbm() >= cold.min_power_dbm(),
-            "warm {:.2} vs cold {:.2} dBm",
-            warm.min_power_dbm(),
-            cold.min_power_dbm()
-        );
-        assert!(warm.probes < cold.probes, "warm must spend fewer probes");
+    fn each_round_sends_every_plan_one_batch_for_all_panels() {
+        // 16 devices on 4 panels, max-min. Every panel's first round
+        // probes the same full-range 5×5 lattice, so each carrier's plan
+        // evaluates it once, not once per panel; the second round's
+        // windows differ per panel, and each plan evaluates their
+        // distinct cells in one call. A per-panel loop would send
+        // 25 cells per (panel, carrier) in round 1 alone.
+        use crate::telemetry::RingRecorder;
+        use std::sync::Arc;
+
+        let fleet = Fleet::mixed_wifi_ble(16, 2021);
+        let array = PanelArray::uniform(fleet.design.clone(), 4);
+        let cascade_cells = |scheduler: PanelScheduler| {
+            let ring = Arc::new(RingRecorder::new(64));
+            let outcome = scheduler
+                .with_recorder(RecorderHandle::new(ring.clone()))
+                .run(&fleet, &array);
+            (ring.counter("fleet.cascade_cells"), outcome)
+        };
+        let mut round_one = PanelScheduler::max_min();
+        round_one.base.sweep.iterations = 1;
+        let (cells, outcome) = cascade_cells(round_one);
+        let plans = 2; // Wi-Fi and BLE
+        assert_eq!(cells, plans * 25);
+        let panel_plans: usize = outcome
+            .per_panel
+            .iter()
+            .map(|p| {
+                let carriers: std::collections::HashSet<u64> = p
+                    .devices
+                    .iter()
+                    .map(|&d| fleet.devices()[d].scenario.frequency.0.to_bits())
+                    .collect();
+                carriers.len()
+            })
+            .sum();
+        assert!(panel_plans as u64 > plans, "{panel_plans} panel plans");
+        // The full schedule: 50 cells in round 1, then the plans' 90
+        // distinct round-2 cells, for 200 probes.
+        let (cells, outcome) = cascade_cells(PanelScheduler::max_min());
+        assert_eq!(outcome.probes, 4 * 50);
+        assert_eq!(cells, 140);
     }
 
     #[test]

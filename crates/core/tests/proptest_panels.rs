@@ -4,6 +4,11 @@
 //!   must reproduce the shared-bias `Scheduler` outcome *exactly* (same
 //!   bias, same per-device powers, same probe count) across random
 //!   fleets — the panel layer adds capability, never drift;
+//! * the K-panel cold schedule advances every panel's search in
+//!   lockstep and probes each round's grids in one batch, yet each
+//!   panel's outcome is bitwise `Scheduler::run` over its sub-fleet,
+//!   history included, for every policy, with empty panels, at any
+//!   thread budget;
 //! * the per-panel shared-plan batch path equals the naive per-device
 //!   loop over each panel's sub-fleet bit for bit across random fleets,
 //!   panel counts and assignments;
@@ -15,7 +20,7 @@
 
 mod common;
 
-use llama_core::fleet::{Fleet, FleetDevice, Scheduler};
+use llama_core::fleet::{Fleet, FleetDevice, FleetOutcome, Policy, Scheduler};
 use llama_core::panels::{Assignment, JointConfig, PanelArray, PanelScheduler};
 use metasurface::stack::BiasState;
 use propagation::coupling::CouplingConfig;
@@ -124,6 +129,99 @@ proptest! {
                         "panel {p} bias {b} member {d}: batched {a} vs naive {n}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Every float of an outcome as its bit pattern, so two outcomes
+/// compare bit for bit: policy, shared bias, score, probes, airtime,
+/// per-device service and the whole probe history.
+fn outcome_bits(o: &FleetOutcome) -> Vec<u64> {
+    let mut out = vec![o.score.to_bits(), o.probes as u64, o.elapsed.0.to_bits()];
+    out.push(match o.policy {
+        Policy::MaxMin => 0,
+        Policy::Favor { favored } => 1 + favored as u64,
+        Policy::TimeDivision => u64::MAX,
+    });
+    if let Some(b) = o.shared_bias {
+        out.extend([b.vx.0.to_bits(), b.vy.0.to_bits()]);
+    }
+    for d in &o.per_device {
+        out.extend([
+            d.bias.vx.0.to_bits(),
+            d.bias.vy.0.to_bits(),
+            d.power_dbm.to_bits(),
+            d.duty.to_bits(),
+            d.throughput_bits_hz.to_bits(),
+            u64::from(d.decodable),
+        ]);
+    }
+    for (b, row) in &o.history {
+        out.extend([b.vx.0.to_bits(), b.vy.0.to_bits(), row.len() as u64]);
+        out.extend(row.iter().map(|p| p.to_bits()));
+    }
+    out
+}
+
+/// The scheduler a lone panel runs: a fleet-order `Favor` index becomes
+/// the panel's sub-fleet index where the favored device has company,
+/// and max-min everywhere else.
+fn lone_panel_scheduler(base: &Scheduler, members: &[usize]) -> Scheduler {
+    let mut scheduler = base.clone();
+    if let Policy::Favor { favored } = base.policy {
+        scheduler.policy = match members.iter().position(|&d| d == favored) {
+            Some(sub) if members.len() >= 2 => Policy::Favor { favored: sub },
+            _ => Policy::MaxMin,
+        };
+    }
+    scheduler
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The lockstep schedule is the one-panel-at-a-time schedule: each
+    /// panel's allocation equals `Scheduler::run` over its
+    /// `PanelArray::subfleets` member bit for bit, history included,
+    /// for max-min, favor and time division, K = 1..4 with explicit
+    /// assignments that leave panels empty, at budgets 1 and 4.
+    #[test]
+    fn lockstep_panels_are_each_panel_scheduled_alone(
+        f in fleet(7),
+        k in 1usize..5,
+        picks in prop::collection::vec(0usize..4, 7..8),
+        policy in 0usize..3,
+        favored in 0usize..7,
+    ) {
+        let map: Vec<usize> = picks[..f.len()].iter().map(|&p| p % k).collect();
+        let array = PanelArray::uniform(f.design.clone(), k);
+        let base = match policy {
+            0 => Scheduler::max_min(),
+            1 => Scheduler::favor(favored % f.len()),
+            _ => Scheduler::time_division(),
+        };
+        let scheduler = PanelScheduler {
+            base: base.clone(),
+            ..PanelScheduler::max_min()
+        }
+        .with_assignment(Assignment::Explicit(map.clone()));
+        let alone: Vec<Vec<u64>> = array
+            .subfleets(&f, &map)
+            .iter()
+            .map(|(subfleet, members)| {
+                outcome_bits(&lone_panel_scheduler(&base, members).run(subfleet))
+            })
+            .collect();
+        for budget in [1, 4] {
+            let outcome = rfmath::par::with_budget(budget, || scheduler.run(&f, &array));
+            prop_assert_eq!(&outcome.assignment, &map);
+            prop_assert_eq!(outcome.per_panel.len(), k);
+            for (p, (allocation, expected)) in outcome.per_panel.iter().zip(&alone).enumerate() {
+                prop_assert!(
+                    &outcome_bits(&allocation.outcome) == expected,
+                    "panel {p} at budget {budget} drifted from its lone schedule"
+                );
             }
         }
     }

@@ -33,12 +33,15 @@
 //!   (property-tested). The grid entry point maps each cell (a heatmap
 //!   projects it onto a link) as it leaves the kernel, inside the same
 //!   fan-out; [`StackEvaluator::eval_grid`] is its identity map.
-//! * **Shared plan compilation.** [`SharedPlanCache`] owns compiled
-//!   plans behind one short-lived mutex; [`PlanCache`] is a cheap
-//!   shard-local handle over it, so worker threads serving disjoint
-//!   fleets share compilations without ever contending on a hot-path
-//!   lock (the handle's local `Rc` table answers repeat lookups
-//!   lock-free).
+//! * **Shared plan compilation and branch memos.** [`SharedPlanCache`]
+//!   owns compiled plans behind one short-lived mutex, and each compiled
+//!   core owns the per-voltage branch S-parameters every handle has
+//!   solved. [`PlanCache`] is a cheap shard-local handle over the store:
+//!   its local `Rc` table and each plan's local memo front answer repeat
+//!   lookups lock-free, a local miss consults the store under a brief
+//!   lock, and a branch is solved only when the store lacks it. Worker
+//!   threads serving disjoint fleets therefore share compilations and
+//!   branch solves without contending on a hot-path lock.
 //!
 //! The per-point engine is *exactly* equivalent to the naive path:
 //! stages are built by the same code, and both sides fold transfers
@@ -46,22 +49,26 @@
 //! `1e-12` (`tests/proptest_evaluator.rs` is the contract).
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use microwave::polarized::{PolarizedS, WaveTransfer};
 use microwave::substrate::ETA0;
 use microwave::twoport::{Abcd, SParams};
 use rfmath::complex::Complex;
+use rfmath::rng::MixState;
 use rfmath::units::{Hertz, Radians, Volts};
 
 use crate::response::SurfaceResponse;
 use crate::sheet::AnisotropicSheet;
 use crate::stack::{BiasState, SurfaceStack};
 
-/// Upper bound on memoized per-axis voltage entries; beyond this the
-/// evaluator computes without caching (protects pathological callers
-/// that probe millions of distinct voltages at one frequency).
+/// Upper bound on memoized per-axis voltage entries, in a handle's local
+/// front and in the store alike; beyond this the evaluator computes
+/// without caching (protects pathological callers that probe millions
+/// of distinct voltages at one frequency).
 const MEMO_CAP: usize = 4096;
 
 /// One step of the compiled cascade plan, in traversal order. Both
@@ -78,39 +85,39 @@ enum Step {
 }
 
 /// The immutable half of a bias-dependent panel: what the plan needs to
-/// solve either branch at any voltage. Per-voltage memos live in
-/// [`TunedMemo`] on the evaluator instance, so the core is `Send + Sync`
-/// and shareable across worker threads.
+/// solve either branch at any voltage.
 #[derive(Clone, Debug)]
 struct TunedCore {
     sheet: AnisotropicSheet,
     rotation: Radians,
 }
 
-/// Per-instance voltage memos for one tuned panel (interior-mutable,
-/// therefore thread-local by construction).
-#[derive(Clone, Debug, Default)]
-struct TunedMemo {
-    x: RefCell<Vec<(u64, SParams)>>,
-    y: RefCell<Vec<(u64, SParams)>>,
+/// One polarization branch of a tuned panel.
+#[derive(Clone, Copy, Debug)]
+enum Axis {
+    X = 0,
+    Y = 1,
 }
 
-/// Memo lookup/insert shared by both axes.
-fn axis_s(
-    memo: &RefCell<Vec<(u64, SParams)>>,
-    v: f64,
-    compute: impl FnOnce() -> SParams,
-) -> SParams {
-    let bits = v.to_bits();
-    if let Some(&(_, s)) = memo.borrow().iter().find(|(b, _)| *b == bits) {
-        return s;
-    }
-    let s = compute();
-    let mut memo = memo.borrow_mut();
-    if memo.len() < MEMO_CAP {
-        memo.push((bits, s));
-    }
-    s
+/// A handle's lock-free local front over its core's branch store, one
+/// per tuned panel: the voltages this instance has already looked up
+/// (interior-mutable, therefore thread-local by construction).
+#[derive(Clone, Debug, Default)]
+struct TunedMemo {
+    axes: [RefCell<Vec<(u64, SParams)>>; 2],
+}
+
+/// The store-owned per-voltage branch S-parameters of one compiled
+/// core, shared by every handle over it. Each branch is a pure function
+/// of (plan, axis, voltage bits), so whichever handle solves it first,
+/// every handle reads the same bits.
+#[derive(Debug)]
+struct BranchStore {
+    /// `[x, y]` memos per tuned panel, keyed by voltage bit pattern (a
+    /// hashed lookup: a warm store holds up to [`MEMO_CAP`] entries).
+    memos: Vec<[HashMap<u64, SParams, MixState>; 2]>,
+    /// Branch solves run on this core, over every handle.
+    solves: u64,
 }
 
 /// Assembles a tuned panel's stage transfer from cached per-axis
@@ -139,10 +146,10 @@ enum Lone {
     Tuned,
 }
 
-/// The immutable, shareable part of a compiled plan: everything except
-/// the per-voltage memos. `Send + Sync`, so a [`SharedPlanCache`] can
-/// hand one compilation to every worker shard.
-#[derive(Clone, Debug)]
+/// The shareable part of a compiled plan: the immutable cascade plus
+/// the store of per-voltage branch solves. `Send + Sync`, so a
+/// [`SharedPlanCache`] can hand one compilation to every worker shard.
+#[derive(Debug)]
 struct PlanCore {
     f: Hertz,
     steps: Vec<Step>,
@@ -156,6 +163,7 @@ struct PlanCore {
     /// True when a bias-independent stage was numerically opaque
     /// (singular transmission): every response is `None`.
     opaque: bool,
+    branches: Mutex<BranchStore>,
 }
 
 impl PlanCore {
@@ -188,6 +196,7 @@ impl PlanCore {
                 steps,
                 statics,
                 static_components: Vec::new(),
+                branches: BranchStore::new(tuned.len()),
                 tuned,
                 lone: Some(lone),
                 opaque: false,
@@ -242,10 +251,52 @@ impl PlanCore {
             steps,
             static_components: statics.iter().map(WaveTransfer::components).collect(),
             statics,
+            branches: BranchStore::new(tuned.len()),
             tuned,
             lone: None,
             opaque,
         }
+    }
+
+    /// The branch store, locked. A caller holds the lock for one
+    /// lookup or one batch's lookups, plus the solves of voltages no
+    /// handle has seen — each ~0.5 µs, and rare once the store is warm.
+    fn store(&self) -> MutexGuard<'_, BranchStore> {
+        self.branches.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Tuned panel `k`'s `axis` branch S-parameters at `v`, from the
+    /// locked `store` when any handle has solved it before, solved (and
+    /// stored, up to [`MEMO_CAP`]) otherwise.
+    fn branch(&self, store: &mut BranchStore, k: usize, axis: Axis, v: f64) -> SParams {
+        let memo = &mut store.memos[k][axis as usize];
+        let full = memo.len() >= MEMO_CAP;
+        match memo.entry(v.to_bits()) {
+            Entry::Occupied(hit) => *hit.get(),
+            Entry::Vacant(slot) => {
+                let sheet = &self.tuned[k].sheet;
+                let abcd = match axis {
+                    Axis::X => sheet.abcd_x(self.f, Volts(v)),
+                    Axis::Y => sheet.abcd_y(self.f, Volts(v)),
+                };
+                let s = abcd.to_s(ETA0);
+                if !full {
+                    slot.insert(s);
+                }
+                store.solves += 1;
+                s
+            }
+        }
+    }
+}
+
+impl BranchStore {
+    /// An empty store for `panels` tuned panels, behind its lock.
+    fn new(panels: usize) -> Mutex<Self> {
+        Mutex::new(Self {
+            memos: (0..panels).map(|_| Default::default()).collect(),
+            solves: 0,
+        })
     }
 }
 
@@ -254,9 +305,11 @@ impl PlanCore {
 ///
 /// Build one per operating frequency and probe it with as many bias
 /// states as needed; see the module docs for the cost model. The
-/// compiled cascade itself lives in a shared immutable core (so
-/// [`SharedPlanCache`] can hand one compilation to many threads); only
-/// the per-voltage memos are instance state.
+/// compiled cascade and the store of per-voltage branch solves live in
+/// a shared core (so [`SharedPlanCache`] can hand one compilation, and
+/// every branch it has solved, to many threads). The instance holds
+/// only a lock-free local front over that store: the voltages it has
+/// already looked up.
 #[derive(Clone, Debug)]
 pub struct StackEvaluator {
     core: Arc<PlanCore>,
@@ -271,7 +324,7 @@ impl StackEvaluator {
         Self::from_core(Arc::new(PlanCore::compile(stack, f)))
     }
 
-    /// Wraps a shared compiled core with fresh (empty) voltage memos.
+    /// Wraps a shared compiled core with a fresh (empty) local front.
     fn from_core(core: Arc<PlanCore>) -> Self {
         let memos = core.tuned.iter().map(|_| TunedMemo::default()).collect();
         Self { core, memos }
@@ -282,20 +335,59 @@ impl StackEvaluator {
         self.core.f
     }
 
-    /// X-branch S-parameters of tuned panel `k` at `v`, memoized by
-    /// voltage bit pattern.
-    fn x_s(&self, k: usize, v: f64) -> SParams {
-        let sheet = &self.core.tuned[k].sheet;
-        let f = self.core.f;
-        axis_s(&self.memos[k].x, v, || sheet.abcd_x(f, Volts(v)).to_s(ETA0))
+    /// Branch S-parameters of tuned panel `k` on `axis` at `v`: the
+    /// local front when this instance has seen `v`, the core's store
+    /// otherwise (see [`PlanCore::branch`]). The store is locked at the
+    /// first miss and stays locked in `store` until the caller drops it,
+    /// so a batch takes the lock at most once.
+    fn axis_s<'c>(
+        &'c self,
+        store: &mut Option<MutexGuard<'c, BranchStore>>,
+        k: usize,
+        axis: Axis,
+        v: f64,
+    ) -> SParams {
+        let bits = v.to_bits();
+        let mut front = self.memos[k].axes[axis as usize].borrow_mut();
+        if let Some(&(_, s)) = front.iter().find(|(b, _)| *b == bits) {
+            return s;
+        }
+        let store = store.get_or_insert_with(|| self.core.store());
+        let s = self.core.branch(store, k, axis, v);
+        if front.len() < MEMO_CAP {
+            front.push((bits, s));
+        }
+        s
     }
 
-    /// Y-branch S-parameters of tuned panel `k` at `v`, memoized by
-    /// voltage bit pattern.
+    /// X-branch S-parameters of tuned panel `k` at `v`.
+    fn x_s(&self, k: usize, v: f64) -> SParams {
+        self.axis_s(&mut None, k, Axis::X, v)
+    }
+
+    /// Y-branch S-parameters of tuned panel `k` at `v`.
     fn y_s(&self, k: usize, v: f64) -> SParams {
-        let sheet = &self.core.tuned[k].sheet;
-        let f = self.core.f;
-        axis_s(&self.memos[k].y, v, || sheet.abcd_y(f, Volts(v)).to_s(ETA0))
+        self.axis_s(&mut None, k, Axis::Y, v)
+    }
+
+    /// Every tuned panel's branch S-parameters at every X voltage
+    /// `vxs`, then at every Y voltage `vys` (see [`BranchTable`]), under
+    /// at most one lock of the store.
+    fn branch_table(&self, vxs: &[f64], vys: &[f64]) -> BranchTable {
+        let panels = self.core.tuned.len();
+        let mut params = Vec::with_capacity(panels * (vxs.len() + vys.len()));
+        let mut store = None;
+        for (axis, volts) in [(Axis::X, vxs), (Axis::Y, vys)] {
+            for k in 0..panels {
+                params.extend(volts.iter().map(|&v| self.axis_s(&mut store, k, axis, v)));
+            }
+        }
+        BranchTable {
+            nx: vxs.len(),
+            ny: vys.len(),
+            y_start: panels * vxs.len(),
+            params,
+        }
     }
 
     /// Assembles a one-panel stack's stage exactly as
@@ -485,11 +577,7 @@ impl StackEvaluator {
         }
 
         // O(distinct voltages) setup: per-axis branch solves (memoized).
-        let branches = BranchTable::solve(
-            core.tuned.len(),
-            (vxs, |k, v| self.x_s(k, v)),
-            (vys, |k, v| self.y_s(k, v)),
-        );
+        let branches = self.branch_table(vxs, vys);
         let threads = if cells.len() < 256 {
             1
         } else {
@@ -560,28 +648,6 @@ struct BranchTable {
 }
 
 impl BranchTable {
-    /// Solves each of `panels` tuned panels at every X voltage, then at
-    /// every Y voltage, through the given per-axis solvers.
-    fn solve(
-        panels: usize,
-        (vxs, x_s): (&[f64], impl Fn(usize, f64) -> SParams),
-        (vys, y_s): (&[f64], impl Fn(usize, f64) -> SParams),
-    ) -> Self {
-        let mut params = Vec::with_capacity(panels * (vxs.len() + vys.len()));
-        for k in 0..panels {
-            params.extend(vxs.iter().map(|&v| x_s(k, v)));
-        }
-        for k in 0..panels {
-            params.extend(vys.iter().map(|&v| y_s(k, v)));
-        }
-        Self {
-            nx: vxs.len(),
-            ny: vys.len(),
-            y_start: panels * vxs.len(),
-            params,
-        }
-    }
-
     /// Panel `k`'s X branch at X voltage index `ix`.
     #[inline]
     fn x(&self, k: usize, ix: usize) -> SParams {
@@ -877,15 +943,19 @@ fn soa_block<T>(
 }
 
 /// The shared, thread-safe compilation store behind [`PlanCache`]
-/// handles: one mutex-guarded table of immutable compiled cores per
-/// surface stack.
+/// handles: one mutex-guarded table of compiled cores per surface
+/// stack, each core owning the branch S-parameters solved on it.
 ///
-/// The mutex is cold by construction — a worker shard takes it only on
-/// a local-handle miss (first sighting of a frequency on that shard),
-/// holds it for a table lookup or one compilation, and never touches it
-/// on the probe hot path. K panels × N fleets across W shards therefore
-/// compile each `(stack, frequency)` plan at most once process-wide
-/// without serializing steady-state serving.
+/// The table's mutex is cold by construction — a worker shard takes it
+/// only on a local-handle miss (first sighting of a frequency on that
+/// shard), holds it for a table lookup or one compilation, and never
+/// touches it on the probe hot path. K panels × N fleets across W
+/// shards therefore compile each `(stack, frequency)` plan at most once
+/// process-wide without serializing steady-state serving. A core's
+/// branch store is consulted only when a handle's local front misses a
+/// voltage, so a fresh handle over a warm store solves no branch at
+/// all: it pays one brief lock per batch that holds voltages it has
+/// not yet seen.
 #[derive(Debug)]
 pub struct SharedPlanCache {
     stack: SurfaceStack,
@@ -926,6 +996,14 @@ impl SharedPlanCache {
     pub fn compiled_count(&self) -> usize {
         self.master.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
+
+    /// Branch solves (one per-axis ABCD solve of one tuned panel at one
+    /// voltage) run on this store's cores, over every handle. A handle
+    /// that finds every voltage in the store adds none.
+    pub fn branch_solves(&self) -> u64 {
+        let master = self.master.lock().unwrap_or_else(|e| e.into_inner());
+        master.iter().map(|core| core.store().solves).sum()
+    }
 }
 
 /// A compile-once plan cache over the `(stack, frequency)` plane — the
@@ -942,10 +1020,13 @@ impl SharedPlanCache {
 /// thread. Handles made from the same [`SharedPlanCache`]
 /// (via [`SharedPlanCache::handle`]) share compiled cores across
 /// threads — a local miss consults the shared store (one brief lock)
-/// and wraps the immutable core with thread-local memos, so sharded
-/// fleet serving never compiles the same plan twice nor contends on the
-/// probe path. `PlanCache::new` creates a private store, which keeps
-/// every single-threaded caller exactly as before.
+/// and wraps the core with a thread-local memo front. The front misses
+/// only on a voltage this handle has not seen; the core's branch store
+/// then answers it, and solves it only if no handle has. So sharded
+/// fleet serving never compiles the same plan twice, re-solves a branch
+/// another job already solved, or contends on the probe path.
+/// `PlanCache::new` creates a private store, so a single-threaded
+/// caller shares nothing with anyone.
 #[derive(Clone, Debug)]
 pub struct PlanCache {
     shared: Arc<SharedPlanCache>,
@@ -1284,14 +1365,16 @@ mod tests {
         let p2 = h2.plan(F);
         assert_eq!(shared.compiled_count(), 1);
         assert_eq!(h1.plan_count(), 1);
-        // Distinct per-handle evaluators (thread-local memos) over the
-        // same immutable core → bit-identical answers.
+        // Distinct per-handle evaluators (thread-local memo fronts) over
+        // the same core → bit-identical answers. The first handle solves
+        // each tuned panel's two branches once; the second finds them in
+        // the core's store and solves none.
         assert!(!Rc::ptr_eq(&p1, &p2));
         assert!(Arc::ptr_eq(&p1.core, &p2.core));
-        assert_eq!(
-            max_diff(p1.response(bias).unwrap(), p2.response(bias).unwrap()),
-            0.0
-        );
+        let r1 = p1.response(bias).unwrap();
+        assert_eq!(shared.branch_solves(), 2 * 2);
+        assert_eq!(max_diff(r1, p2.response(bias).unwrap()), 0.0);
+        assert_eq!(shared.branch_solves(), 2 * 2);
 
         // And the store really is usable from other threads.
         fn assert_send_sync<T: Send + Sync>(_: &T) {}

@@ -3,11 +3,14 @@
 //! `SurfaceStack::response` to 1e-12 across random designs, frequencies
 //! and bias grids, and its structure-of-arrays kernel — behind both
 //! `eval_batch` and `eval_grid` — must match the per-cell reference fold
-//! bit for bit. Every consumer of the engine — heatmaps, rotation maps,
-//! the optimizer's probe loop — leans on this property.
+//! bit for bit. Plan handles over one `SharedPlanCache` on different
+//! threads, which share the store's branch solves, must answer bit for
+//! bit like a private `StackEvaluator::new`. Every consumer of the
+//! engine — heatmaps, rotation maps, the optimizer's probe loop, the
+//! fleet server's jobs — leans on this property.
 
 use metasurface::designs::{fr4_naive, fr4_optimized, rfid_900mhz, rogers_reference};
-use metasurface::evaluator::StackEvaluator;
+use metasurface::evaluator::{SharedPlanCache, StackEvaluator};
 use metasurface::sheet::{AnisotropicSheet, SheetBranch};
 use metasurface::stack::{BiasState, Panel, SurfaceStack};
 use microwave::polarized::PolarizedS;
@@ -15,6 +18,7 @@ use microwave::substrate::{Material, Slab};
 use microwave::varactor::Varactor;
 use proptest::prelude::*;
 use rfmath::units::{Farads, Henries, Hertz, Meters, Ohms, Radians};
+use std::sync::Arc;
 
 /// Largest |Δ| across all four scattering blocks.
 fn max_diff(a: PolarizedS, b: PolarizedS) -> f64 {
@@ -336,5 +340,58 @@ proptest! {
         let reference = StackEvaluator::new(&stack, f).eval_batch_reference(&cells);
         prop_assert_eq!(bits(&evaluator.eval_grid(&vxs, &vys)), bits(&reference));
         prop_assert_eq!(bits(&evaluator.eval_batch(&cells)), bits(&reference));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Two handles on two threads over one shared store: whichever
+    /// thread solves a branch first, both read the store's bits, and
+    /// every batch and single-point response equals a private
+    /// `StackEvaluator::new` bit for bit. The threads' batches overlap
+    /// in part, so each thread meets voltages the other may have
+    /// stored. A third handle after both finds every branch in the
+    /// store and solves none.
+    #[test]
+    fn shared_store_handles_on_two_threads_match_a_private_plan(
+        stack in grid_stack(),
+        f_ghz in 1.8f64..3.0,
+        biases in prop::collection::vec((voltage(), voltage()), 1..24),
+        split in 0usize..24,
+    ) {
+        let f = Hertz::from_ghz(f_ghz);
+        let biases: Vec<BiasState> = biases
+            .into_iter()
+            .map(|(vx, vy)| BiasState::new(vx, vy))
+            .collect();
+        let split = split.min(biases.len());
+        let shared = Arc::new(SharedPlanCache::new(&stack));
+        let batches = [&biases[..], &biases[split..]];
+        let run = |batch: &[BiasState]| {
+            let plan = shared.handle().plan(f);
+            let singles: Vec<_> = batch.iter().map(|&b| plan.response(b)).collect();
+            (bits(&plan.eval_batch(batch)), bits(&singles))
+        };
+        let served = std::thread::scope(|scope| {
+            let workers: Vec<_> = batches
+                .iter()
+                .map(|&batch| scope.spawn(move || run(batch)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("handle thread"))
+                .collect::<Vec<_>>()
+        });
+        for (batch, (batched, singles)) in batches.iter().zip(&served) {
+            let private = StackEvaluator::new(&stack, f);
+            prop_assert_eq!(batched, &bits(&private.eval_batch(batch)));
+            let one_by_one: Vec<_> = batch.iter().map(|&b| private.response(b)).collect();
+            prop_assert_eq!(singles, &bits(&one_by_one));
+        }
+        let solved = shared.branch_solves();
+        let again = run(&biases);
+        prop_assert_eq!(&again, &served[0]);
+        prop_assert_eq!(shared.branch_solves(), solved);
     }
 }

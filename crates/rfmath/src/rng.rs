@@ -66,6 +66,36 @@ fn hash_label(label: &str) -> u64 {
     h
 }
 
+/// A fast [`Hasher`](std::hash::Hasher) for keys made of bit patterns
+/// (`f64::to_bits` voltages, `(vx, vy)` pairs): each 64-bit word folds
+/// in through the SplitMix64 finalizer, so keys whose low bits are all
+/// zero — round voltages — still spread over a table's buckets. It
+/// does less work per word than the standard library's SipHash and is
+/// not resistant to chosen keys, so it is for keys the program makes.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MixHasher(u64);
+
+impl std::hash::Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = mix(self.0, word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`MixHasher`]s: `HashMap<K, V, MixState>`.
+pub type MixState = std::hash::BuildHasherDefault<MixHasher>;
+
 /// SplitMix64-style finalizer mixing two 64-bit words.
 fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.rotate_left(31);
