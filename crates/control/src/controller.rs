@@ -7,19 +7,19 @@
 //! the supply's 50 Hz switching budget.
 
 use rfmath::telemetry::{RecorderHandle, TelemetryEvent};
-use rfmath::units::{Seconds, Volts};
+use rfmath::units::Seconds;
 
 use crate::psu::PowerSupply;
-use crate::sweep::{Probe, SweepConfig};
+use crate::sweep::{GridSearch, Probe, SweepConfig};
 
 /// Controller lifecycle states.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Phase {
     /// Waiting to be told to optimize.
     Idle,
-    /// Mid-sweep: probing combination `next` of the current plan.
+    /// Mid-sweep: probing combination `next` of the current grid.
     Sweeping {
-        /// Index of the next probe in the plan.
+        /// Index of the next probe in the grid.
         next: usize,
         /// Refinement iteration (0-based).
         iteration: usize,
@@ -171,11 +171,13 @@ pub enum Event {
     Applied(Probe),
     /// A probe was scored from a report.
     Scored(Probe, f64),
-    /// A refinement window was selected.
+    /// An iteration's scores were handed to the search.
     Refined {
         /// Iteration that just finished.
         iteration: usize,
-        /// Winning probe of the iteration.
+        /// The running winner over every iteration so far: the first
+        /// probe to reach the best score, which the next window centres
+        /// on (the supply's low corner while nothing has scored).
         winner: Probe,
     },
     /// The controller converged on its final state.
@@ -228,10 +230,11 @@ pub struct Controller {
     /// panel or fleet index it drives); 0 when unset.
     pub telemetry_id: usize,
     phase: Phase,
-    plan: Vec<Probe>,
+    /// Algorithm 1, fed one iteration of scores at a time.
+    search: GridSearch,
+    /// Scores of the current grid's probes: `None` until a usable
+    /// report arrives, `-∞` once abandoned.
     scores: Vec<Option<f64>>,
-    window: ((Volts, Volts), (Volts, Volts)),
-    best: Option<(Probe, f64)>,
     applied_at: Option<Seconds>,
     /// Lost deliveries of the probe currently awaiting a report.
     attempts: usize,
@@ -242,8 +245,11 @@ pub struct Controller {
 
 impl Controller {
     /// Creates a controller with the paper's sweep defaults.
+    ///
+    /// # Panics
+    /// Panics on a sweep configuration [`GridSearch::cold`] refuses: no
+    /// iteration, fewer than two steps per axis or a non-finite range.
     pub fn new(config: SweepConfig) -> Self {
-        let window = ((config.v_min, config.v_max), (config.v_min, config.v_max));
         Self {
             config,
             report_timeout: Seconds(0.1),
@@ -253,10 +259,8 @@ impl Controller {
             recorder: RecorderHandle::null(),
             telemetry_id: 0,
             phase: Phase::Idle,
-            plan: Vec::new(),
+            search: GridSearch::cold(&config),
             scores: Vec::new(),
-            window,
-            best: None,
             applied_at: None,
             attempts: 0,
             events: Vec::new(),
@@ -277,9 +281,35 @@ impl Controller {
         &self.phase
     }
 
-    /// The best (probe, power) found so far.
+    /// The best (probe, power) found so far: the first probe to reach
+    /// the best score, counting the running iteration's scored probes.
+    /// `None` while every probe is unscored or abandoned.
     pub fn best(&self) -> Option<(Probe, f64)> {
-        self.best
+        let mut best = self.search.leader();
+        // The running iteration's scores reach the search only once the
+        // iteration is complete.
+        if let Some(grid) = self.search.grid() {
+            for (&probe, score) in grid.iter().zip(&self.scores) {
+                if let Some(s) = *score {
+                    if s > best.1 {
+                        best = (probe, s);
+                    }
+                }
+            }
+        }
+        (best.1 > f64::NEG_INFINITY).then_some(best)
+    }
+
+    /// Probe `i` of the current grid.
+    fn planned(&self, i: usize) -> Probe {
+        self.search.grid().expect("a probe is pending")[i]
+    }
+
+    /// Clears the scores for the search's next grid.
+    fn reset_scores(&mut self) {
+        let n = self.search.grid().map_or(0, <[Probe]>::len);
+        self.scores.clear();
+        self.scores.resize(n, None);
     }
 
     /// Emitted event log.
@@ -288,16 +318,15 @@ impl Controller {
     }
 
     /// Begins an optimization: plans the first iteration's grid.
+    ///
+    /// # Panics
+    /// Panics when [`GridSearch::cold`] refuses [`Controller::config`].
     pub fn start(&mut self) {
-        self.window = (
-            (self.config.v_min, self.config.v_max),
-            (self.config.v_min, self.config.v_max),
-        );
-        self.best = None;
+        self.search = GridSearch::cold(&self.config);
         self.attempts = 0;
-        self.plan_iteration(0);
+        self.reset_scores();
         self.events.push(Event::SweepStarted(
-            self.plan.len() * self.config.iterations,
+            self.scores.len() * self.config.iterations,
         ));
         self.recorder.add("controller.sweeps_started", 1);
         if self.recorder.enabled() {
@@ -307,25 +336,6 @@ impl Controller {
             next: 0,
             iteration: 0,
         };
-    }
-
-    fn plan_iteration(&mut self, _iteration: usize) {
-        let t = self.config.steps_per_axis;
-        let ((lx, hx), (ly, hy)) = self.window;
-        let grid = |lo: Volts, hi: Volts, i: usize| {
-            Volts(lo.0 + (hi.0 - lo.0) * i as f64 / (t - 1) as f64)
-        };
-        self.plan.clear();
-        self.scores.clear();
-        for ix in 0..t {
-            for iy in 0..t {
-                self.plan.push(Probe {
-                    vx: grid(lx, hx, ix),
-                    vy: grid(ly, hy, iy),
-                });
-            }
-        }
-        self.scores.resize(self.plan.len(), None);
     }
 
     /// Closes the convergence span opened by [`Controller::start`],
@@ -366,15 +376,13 @@ impl Controller {
                         Some(score) => {
                             self.scores[probe_idx] = Some(score);
                             self.attempts = 0;
-                            self.events.push(Event::Scored(self.plan[probe_idx], score));
+                            self.events
+                                .push(Event::Scored(self.planned(probe_idx), score));
                             self.recorder.add("controller.probes_scored", 1);
-                            if self.best.map(|(_, b)| score > b).unwrap_or(true) {
-                                self.best = Some((self.plan[probe_idx], score));
-                            }
                         }
                         None => {
                             self.events
-                                .push(Event::ReportRejected(self.plan[probe_idx]));
+                                .push(Event::ReportRejected(self.planned(probe_idx)));
                             self.recorder.add("controller.reports_rejected", 1);
                         }
                     }
@@ -389,7 +397,8 @@ impl Controller {
         if let Some(applied_at) = self.applied_at {
             let window = self.retry.timeout_for(self.report_timeout, self.attempts);
             if next > 0 && self.scores[next - 1].is_none() && now.0 - applied_at.0 > window.0 {
-                self.events.push(Event::ReportTimeout(self.plan[next - 1]));
+                self.events
+                    .push(Event::ReportTimeout(self.planned(next - 1)));
                 self.attempts += 1;
                 self.recorder.add("controller.report_timeouts", 1);
                 let exhausted = self.attempts >= self.retry.max_attempts.max(1);
@@ -402,7 +411,8 @@ impl Controller {
                 }
                 if exhausted {
                     self.scores[next - 1] = Some(f64::NEG_INFINITY);
-                    self.events.push(Event::ProbeAbandoned(self.plan[next - 1]));
+                    self.events
+                        .push(Event::ProbeAbandoned(self.planned(next - 1)));
                     self.recorder.add("controller.probes_abandoned", 1);
                     self.attempts = 0;
                     self.applied_at = None;
@@ -425,10 +435,10 @@ impl Controller {
             return;
         }
 
-        if next < self.plan.len() {
+        if next < self.scores.len() {
             // Apply the next probe when the PSU allows.
             if now.0 >= psu.next_switch_time().0 {
-                let probe = self.plan[next];
+                let probe = self.planned(next);
                 if psu.set_bias(probe.vx, probe.vy, now).is_ok() {
                     self.applied_at = Some(now);
                     self.events.push(Event::Applied(probe));
@@ -442,61 +452,48 @@ impl Controller {
             return;
         }
 
-        // Iteration complete: refine or converge.
-        let (winner_idx, _) = self
-            .scores
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|v| (i, v)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("every probe scored");
-        let winner = self.plan[winner_idx];
-        self.events.push(Event::Refined { iteration, winner });
-
-        if iteration + 1 < self.config.iterations {
-            let t = self.config.steps_per_axis;
-            let ((lx, hx), (ly, hy)) = self.window;
-            let step_x = (hx.0 - lx.0) / (t - 1) as f64;
-            let step_y = (hy.0 - ly.0) / (t - 1) as f64;
-            self.window = (
-                (
-                    Volts((winner.vx.0 - step_x).max(self.config.v_min.0)),
-                    Volts((winner.vx.0 + step_x).min(self.config.v_max.0)),
-                ),
-                (
-                    Volts((winner.vy.0 - step_y).max(self.config.v_min.0)),
-                    Volts((winner.vy.0 + step_y).min(self.config.v_max.0)),
-                ),
-            );
-            self.plan_iteration(iteration + 1);
-            self.applied_at = None;
-            self.phase = Phase::Sweeping {
-                next: 0,
-                iteration: iteration + 1,
-            };
-        } else {
-            match self.best {
-                Some((best_probe, best_power)) => {
-                    // Hold the winner: apply it as the final state.
-                    if now.0 >= psu.next_switch_time().0
-                        && psu.set_bias(best_probe.vx, best_probe.vy, now).is_ok()
-                    {
-                        self.events.push(Event::Converged(best_probe, best_power));
-                        self.recorder.add("controller.sweeps_converged", 1);
-                        self.close_sweep_span();
-                        self.phase = Phase::Converged;
-                    }
-                }
-                None => {
-                    // Every probe was abandoned (a dead receiver): there
-                    // is no winner to hold. Converge empty-handed — the
-                    // rails keep whatever bias the last applied probe
-                    // left — rather than panic or spin forever.
-                    self.events.push(Event::SweepFailed);
-                    self.recorder.add("controller.sweeps_failed", 1);
+        // Iteration complete: hand its scores to the search, then probe
+        // the next grid or converge.
+        if self.search.grid().is_some() {
+            let rows = self
+                .scores
+                .iter()
+                .map(|s| vec![s.expect("every probe scored")])
+                .collect();
+            self.search.take(rows, &|m: &[f64]| m[0]);
+            let (winner, _) = self.search.leader();
+            self.events.push(Event::Refined { iteration, winner });
+            if self.search.grid().is_some() {
+                self.reset_scores();
+                self.applied_at = None;
+                self.phase = Phase::Sweeping {
+                    next: 0,
+                    iteration: iteration + 1,
+                };
+                return;
+            }
+        }
+        match self.best() {
+            Some((best_probe, best_power)) => {
+                // Hold the winner: apply it as the final state.
+                if now.0 >= psu.next_switch_time().0
+                    && psu.set_bias(best_probe.vx, best_probe.vy, now).is_ok()
+                {
+                    self.events.push(Event::Converged(best_probe, best_power));
+                    self.recorder.add("controller.sweeps_converged", 1);
                     self.close_sweep_span();
                     self.phase = Phase::Converged;
                 }
+            }
+            None => {
+                // Every probe was abandoned (a dead receiver): there
+                // is no winner to hold. Converge empty-handed — the
+                // rails keep whatever bias the last applied probe
+                // left — rather than panic or spin forever.
+                self.events.push(Event::SweepFailed);
+                self.recorder.add("controller.sweeps_failed", 1);
+                self.close_sweep_span();
+                self.phase = Phase::Converged;
             }
         }
     }
@@ -602,9 +599,16 @@ mod tests {
         let (ctl, _, _) = run(bump, None);
         let events = ctl.events();
         assert!(matches!(events[0], Event::SweepStarted(50)));
-        assert!(events
+        // One refinement per iteration, even while the hold waits for
+        // a switching slot.
+        let refined: Vec<usize> = events
             .iter()
-            .any(|e| matches!(e, Event::Refined { iteration: 0, .. })));
+            .filter_map(|e| match e {
+                Event::Refined { iteration, .. } => Some(*iteration),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(refined, vec![0, 1]);
         assert!(matches!(events.last(), Some(Event::Converged(..))));
     }
 
@@ -846,6 +850,44 @@ mod tests {
         let fleet_ctl = run_fleet(Objective::SingleLink, |p| vec![bump(p)], |_, r| Some(r));
         assert_eq!(scalar_ctl.best().unwrap().0, fleet_ctl.best().unwrap().0);
         assert_eq!(scalar_ctl.best().unwrap().1, fleet_ctl.best().unwrap().1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two steps per axis")]
+    fn a_one_step_grid_is_refused() {
+        // One step per axis would plan 0/0 = NaN probes.
+        let _ = Controller::new(SweepConfig {
+            steps_per_axis: 1,
+            ..SweepConfig::paper_default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one iteration")]
+    fn a_sweep_without_iterations_is_refused() {
+        let _ = Controller::new(SweepConfig {
+            iterations: 0,
+            ..SweepConfig::paper_default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "supply range must be finite")]
+    fn a_non_finite_supply_range_is_refused() {
+        // The supply refuses NaN setpoints, so a controller planning
+        // them would never apply a probe and never converge.
+        let _ = Controller::new(SweepConfig {
+            v_max: rfmath::units::Volts(f64::NAN),
+            ..SweepConfig::paper_default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one iteration")]
+    fn start_refuses_a_config_changed_after_new() {
+        let mut ctl = Controller::new(SweepConfig::paper_default());
+        ctl.config.iterations = 0;
+        ctl.start();
     }
 
     #[test]

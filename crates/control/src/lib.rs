@@ -7,13 +7,15 @@
 //! * [`psu`] — the Tektronix 2230G model: two 0–30 V rails, a 50 Hz
 //!   switching budget, settling, and leakage metering;
 //! * [`sweep`] — Algorithm 1, the coarse-to-fine (N, T) bias search that
-//!   turns a ~30 s full scan into ~1 s;
+//!   turns a ~30 s full scan into ~1 s: one round-driven [`GridSearch`],
+//!   cold or warm, that every sweep caller drives;
 //! * [`sync`] — Eq. (13) sample-to-voltage-state labeling and the
 //!   clock-offset estimator that replaces a dedicated sync device;
 //! * [`estimator`] — the §3.4 turntable procedure measuring how many
 //!   degrees the surface actually rotated the wave;
 //! * [`controller`] — the centralized state machine that ties it all
-//!   together, with report-loss recovery and an audit log;
+//!   together, stepping a [`GridSearch`] on asynchronous reports, with
+//!   report-loss recovery and an audit log;
 //! * [`server`] — the many-fleet front: one job cursor and a scoped
 //!   worker pool (the calling thread among them) multiplexing many
 //!   per-fleet optimizations under one controller process, with the
@@ -47,7 +49,6 @@ pub use estimator::{estimate_rotation, RotationEstimate, RotationRig};
 pub use psu::{PowerSupply, PsuError, Reply};
 pub use server::{FleetServer, JobError, ServeStats};
 pub use sweep::{
-    coarse_to_fine, coarse_to_fine_multi, warm_refine_multi, ColdSearch, Probe, SweepConfig,
-    SweepOutcome, WarmConfig,
+    coarse_to_fine, coarse_to_fine_multi, GridSearch, Probe, SweepConfig, SweepOutcome, WarmConfig,
 };
 pub use sync::{estimate_offset, label_samples, BiasSchedule};

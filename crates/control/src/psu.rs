@@ -41,6 +41,14 @@ pub enum PsuError {
     },
     /// The SCPI line did not parse (malformed command, bad channel…).
     Parse(String),
+    /// A setpoint that is not a finite voltage (NaN or ±∞) was refused,
+    /// as the SCPI `APPL` parser refuses one.
+    NonFinite {
+        /// The requested X-rail voltage.
+        vx: Volts,
+        /// The requested Y-rail voltage.
+        vy: Volts,
+    },
     /// An injected transport fault: the instrument never answered
     /// within the wait budget. The simulated instrument itself never
     /// times out — this variant exists for fault-injection harnesses
@@ -61,6 +69,9 @@ impl fmt::Display for PsuError {
                 period.0 * 1e3
             ),
             PsuError::Parse(msg) => write!(f, "{msg}"),
+            PsuError::NonFinite { vx, vy } => {
+                write!(f, "voltage must be finite: ({}, {}) V", vx.0, vy.0)
+            }
             PsuError::Timeout { after } => {
                 write!(
                     f,
@@ -189,9 +200,16 @@ impl PowerSupply {
 
     /// Convenience: set both bias rails (channels 1 = X, 2 = Y) as one
     /// logical switch operation at time `now`. Returns a typed
-    /// [`PsuError`] when the rate limit rejects the change (its
-    /// `Display` carries the legacy instrument message).
+    /// [`PsuError`] when either voltage is not finite or the rate limit
+    /// rejects the change (its `Display` carries the legacy instrument
+    /// message); a rejected call changes nothing and spends no switching
+    /// slot.
     pub fn set_bias(&mut self, vx: Volts, vy: Volts, now: Seconds) -> Result<(), PsuError> {
+        // `f64::clamp` passes NaN through: refuse it before it reaches a
+        // setpoint.
+        if !(vx.0.is_finite() && vy.0.is_finite()) {
+            return Err(PsuError::NonFinite { vx, vy });
+        }
         // The real script programs both channels back-to-back within one
         // switching slot; model it as a single rate-limited operation.
         if now.0 - self.last_switch_at.0 < self.switch_period.0 - 1e-12 {
@@ -295,6 +313,32 @@ mod tests {
             .set_bias(Volts(6.0), Volts(7.0), Seconds(0.105))
             .is_err());
         assert!((psu.next_switch_time().0 - 0.12).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_bias_is_refused_without_spending_a_slot() {
+        let mut psu = PowerSupply::tektronix_2230g();
+        psu.execute("OUTP ON", Seconds(0.0));
+        psu.set_bias(Volts(5.0), Volts(7.0), Seconds(0.1)).unwrap();
+        for (vx, vy) in [
+            (f64::NAN, 7.0),
+            (5.0, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::NAN),
+        ] {
+            let err = psu
+                .set_bias(Volts(vx), Volts(vy), Seconds(0.2))
+                .unwrap_err();
+            assert!(matches!(err, PsuError::NonFinite { .. }), "{err}");
+            assert!(err.to_string().contains("must be finite"), "{err}");
+        }
+        assert_eq!(psu.setpoint(1), Volts(5.0));
+        assert_eq!(psu.setpoint(2), Volts(7.0));
+        assert_eq!(psu.switch_count, 1);
+        // The refusals left the slot open: a finite bias at the same
+        // instant is accepted.
+        assert!((psu.next_switch_time().0 - 0.12).abs() < 1e-12);
+        psu.set_bias(Volts(6.0), Volts(8.0), Seconds(0.2)).unwrap();
+        assert_eq!(psu.switch_count, 2);
     }
 
     #[test]

@@ -8,25 +8,34 @@
 //! (both axes swept jointly), so the whole search costs `0.02·N·T²` —
 //! with the paper's `N = 2, T = 5` that is one second instead of thirty.
 //!
-//! **One measurement call per iteration.** Within an iteration the
-//! `T×T` grid is fixed before any probe returns; only the window moves,
-//! and only between iterations. So the vector sweeps
-//! ([`coarse_to_fine_multi`], [`warm_refine_multi`]) hand `measure` the
-//! iteration's whole grid as one `&[Probe]` and take back one metric
-//! row per probe, in the same order. A batch kernel answers a grid in
-//! one call; a caller that must measure serially (a noisy receiver, a
-//! coupled field) loops over the slice in order. Visit order, winner
-//! selection (the first probe to reach the best score wins), airtime
-//! billing and `history` are exactly those of a probe-by-probe loop.
+//! **One search, every caller.** [`GridSearch`] holds Algorithm 1's
+//! state between iterations: it yields a grid, takes the grid's rows,
+//! and only then yields the next grid. It opens [cold](GridSearch::cold)
+//! over the full supply range or [warm](GridSearch::warm) around a
+//! carried-over bias; both narrow their window by the same rule, and
+//! every grid comes from [`grid_points`]. Its callers differ only in
+//! how they measure a grid:
 //!
-//! **The cold search is round-driven.** [`ColdSearch`] holds Algorithm
-//! 1's state between iterations: it yields a grid, takes the grid's
-//! rows, and only then yields the next grid. [`coarse_to_fine_multi`]
-//! is one search driven by one `measure` closure. A caller with many
-//! independent searches — the panel scheduler, one search per panel —
-//! advances them round by round and measures every live search's grid
-//! in one batch. A search's outcome depends only on its own rows, so
-//! the lockstep schedule is bitwise the one-at-a-time schedule.
+//! * [`GridSearch::run`] hands `measure` the iteration's whole grid as
+//!   one `&[Probe]` and takes back one metric row per probe, in the same
+//!   order (the fleet scheduler's warm ticks, the joint panel descent,
+//!   the single-link system, [`coarse_to_fine_multi`]). A batch kernel
+//!   answers a grid in one call; a caller that must measure serially (a
+//!   noisy receiver, a coupled field) loops over the slice in order.
+//! * The panel scheduler advances many searches round by round and
+//!   measures every live search's grid in one batch. A search's outcome
+//!   depends only on its own rows, so the lockstep schedule is bitwise
+//!   the one-at-a-time schedule.
+//! * The event-stepped [`Controller`](crate::controller::Controller)
+//!   applies one probe per switching slot, collects the iteration's
+//!   asynchronous report scores and hands them over when the iteration
+//!   is complete.
+//!
+//! Within an iteration the `T×T` grid is fixed before any probe returns;
+//! only the window moves, and only between iterations. So visit order,
+//! winner selection (the first probe to reach the best score wins),
+//! airtime billing and `history` are exactly those of a probe-by-probe
+//! loop, whoever drives the search.
 
 use rfmath::telemetry::{RecorderHandle, TelemetryEvent};
 use rfmath::units::{Seconds, Volts};
@@ -122,6 +131,24 @@ pub struct MultiSweepOutcome {
     pub history: Vec<(Probe, Vec<f64>)>,
 }
 
+/// `t` evenly spaced voltages from `lo` to `hi`, both ends included
+/// (`t ≥ 2`): the one grid formula behind every sweep grid, full scan
+/// and heatmap axis.
+pub fn axis_points(t: usize, (lo, hi): (f64, f64)) -> impl Iterator<Item = f64> {
+    (0..t).map(move |i| lo + (hi - lo) * i as f64 / (t - 1) as f64)
+}
+
+/// The `t × t` probes spanning `x × y`, x-major (the visit order of
+/// Algorithm 1).
+pub fn grid_points(t: usize, x: (f64, f64), y: (f64, f64)) -> impl Iterator<Item = Probe> {
+    axis_points(t, x).flat_map(move |vx| {
+        axis_points(t, y).map(move |vy| Probe {
+            vx: Volts(vx),
+            vy: Volts(vy),
+        })
+    })
+}
+
 /// The running winner of a sweep: the first probe to reach the best
 /// score seen so far, and where its metric row sits in the history.
 #[derive(Clone, Debug)]
@@ -131,93 +158,26 @@ struct Leader {
     row: Option<usize>,
 }
 
-/// Records one measured batch in visit order: every `(probe, row)` pair
-/// is scored and pushed to `history`, and `leader` moves only on a
-/// strictly better score — the first probe reaching a score keeps it,
-/// as in a probe-by-probe loop.
-fn record(
-    probes: &[Probe],
-    rows: impl ExactSizeIterator<Item = Vec<f64>>,
-    score: &impl Fn(&[f64]) -> f64,
-    leader: &mut Leader,
-    history: &mut Vec<(Probe, Vec<f64>)>,
-) {
-    assert_eq!(
-        rows.len(),
-        probes.len(),
-        "measure must return one metric row per probe"
-    );
-    for (&probe, m) in probes.iter().zip(rows) {
-        let s = score(&m);
-        if s > leader.score {
-            *leader = Leader {
-                probe,
-                score: s,
-                row: Some(history.len()),
-            };
-        }
-        history.push((probe, m));
-    }
-}
-
-/// Appends the `t × t` probes spanning `[lo_x, hi_x] × [lo_y, hi_y]`
-/// to `grid`, x-major (the visit order of Algorithm 1).
-fn push_grid(grid: &mut Vec<Probe>, t: usize, (lo_x, hi_x): (f64, f64), (lo_y, hi_y): (f64, f64)) {
-    let at = |lo: f64, hi: f64, i: usize| Volts(lo + (hi - lo) * i as f64 / (t - 1) as f64);
-    for ix in 0..t {
-        for iy in 0..t {
-            grid.push(Probe {
-                vx: at(lo_x, hi_x, ix),
-                vy: at(lo_y, hi_y, iy),
-            });
-        }
-    }
-}
-
-/// Assembles the outcome and, on a live recorder, bills the sweep's
-/// probes to the `sweep.probes` counter and `sweep.probes_per_sweep`
-/// histogram and closes it with a [`TelemetryEvent::SweepSpan`].
-fn finish(
-    recorder: &RecorderHandle,
-    panel: usize,
-    kind: &'static str,
-    config: &SweepConfig,
-    leader: Leader,
-    history: Vec<(Probe, Vec<f64>)>,
-) -> MultiSweepOutcome {
-    let probes = history.len();
-    if recorder.enabled() {
-        recorder.add("sweep.probes", probes as u64);
-        recorder.record_value("sweep.probes_per_sweep", probes as u64);
-        recorder.emit(TelemetryEvent::SweepSpan {
-            panel,
-            kind,
-            probes,
-        });
-    }
-    MultiSweepOutcome {
-        best: leader.probe,
-        best_score: leader.score,
-        best_metrics: leader.row.map(|i| history[i].1.clone()).unwrap_or_default(),
-        probes,
-        duration: Seconds(config.switch_period.0 * probes as f64),
-        history,
-    }
-}
-
 /// Algorithm 1 as a round-driven search: it yields one iteration's grid
-/// at a time ([`ColdSearch::grid`]) and takes that grid's metric rows
-/// back ([`ColdSearch::take`]) before it yields the next. The caller
+/// at a time ([`GridSearch::grid`]) and takes that grid's metric rows
+/// back ([`GridSearch::take`]) before it yields the next. The caller
 /// decides how a grid is measured, so one caller can probe many
 /// searches' grids together — the panel scheduler advances every
 /// panel's search in lockstep and sends each round's grids to the batch
-/// kernel as one call. [`coarse_to_fine_multi`] drives one search with
-/// one `measure` closure.
+/// kernel as one call — and the event-stepped
+/// [`Controller`](crate::controller::Controller) hands over one
+/// iteration of asynchronous reports at a time. [`GridSearch::run`]
+/// drives one search with one `measure` closure.
 ///
-/// The refinement logic is Algorithm 1: `N` iterations of a `T×T` grid,
-/// each window centred on the running winner.
+/// The refinement is Algorithm 1: `N` iterations of a `T×T` grid, each
+/// window ±one grid step around the running winner, clamped to the
+/// supply range. A [cold](GridSearch::cold) search starts from the full
+/// supply range; a [warm](GridSearch::warm) one from a window around a
+/// carried-over bias, which it re-measures first.
 #[derive(Clone, Debug)]
-pub struct ColdSearch {
+pub struct GridSearch {
+    /// The supply range and switching period; `iterations` and
+    /// `steps_per_axis` are this search's own.
     config: SweepConfig,
     /// The current window, `(lo, hi)` per axis.
     window: [(f64, f64); 2],
@@ -227,40 +187,85 @@ pub struct ColdSearch {
     grid: Vec<Probe>,
     /// Iterations whose rows have been taken.
     round: usize,
+    /// A warm search's first grid leads with its centre.
+    warm: bool,
 }
 
-impl ColdSearch {
+impl GridSearch {
     /// A fresh search over `config`'s full range, its first grid ready.
     ///
     /// # Panics
-    /// Panics on a configuration with no iteration or fewer than two
-    /// steps per axis.
-    pub fn new(config: &SweepConfig) -> Self {
+    /// Panics on a configuration with no iteration, fewer than two
+    /// steps per axis or a non-finite supply range.
+    pub fn cold(config: &SweepConfig) -> Self {
+        let range = (config.v_min.0, config.v_max.0);
+        Self::open(*config, [range, range], None)
+    }
+
+    /// A warm-start refinement: `warm.iterations` of a
+    /// `warm.steps_per_axis`² grid inside ±`warm.radius` around `center`,
+    /// all clamped to `config`'s supply range. The first grid is the
+    /// clamped centre followed by the first window, and the centre's row
+    /// leads whatever it scores (even −∞ or NaN), so the outcome never
+    /// scores below holding the carried-over bias.
+    ///
+    /// # Panics
+    /// Panics on a warm configuration with no iteration, fewer than two
+    /// steps per axis or a non-positive radius, and on a non-finite
+    /// supply range.
+    pub fn warm(config: &SweepConfig, warm: &WarmConfig, center: Probe) -> Self {
+        assert!(warm.radius.0 > 0.0, "warm radius must be positive");
+        let clamp = |v: f64| v.clamp(config.v_min.0, config.v_max.0);
+        let center = Probe {
+            vx: Volts(clamp(center.vx.0)),
+            vy: Volts(clamp(center.vy.0)),
+        };
+        let r = warm.radius.0;
+        let window = [
+            (clamp(center.vx.0 - r), clamp(center.vx.0 + r)),
+            (clamp(center.vy.0 - r), clamp(center.vy.0 + r)),
+        ];
+        let config = SweepConfig {
+            iterations: warm.iterations,
+            steps_per_axis: warm.steps_per_axis,
+            ..*config
+        };
+        Self::open(config, window, Some(center))
+    }
+
+    fn open(config: SweepConfig, window: [(f64, f64); 2], center: Option<Probe>) -> Self {
         assert!(config.iterations >= 1, "need at least one iteration");
         assert!(
             config.steps_per_axis >= 2,
             "need at least two steps per axis"
         );
+        // A NaN or infinite bound would plan probes no supply accepts.
+        assert!(
+            config.v_min.0.is_finite() && config.v_max.0.is_finite(),
+            "the supply range must be finite"
+        );
         let t = config.steps_per_axis;
-        let range = (config.v_min.0, config.v_max.0);
-        let mut grid = Vec::with_capacity(t * t);
-        push_grid(&mut grid, t, range, range);
+        let lead = usize::from(center.is_some());
+        let mut grid = Vec::with_capacity(lead + t * t);
+        grid.extend(center);
+        grid.extend(grid_points(t, window[0], window[1]));
         Self {
-            config: *config,
-            window: [range, range],
+            config,
+            window,
             leader: Leader {
-                probe: Probe {
+                probe: center.unwrap_or(Probe {
                     vx: config.v_min,
                     vy: config.v_min,
-                },
+                }),
                 score: f64::NEG_INFINITY,
                 row: None,
             },
-            // Every iteration records exactly T² probes; reserve the
-            // whole run up front so the history never reallocates.
-            history: Vec::with_capacity(config.iterations * t * t),
+            // Every probe of the run is known up front; reserve the
+            // whole history so it never reallocates.
+            history: Vec::with_capacity(lead + config.iterations * t * t),
             grid,
             round: 0,
+            warm: center.is_some(),
         }
     }
 
@@ -270,8 +275,17 @@ impl ColdSearch {
         (!self.grid.is_empty()).then_some(self.grid.as_slice())
     }
 
+    /// The running winner and its score: the first probe to reach the
+    /// best score taken so far (a warm search's centre until beaten).
+    /// Before any probe scores above −∞ it is the supply's low corner
+    /// at −∞ — the centre of the next window either way.
+    pub fn leader(&self) -> (Probe, f64) {
+        (self.leader.probe, self.leader.score)
+    }
+
     /// Takes the current grid's metric rows, in grid order, scores them
-    /// and narrows the window around the running winner for the next
+    /// — a probe takes the lead only on a strictly better score — and
+    /// narrows the window around the running winner for the next
     /// iteration.
     ///
     /// # Panics
@@ -279,16 +293,31 @@ impl ColdSearch {
     /// row per probe.
     pub fn take(&mut self, rows: Vec<Vec<f64>>, score: &impl Fn(&[f64]) -> f64) {
         assert!(!self.grid.is_empty(), "the search is done");
-        let rows = rows.into_iter();
-        record(&self.grid, rows, score, &mut self.leader, &mut self.history);
+        assert_eq!(
+            rows.len(),
+            self.grid.len(),
+            "measure must return one metric row per probe"
+        );
+        let lead = self.warm && self.round == 0;
+        for (i, (&probe, m)) in self.grid.iter().zip(rows).enumerate() {
+            let s = score(&m);
+            if s > self.leader.score || (lead && i == 0) {
+                self.leader = Leader {
+                    probe,
+                    score: s,
+                    row: Some(self.history.len()),
+                };
+            }
+            self.history.push((probe, m));
+        }
         self.round += 1;
         self.grid.clear();
         if self.round == self.config.iterations {
             return;
         }
-        // Narrow the window to one coarse step around the winner (the
+        // Narrow the window to one grid step around the winner (the
         // paper returns [v − Vs, v] per axis; we center for symmetry,
-        // clamped to the configured range).
+        // clamped to the supply range).
         let t = self.config.steps_per_axis;
         let (v_min, v_max) = (self.config.v_min.0, self.config.v_max.0);
         let best = [self.leader.probe.vx.0, self.leader.probe.vy.0];
@@ -297,21 +326,69 @@ impl ColdSearch {
             *lo = (v - step).max(v_min);
             *hi = (v + step).min(v_max);
         }
-        push_grid(&mut self.grid, t, self.window[0], self.window[1]);
+        self.grid
+            .extend(grid_points(t, self.window[0], self.window[1]));
+    }
+
+    /// Drives the search to its end, calling `measure` once per grid
+    /// (see the module docs) and folding each metric row into the
+    /// scalar the refinement maximizes with `score`.
+    ///
+    /// The whole sweep is timed as a `sweep.cold_ns` or `sweep.warm_ns`
+    /// span on `recorder`; see [`GridSearch::finish`] for the rest of
+    /// its telemetry. Against [`RecorderHandle::null`] the sweep records
+    /// nothing.
+    ///
+    /// # Panics
+    /// Panics when `measure` returns other than one row per probe.
+    pub fn run(
+        mut self,
+        recorder: &RecorderHandle,
+        panel: usize,
+        mut measure: impl FnMut(&[Probe]) -> Vec<Vec<f64>>,
+        score: impl Fn(&[f64]) -> f64,
+    ) -> MultiSweepOutcome {
+        let span = recorder.span(if self.warm {
+            "sweep.warm_ns"
+        } else {
+            "sweep.cold_ns"
+        });
+        while let Some(grid) = self.grid() {
+            let rows = measure(grid);
+            self.take(rows, &score);
+        }
+        drop(span);
+        self.finish(recorder, panel)
     }
 
     /// The finished search's outcome. A live recorder gets the probe
-    /// bill and a `"cold"` [`TelemetryEvent::SweepSpan`] tagged with
-    /// `panel`.
+    /// bill (the `sweep.probes` counter and `sweep.probes_per_sweep`
+    /// histogram) and a `"cold"` or `"warm"`
+    /// [`TelemetryEvent::SweepSpan`] tagged with `panel`.
     pub fn finish(self, recorder: &RecorderHandle, panel: usize) -> MultiSweepOutcome {
-        finish(
-            recorder,
-            panel,
-            "cold",
-            &self.config,
-            self.leader,
-            self.history,
-        )
+        let probes = self.history.len();
+        if recorder.enabled() {
+            recorder.add("sweep.probes", probes as u64);
+            recorder.record_value("sweep.probes_per_sweep", probes as u64);
+            recorder.emit(TelemetryEvent::SweepSpan {
+                panel,
+                kind: if self.warm { "warm" } else { "cold" },
+                probes,
+            });
+        }
+        let history = self.history;
+        MultiSweepOutcome {
+            best: self.leader.probe,
+            best_score: self.leader.score,
+            best_metrics: self
+                .leader
+                .row
+                .map(|i| history[i].1.clone())
+                .unwrap_or_default(),
+            probes,
+            duration: Seconds(self.config.switch_period.0 * probes as f64),
+            history,
+        }
     }
 }
 
@@ -320,39 +397,24 @@ impl ColdSearch {
 /// vector into the scalar the refinement maximizes — `min` for max-min
 /// fairness, a margin for access control, the identity on element 0 for
 /// the classic single-link sweep ([`coarse_to_fine`] is exactly that
-/// N = 1 case).
-///
-/// This drives one [`ColdSearch`]: `measure` is called once per
-/// iteration with that iteration's whole grid (see the module docs).
-///
-/// The whole sweep is timed as a `sweep.cold_ns` span on `recorder`,
-/// and a live recorder also gets the probe bill and a `"cold"`
-/// [`TelemetryEvent::SweepSpan`] tagged with `panel`. Against
-/// [`RecorderHandle::null`] the sweep records nothing.
+/// N = 1 case). This is [`GridSearch::run`] on a cold search.
 ///
 /// # Panics
-/// Panics on a configuration with no iteration or fewer than two steps
-/// per axis, and when `measure` returns other than one row per probe.
+/// Panics on a configuration [`GridSearch::cold`] refuses, and when
+/// `measure` returns other than one row per probe.
 pub fn coarse_to_fine_multi(
     recorder: &RecorderHandle,
     panel: usize,
     config: &SweepConfig,
-    mut measure: impl FnMut(&[Probe]) -> Vec<Vec<f64>>,
+    measure: impl FnMut(&[Probe]) -> Vec<Vec<f64>>,
     score: impl Fn(&[f64]) -> f64,
 ) -> MultiSweepOutcome {
-    let span = recorder.span("sweep.cold_ns");
-    let mut search = ColdSearch::new(config);
-    while let Some(grid) = search.grid() {
-        let rows = measure(grid);
-        search.take(rows, &score);
-    }
-    drop(span);
-    search.finish(recorder, panel)
+    GridSearch::cold(config).run(recorder, panel, measure, score)
 }
 
 /// Parameters of a warm-start re-optimization: a refinement sweep seeded
 /// from a known-good probe (the previous tick of a mobility simulation)
-/// instead of the full supply range.
+/// instead of the full supply range ([`GridSearch::warm`]).
 ///
 /// The warm path exists because re-running the full Algorithm 1 search
 /// every tick burns `N·T²` probes of airtime when the environment moved
@@ -399,86 +461,6 @@ impl WarmConfig {
     }
 }
 
-/// Runs a warm-start refinement against a vector metric: re-measures
-/// `center` first (so the outcome can never score below simply holding
-/// the carried-over bias), then runs `warm.iterations` of a
-/// `steps_per_axis`² grid inside ±`warm.radius` around it, narrowing
-/// window-over-window exactly like [`coarse_to_fine_multi`]. All probes
-/// are clamped to `config`'s supply range, and airtime is billed at
-/// `config.switch_period` per probe.
-///
-/// The first window depends only on `center`, so the center re-check
-/// and the first grid go to `measure` as one batch; each later
-/// iteration is one call. Telemetry as in [`coarse_to_fine_multi`], with
-/// span `sweep.warm_ns` and event kind `"warm"`.
-///
-/// # Panics
-/// Panics on a warm configuration with no iteration, fewer than two
-/// steps per axis or a non-positive radius, and when `measure` returns
-/// other than one row per probe.
-pub fn warm_refine_multi(
-    recorder: &RecorderHandle,
-    panel: usize,
-    config: &SweepConfig,
-    warm: &WarmConfig,
-    center: Probe,
-    mut measure: impl FnMut(&[Probe]) -> Vec<Vec<f64>>,
-    score: impl Fn(&[f64]) -> f64,
-) -> MultiSweepOutcome {
-    assert!(warm.iterations >= 1, "need at least one warm iteration");
-    assert!(warm.steps_per_axis >= 2, "need at least two steps per axis");
-    assert!(warm.radius.0 > 0.0, "warm radius must be positive");
-    let span = recorder.span("sweep.warm_ns");
-    let clamp = |v: f64| v.clamp(config.v_min.0, config.v_max.0);
-    let center = Probe {
-        vx: Volts(clamp(center.vx.0)),
-        vy: Volts(clamp(center.vy.0)),
-    };
-    let t = warm.steps_per_axis;
-    let mut history = Vec::with_capacity(1 + warm.iterations * t * t);
-    let mut lo_x = clamp(center.vx.0 - warm.radius.0);
-    let mut hi_x = clamp(center.vx.0 + warm.radius.0);
-    let mut lo_y = clamp(center.vy.0 - warm.radius.0);
-    let mut hi_y = clamp(center.vy.0 + warm.radius.0);
-
-    // Batch 1: the carried-over bias itself, then the first grid.
-    let mut batch = Vec::with_capacity(1 + t * t);
-    batch.push(center);
-    push_grid(&mut batch, t, (lo_x, hi_x), (lo_y, hi_y));
-    let mut rows = measure(&batch).into_iter();
-    let m0 = rows
-        .next()
-        .expect("measure must return one metric row per probe");
-    // The center holds the lead whatever it scores (even −∞ or NaN).
-    let mut leader = Leader {
-        probe: center,
-        score: score(&m0),
-        row: Some(0),
-    };
-    history.push((center, m0));
-    record(&batch[1..], rows, &score, &mut leader, &mut history);
-
-    for iter in 0..warm.iterations {
-        if iter > 0 {
-            batch.clear();
-            push_grid(&mut batch, t, (lo_x, hi_x), (lo_y, hi_y));
-            let rows = measure(&batch).into_iter();
-            record(&batch, rows, &score, &mut leader, &mut history);
-        }
-        // Narrow one grid step around the running winner, like the cold
-        // sweep's refinement rounds.
-        let step_x = (hi_x - lo_x) / (t - 1) as f64;
-        let step_y = (hi_y - lo_y) / (t - 1) as f64;
-        let best = leader.probe;
-        lo_x = clamp(best.vx.0 - step_x);
-        hi_x = clamp(best.vx.0 + step_x);
-        lo_y = clamp(best.vy.0 - step_y);
-        hi_y = clamp(best.vy.0 + step_y);
-    }
-    drop(span);
-    finish(recorder, panel, "warm", config, leader, history)
-}
-
 /// Drives a block-coordinate-descent loop to a fixed point: calls
 /// `round` (one full pass over all coordinate blocks, returning the
 /// pass's absolute score improvement) until the improvement drops to
@@ -487,7 +469,7 @@ pub fn warm_refine_multi(
 /// rather than the round cap.
 ///
 /// The joint multi-surface optimizer uses this with one `round` =
-/// one [`warm_refine_multi`] sweep per panel against the superposed
+/// one warm [`GridSearch`] per panel against the superposed
 /// field; it is generic so any alternating-minimization caller can
 /// reuse the cap/convergence bookkeeping.
 pub fn descend_rounds(
@@ -687,15 +669,17 @@ mod tests {
     fn warm_refine_spends_its_probe_budget() {
         let warm = WarmConfig::paper_default();
         assert_eq!(warm.probe_budget(), 10);
-        let outcome = warm_refine_multi(
-            &RecorderHandle::null(),
-            0,
+        let outcome = GridSearch::warm(
             &SweepConfig::paper_default(),
             &warm,
             Probe {
                 vx: Volts(15.0),
                 vy: Volts(15.0),
             },
+        )
+        .run(
+            &RecorderHandle::null(),
+            0,
             each(|p| {
                 let mut b = bump(17.3, 8.2);
                 vec![b(p)]
@@ -717,12 +701,14 @@ mod tests {
         };
         let mut b = bump(17.3, 8.2);
         let center_score = b(center);
-        let outcome = warm_refine_multi(
-            &RecorderHandle::null(),
-            0,
+        let outcome = GridSearch::warm(
             &SweepConfig::paper_default(),
             &WarmConfig::paper_default(),
             center,
+        )
+        .run(
+            &RecorderHandle::null(),
+            0,
             each(|p| {
                 let mut b = bump(17.3, 8.2);
                 vec![b(p)]
@@ -737,9 +723,7 @@ mod tests {
     fn warm_refine_tracks_a_drifted_peak() {
         // The peak moved a few volts since the previous tick: the warm
         // window must catch up without a full-range rescan.
-        let outcome = warm_refine_multi(
-            &RecorderHandle::null(),
-            0,
+        let outcome = GridSearch::warm(
             &SweepConfig::paper_default(),
             &WarmConfig {
                 steps_per_axis: 5,
@@ -750,6 +734,10 @@ mod tests {
                 vx: Volts(14.0),
                 vy: Volts(10.0),
             },
+        )
+        .run(
+            &RecorderHandle::null(),
+            0,
             each(|p| {
                 let mut b = bump(18.0, 7.0);
                 vec![b(p)]
@@ -771,15 +759,17 @@ mod tests {
     #[test]
     fn warm_refine_clamps_to_the_supply_range() {
         // A center on the rail edge must keep every probe inside range.
-        let outcome = warm_refine_multi(
-            &RecorderHandle::null(),
-            0,
+        let outcome = GridSearch::warm(
             &SweepConfig::paper_default(),
             &WarmConfig::paper_default(),
             Probe {
                 vx: Volts(30.0),
                 vy: Volts(0.0),
             },
+        )
+        .run(
+            &RecorderHandle::null(),
+            0,
             each(|p| vec![-(p.vx.0 - 29.0).abs() - p.vy.0]),
             |m| m[0],
         );
@@ -834,12 +824,9 @@ mod tests {
             })
         ));
 
-        let warm = warm_refine_multi(
+        let warm = GridSearch::warm(&cfg, &WarmConfig::paper_default(), plain.best).run(
             &RecorderHandle::new(ring.clone()),
             1,
-            &cfg,
-            &WarmConfig::paper_default(),
-            plain.best,
             each(|p| vec![bump(17.3, 8.2)(p)]),
             |m| m[0],
         );
@@ -880,12 +867,9 @@ mod tests {
             iterations: 3,
             ..WarmConfig::paper_default()
         };
-        let out = warm_refine_multi(
+        let out = GridSearch::warm(&cfg, &warm, cold.best).run(
             &RecorderHandle::null(),
             0,
-            &cfg,
-            &warm,
-            cold.best,
             |probes: &[Probe]| {
                 calls.push(probes.len());
                 probes.iter().map(|p| vec![-p.vx.0 - p.vy.0]).collect()

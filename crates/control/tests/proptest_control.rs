@@ -2,10 +2,11 @@
 //! labeling consistency, SCPI round-trips under arbitrary inputs, and
 //! PSU rate-limit invariants.
 
+use control::controller::{Controller, Event, FleetReport, Objective, Phase, RetryPolicy};
 use control::psu::{PowerSupply, Reply};
 use control::scpi;
 use control::sweep::{
-    coarse_to_fine, coarse_to_fine_multi, warm_refine_multi, MultiSweepOutcome, Probe, SweepConfig,
+    coarse_to_fine, coarse_to_fine_multi, GridSearch, MultiSweepOutcome, Probe, SweepConfig,
     WarmConfig,
 };
 use control::sync::BiasSchedule;
@@ -205,7 +206,106 @@ fn same_outcome(got: &MultiSweepOutcome, want: &MultiSweepOutcome) -> Result<(),
     Ok(())
 }
 
+/// Event-steps a [`Controller`] over `land` on a 2 ms clock. Every
+/// applied probe is answered by one report carrying its readings 8 ms
+/// later — lossless and timely — so only dead (non-finite) readings
+/// take the rejection, retry and abandonment path. Returns the
+/// converged controller.
+fn step_controller(config: &SweepConfig, land: &Landscape) -> Controller {
+    let mut ctl = Controller::new(*config);
+    ctl.objective = if land.max_min {
+        Objective::WorstLink
+    } else {
+        Objective::SingleLink
+    };
+    let mut psu = PowerSupply::tektronix_2230g();
+    psu.execute("OUTP ON", Seconds(0.0));
+    ctl.start();
+    let mut pending: Option<FleetReport> = None;
+    let mut seen = ctl.events().len();
+    let mut now = 0.0;
+    while ctl.phase() != &Phase::Converged {
+        assert!(now < 1e4, "the controller never converged");
+        let due = pending.as_ref().is_some_and(|r| r.at.0 <= now);
+        let report = if due { pending.take() } else { None };
+        ctl.step_fleet(&mut psu, Seconds(now), report);
+        for event in &ctl.events()[seen..] {
+            if let Event::Applied(p) = event {
+                pending = Some(FleetReport {
+                    at: Seconds(now + 0.008),
+                    powers_dbm: land.metrics(*p),
+                });
+            }
+        }
+        seen = ctl.events().len();
+        now += 0.002;
+    }
+    ctl
+}
+
 proptest! {
+    /// The event-stepped controller is the offline sweep: with lossless,
+    /// timely reports it applies exactly `coarse_to_fine_multi`'s probes
+    /// in its visit order — a dead probe once per delivery attempt — and
+    /// converges on its winner and score, bitwise, through score ties
+    /// and dead probes, under `SingleLink` and `WorstLink`.
+    #[test]
+    fn controller_applies_the_offline_sweep(
+        n in 1usize..4,
+        t in 2usize..7,
+        lo in 0.0f64..10.0,
+        span in 1.0f64..20.0,
+        land in landscapes(),
+    ) {
+        let cfg = SweepConfig {
+            iterations: n,
+            steps_per_axis: t,
+            v_min: Volts(lo),
+            v_max: Volts(lo + span),
+            switch_period: Seconds(0.02),
+        };
+        let offline = coarse_to_fine_multi(
+            &RecorderHandle::null(),
+            0,
+            &cfg,
+            land.batch(&mut 0),
+            |m| land.score(m),
+        );
+        let ctl = step_controller(&cfg, &land);
+        let bits = |p: &Probe| (p.vx.0.to_bits(), p.vy.0.to_bits());
+        let attempts = RetryPolicy::default().max_attempts;
+        let want: Vec<(u64, u64)> = offline
+            .history
+            .iter()
+            .flat_map(|(p, m)| {
+                let dead = land.score(m) == f64::NEG_INFINITY;
+                std::iter::repeat(bits(p)).take(if dead { attempts } else { 1 })
+            })
+            .collect();
+        let applied: Vec<(u64, u64)> = ctl
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Applied(p) => Some(bits(p)),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(applied, want);
+        let best = ctl.best().map(|(p, s)| (bits(&p), s.to_bits()));
+        if offline.best_score == f64::NEG_INFINITY {
+            prop_assert_eq!(best, None);
+            prop_assert!(matches!(ctl.events().last(), Some(Event::SweepFailed)));
+        } else {
+            let want = Some((bits(&offline.best), offline.best_score.to_bits()));
+            prop_assert_eq!(best, want);
+            let converged = match ctl.events().last() {
+                Some(Event::Converged(p, s)) => Some((bits(p), s.to_bits())),
+                _ => None,
+            };
+            prop_assert_eq!(converged, want);
+        }
+    }
+
     /// The batched cold sweep — one `measure` call per iteration — is
     /// bitwise the per-probe Algorithm 1, through score ties and grids
     /// that read `−∞` in part or everywhere.
@@ -257,15 +357,7 @@ proptest! {
         };
         let center = Probe { vx: Volts(cx), vy: Volts(cy) };
         let mut calls = 0;
-        let got = warm_refine_multi(
-            &RecorderHandle::null(),
-            0,
-            &cfg,
-            &warm,
-            center,
-            land.batch(&mut calls),
-            |m| land.score(m),
-        );
+        let got = GridSearch::warm(&cfg, &warm, center).run(&RecorderHandle::null(), 0, land.batch(&mut calls), |m| land.score(m));
         prop_assert_eq!(calls, iterations);
         same_outcome(&got, &per_probe_warm(&cfg, &warm, center, &land))?;
     }

@@ -47,10 +47,7 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use control::controller::Objective;
-use control::sweep::{
-    coarse_to_fine_multi, warm_refine_multi, ColdSearch, MultiSweepOutcome, Probe, SweepConfig,
-    WarmConfig,
-};
+use control::sweep::{grid_points, GridSearch, MultiSweepOutcome, Probe, SweepConfig, WarmConfig};
 use devices::profile::DeviceProfile;
 use metasurface::designs::Design;
 use metasurface::evaluator::{BiasCells, PlanCache, StackEvaluator};
@@ -793,7 +790,7 @@ impl Scheduler {
     pub(crate) fn search(&self, fleet: &Fleet, evaluator: &FleetEvaluator) -> Search {
         match self.objective(fleet, evaluator) {
             Some(objective) => Search::Shared {
-                search: ColdSearch::new(&self.sweep),
+                search: GridSearch::cold(&self.sweep),
                 objective,
             },
             None => Search::TimeDivision(TdSearch::new(&self.sweep, fleet.len())),
@@ -871,23 +868,20 @@ impl Scheduler {
         };
         let null = RecorderHandle::null();
         let score = |powers: &[f64]| objective.score(powers).unwrap_or(f64::NEG_INFINITY);
-        let mut outcome = warm_refine_multi(
-            &null,
-            0,
+        let mut outcome = GridSearch::warm(
             &self.sweep,
             warm,
             Probe {
                 vx: prev_bias.vx,
                 vy: prev_bias.vy,
             },
-            evaluator.measure_grid(),
-            score,
-        );
+        )
+        .run(&null, 0, evaluator.measure_grid(), score);
         if outcome.best_score < prev.score - warm.regression_db {
             // Widen: full cold search, merged with the warm probes (they
             // were spent on the air) and keeping the better winner — the
             // cold grid need not revisit the warm window.
-            let cold = coarse_to_fine_multi(&null, 0, &self.sweep, evaluator.measure_grid(), score);
+            let cold = GridSearch::cold(&self.sweep).run(&null, 0, evaluator.measure_grid(), score);
             if cold.best_score >= outcome.best_score {
                 outcome.best = cold.best;
                 outcome.best_score = cold.best_score;
@@ -1018,7 +1012,7 @@ fn winner_of(history: &[(BiasState, Vec<f64>)], d: usize) -> (BiasState, f64) {
 pub(crate) enum Search {
     /// `MaxMin` / `Favor`: Algorithm 1 over the policy's objective.
     Shared {
-        search: ColdSearch,
+        search: GridSearch,
         objective: Objective,
     },
     /// `TimeDivision`'s coarse grid and per-device refinement rounds.
@@ -1093,22 +1087,14 @@ impl TdSearch {
 
     /// Appends the `t × t` probes spanning `x × y`, x-major, skipping
     /// biases already seen when `dedup` is set.
-    fn push_window(&mut self, (lo_x, hi_x): (f64, f64), (lo_y, hi_y): (f64, f64), dedup: bool) {
-        let t = self.t;
-        let at = |lo: f64, hi: f64, i: usize| lo + (hi - lo) * i as f64 / (t - 1) as f64;
-        for ix in 0..t {
-            for iy in 0..t {
-                let probe = Probe {
-                    vx: Volts(at(lo_x, hi_x, ix)),
-                    vy: Volts(at(lo_y, hi_y, iy)),
-                };
-                if self
-                    .seen
-                    .insert((probe.vx.0.to_bits(), probe.vy.0.to_bits()))
-                    || !dedup
-                {
-                    self.grid.push(probe);
-                }
+    fn push_window(&mut self, x: (f64, f64), y: (f64, f64), dedup: bool) {
+        for probe in grid_points(self.t, x, y) {
+            if self
+                .seen
+                .insert((probe.vx.0.to_bits(), probe.vy.0.to_bits()))
+                || !dedup
+            {
+                self.grid.push(probe);
             }
         }
     }

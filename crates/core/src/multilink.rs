@@ -27,6 +27,7 @@
 //! [`crate::panels`] generalizes these policies to a per-panel bias
 //! vector.
 
+use control::sweep::grid_points;
 use metasurface::evaluator::StackEvaluator;
 use metasurface::response::{Metasurface, SurfaceResponse};
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
@@ -132,14 +133,9 @@ fn search(
     assert!(!receivers.is_empty(), "need at least one receiver");
     let steps = steps.max(2);
     let v_max = SUPPLY_CEILING;
-    let biases: Vec<BiasState> = (0..steps * steps)
-        .map(|k| {
-            BiasState::new(
-                v_max.0 * (k / steps) as f64 / (steps - 1) as f64,
-                v_max.0 * (k % steps) as f64 / (steps - 1) as f64,
-            )
-            .clamped(v_max)
-        })
+    let full = (0.0, v_max.0);
+    let biases: Vec<BiasState> = grid_points(steps, full, full)
+        .map(|p| BiasState { vx: p.vx, vy: p.vy }.clamped(v_max))
         .collect();
 
     // The scatter realization is bias-independent: prepare it once and

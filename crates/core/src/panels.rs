@@ -69,7 +69,7 @@ use std::rc::Rc;
 
 use crate::telemetry::{RecorderHandle, TelemetryEvent};
 use control::server::FleetServer;
-use control::sweep::{descend_rounds, warm_refine_multi, Probe, WarmConfig};
+use control::sweep::{descend_rounds, GridSearch, Probe, WarmConfig};
 use metasurface::designs::Design;
 use metasurface::evaluator::{PlanCache, StackEvaluator};
 use metasurface::response::SurfaceResponse;
@@ -866,7 +866,7 @@ impl PanelScheduler {
     /// The joint refinement stage: block coordinate descent from the
     /// independent per-panel optimum against the superposed field.
     ///
-    /// Each round sweeps every panel once ([`warm_refine_multi`]
+    /// Each round sweeps every panel once (a warm [`GridSearch`]
     /// centered on the panel's current bias) with the other panels'
     /// contributions held fixed; the round's canonical fleet-min
     /// improvement feeds [`descend_rounds`]'s convergence check. The
@@ -935,12 +935,9 @@ impl PanelScheduler {
                 };
                 // The coupled field is measured probe by probe, in
                 // visit order.
-                let sweep = warm_refine_multi(
+                let sweep = GridSearch::warm(&self.base.sweep, &cfg.warm, center).run(
                     &RecorderHandle::null(),
                     p,
-                    &self.base.sweep,
-                    &cfg.warm,
-                    center,
                     |probes: &[Probe]| {
                         probes
                             .iter()

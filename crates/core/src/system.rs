@@ -9,7 +9,7 @@
 
 use control::controller::{Controller, FleetReport, Phase};
 use control::psu::PowerSupply;
-use control::sweep::{coarse_to_fine_multi, Probe, SweepConfig};
+use control::sweep::{axis_points, GridSearch, Probe, SweepConfig};
 use devices::report::{LossyTransport, ReportPacket};
 use devices::usrp::{UsrpConfig, UsrpReceiver};
 use metasurface::evaluator::StackEvaluator;
@@ -133,10 +133,9 @@ impl LlamaSystem {
         let v_max = self.surface.v_max;
         let rng = &mut self.rssi_rng;
         let floor_w = Dbm(self.rssi_floor_dbm).to_watts();
-        let outcome = coarse_to_fine_multi(
+        let outcome = GridSearch::cold(&self.sweep).run(
             &RecorderHandle::null(),
             0,
-            &self.sweep,
             |probes: &[Probe]| {
                 let biases: Vec<BiasState> = probes
                     .iter()
@@ -281,9 +280,7 @@ impl LlamaSystem {
     /// per cell.
     pub fn power_heatmap(&mut self, steps: usize) -> (Vec<f64>, Vec<f64>) {
         let steps = steps.max(2);
-        let volts: Vec<f64> = (0..steps)
-            .map(|i| 30.0 * i as f64 / (steps - 1) as f64)
-            .collect();
+        let volts: Vec<f64> = axis_points(steps, (0.0, 30.0)).collect();
         // Evaluate at the supply-clamped voltages (what `set_bias` would
         // deliver) while labeling the axis with the nominal sweep values.
         let applied: Vec<f64> = volts
