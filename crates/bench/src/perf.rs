@@ -48,10 +48,10 @@ const ALLOC_KERNEL_DEVICES: usize = 8;
 /// Steady-state heap allocations per simulated tick of the per-device
 /// mobility hot kernel: one cached [`PreparedLink`] power probe plus a
 /// memoized bias sweep through the compiled plan for each of
-/// [`ALLOC_KERNEL_DEVICES`] devices — the per-tick work that runs on
+/// `ALLOC_KERNEL_DEVICES` devices — the per-tick work that runs on
 /// arena rebinds, cached probes and plan memos. Measured after
-/// [`ALLOC_WARMUP_TICKS`] warm-up ticks (buffers grown, memos
-/// populated), averaged over [`ALLOC_MEASURED_TICKS`] ticks, and cached
+/// `ALLOC_WARMUP_TICKS` warm-up ticks (buffers grown, memos
+/// populated), averaged over `ALLOC_MEASURED_TICKS` ticks, and cached
 /// for the process. `None` when the counting allocator is compiled out
 /// (release builds — artifacts then stamp `null` instead of a number
 /// measured without counting).
@@ -273,7 +273,7 @@ pub struct PanelPerfReport {
     /// `MaxMin` on the 32-device mixed fleet, dB (the acceptance gate:
     /// must be strictly positive).
     pub panel_min_power_gain_db: f64,
-    /// Serial / concurrent wall-clock ratio serving [`SERVER_FLEETS`]
+    /// Serial / concurrent wall-clock ratio serving `SERVER_FLEETS`
     /// fleets through the [`FleetServer`] worker pool (informational —
     /// single-core CI runners cannot beat 1×).
     pub server_concurrency_speedup: f64,
@@ -354,7 +354,7 @@ impl Report for PanelPerfReport {
 /// shared-plan batch path (one [`metasurface::PlanCache`] across the
 /// array), the end-to-end panel scheduler against single-panel `MaxMin`
 /// (recording the min-power gain the panels buy), and the
-/// [`FleetServer`] multiplexing [`SERVER_FLEETS`] fleets against serial
+/// [`FleetServer`] multiplexing `SERVER_FLEETS` fleets against serial
 /// execution.
 pub fn run_panels(quick: bool) -> PanelPerfReport {
     let fleet = Fleet::mixed_wifi_ble(FLEET_SIZE, 2021);
@@ -757,7 +757,7 @@ pub struct ShardedPerfReport {
     /// Individual workload timings.
     pub samples: Vec<BenchSample>,
     /// Whether the thread-scaling smoke was skipped (capacity below
-    /// [`MIN_SCALING_CAPACITY`]: a worker pool cannot beat serial
+    /// `MIN_SCALING_CAPACITY`: a worker pool cannot beat serial
     /// without a second core's worth of throughput).
     pub thread_scaling_skipped: bool,
     /// Fleet-throughput scaling across worker counts (empty when
@@ -837,7 +837,7 @@ impl Report for ShardedPerfReport {
 /// * **thread scaling** — [`serve_fleets`] throughput across worker
 ///   counts through the [`FleetServer`], with an instrumented pass
 ///   recording queue wait (skipped-but-stamped where
-///   the measured parallel capacity is below [`MIN_SCALING_CAPACITY`]).
+///   the measured parallel capacity is below `MIN_SCALING_CAPACITY`).
 pub fn run_sharded(quick: bool) -> ShardedPerfReport {
     let mut samples = Vec::new();
     let logical_cores = std::thread::available_parallelism()
@@ -1137,16 +1137,16 @@ mod tests {
     /// Heap allocations per warm tick of the real simulator: each zoo
     /// room (seed 7) runs its tick budget, then again with 32 extra
     /// ticks, serially (`with_budget(1)`), and the difference is charged
-    /// to those ticks. The ceilings are the counts measured before the
-    /// sweeps probed whole grids per measurement call; the batch path
-    /// must not allocate more than the per-probe path did.
+    /// to those ticks. The ceilings are the measured counts (85.88,
+    /// 52.91 and 109.12) rounded up: the warm path's batches reuse their
+    /// buffers, so a new allocation per tick shows here.
     #[test]
     fn warm_room_tick_allocations_stay_under_the_ceiling() {
         const EXTRA_TICKS: usize = 32;
         const CEILINGS: [(&str, f64); 3] = [
-            ("office-floor", 90.0),
-            ("warehouse-aisle", 53.1),
-            ("conference-room", 121.3),
+            ("office-floor", 86.0),
+            ("warehouse-aisle", 53.0),
+            ("conference-room", 109.2),
         ];
         if !alloc_counter::enabled() {
             return;

@@ -1,4 +1,4 @@
-//! Offline drop-in shim for the subset of the [`bytes`] crate API this
+//! Offline drop-in shim for the subset of the `bytes` crate API this
 //! workspace uses.
 //!
 //! The build environment cannot reach a cargo registry, so the wire

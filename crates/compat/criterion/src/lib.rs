@@ -1,4 +1,4 @@
-//! Offline drop-in shim for the subset of the [`criterion`] crate API
+//! Offline drop-in shim for the subset of the `criterion` crate API
 //! this workspace's benches use.
 //!
 //! The build environment cannot reach a cargo registry, so the

@@ -1,4 +1,4 @@
-//! Offline drop-in shim for the subset of the [`rand`] crate API this
+//! Offline drop-in shim for the subset of the `rand` crate API this
 //! workspace uses.
 //!
 //! The build environment has no network access to a cargo registry, so

@@ -21,9 +21,12 @@
 //! for the whole fleet (`O(plans)` cascades per probe instead of one
 //! per device), each device's bias-independent scatter paths are
 //! precomputed once ([`PreparedLink`]), each response's link-independent
-//! probe factors are computed once per bias ([`ResponseFactors`]), and
-//! bias rows fan out across threads. Every row is bitwise the
-//! per-device loop that deploys its own
+//! probe factors ([`ResponseFactors`]) are computed once per applied
+//! bias and batch (once per store over a
+//! [`SharedPlanCache`](metasurface::SharedPlanCache), whose cell memo
+//! serves every later batch and every job over it), and bias rows fan
+//! out across threads. Every
+//! row is bitwise the per-device loop that deploys its own
 //! [`Metasurface`](metasurface::response::Metasurface) and rebuilds its
 //! link per probe (property-tested against that loop).
 //!
@@ -50,10 +53,8 @@ use control::controller::Objective;
 use control::sweep::{grid_points, GridSearch, MultiSweepOutcome, Probe, SweepConfig, WarmConfig};
 use devices::profile::DeviceProfile;
 use metasurface::designs::Design;
-use metasurface::evaluator::{BiasCells, PlanCache, StackEvaluator};
-use metasurface::response::SurfaceResponse;
+use metasurface::evaluator::{PlanCache, StackEvaluator};
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
-use microwave::polarized::PolarizedS;
 use propagation::capacity::{capacity_bits, duty_cycled_throughput};
 use propagation::link::{PreparedLink, ResponseFactors};
 use propagation::rays::Deployment;
@@ -297,11 +298,19 @@ struct BatchBuffers {
     /// One request's device → `g · distinct.len()` of its plan `g`.
     device_rows: Vec<usize>,
     plan_cells: Vec<BiasState>,
-    cells: BiasCells,
-    responses: Vec<Option<PolarizedS>>,
     factors: Vec<ResponseFactors>,
-    /// Cells sent to the cascade kernel over these buffers' lifetime.
-    cascade_cells: u64,
+    /// Cells sent to the cascade kernel, and cells answered by a plan
+    /// store's cell memo, over these buffers' lifetime.
+    cells: CellCounts,
+}
+
+/// How a batch's `(plan, cell)` probe factors were obtained.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CellCounts {
+    /// Cells sent to the cascade kernel (cell-memo misses).
+    pub(crate) cascade: u64,
+    /// Cells whose factors a plan store's cell memo already held.
+    pub(crate) hits: u64,
 }
 
 /// An element of a probe list: a sweep's [`Probe`] or a [`BiasState`].
@@ -332,9 +341,12 @@ impl BatchBuffers {
     ///
     /// Applied biases are deduplicated across the whole batch. Each
     /// distinct compiled plan (fleets drawing from one [`PlanCache`]
-    /// share its `Rc`) then evaluates, in one cascade call, every
-    /// distinct cell that some fleet on it probes, and each such
-    /// `(plan, cell)` gets one [`ResponseFactors`]. Every cell's
+    /// share its `Rc`) then takes every distinct cell that some fleet
+    /// on it probes in one [`StackEvaluator::cell_factors_into`] call:
+    /// a shared plan store's cell memo answers the cells any job has
+    /// evaluated before, and one cascade call evaluates the rest (every
+    /// cell, on a private store), so each `(plan, cell)` gets one
+    /// [`ResponseFactors`]. Every cell's
     /// response is independent of what else is in its batch (the SoA
     /// kernel and the per-cell fold agree bit for bit), so each matrix
     /// is bitwise the one that fleet's own call would return.
@@ -353,10 +365,8 @@ impl BatchBuffers {
             factor_of,
             device_rows,
             plan_cells,
-            cells,
-            responses,
             factors,
-            cascade_cells,
+            cells,
         } = self;
         keys.clear();
         distinct.clear();
@@ -390,7 +400,7 @@ impl BatchBuffers {
             }
         }
 
-        // One cascade call per distinct plan over the cells its fleets
+        // One memo lookup per distinct plan over the cells its fleets
         // probe; plan `g`'s factors follow plan `g − 1`'s.
         let nd = distinct.len();
         factor_of.clear();
@@ -414,18 +424,9 @@ impl BatchBuffers {
                     }
                 }
             }
-            let plan = &requests[r0].0.plans[k0];
-            cells.refill(plan_cells.iter().copied());
-            responses.clear();
-            responses.resize(cells.len(), None);
-            plan.eval_cells_into(cells, responses);
-            *cascade_cells += cells.len() as u64;
-            let f = plan.frequency();
-            factors.extend(
-                responses
-                    .iter()
-                    .map(|&r| ResponseFactors::new(&SurfaceResponse::new(f, r))),
-            );
+            let evaluated = requests[r0].0.plans[k0].cell_factors_into(plan_cells, factors);
+            cells.cascade += evaluated as u64;
+            cells.hits += (plan_cells.len() - evaluated) as u64;
         }
 
         // Row `b` of request `r` holds device `d`'s probe of its plan's
@@ -433,7 +434,7 @@ impl BatchBuffers {
         // [`rfmath::par::budget`] from [`FAN_OUT_MIN_PROBES`]
         // link-probes up. The closure captures only `Sync` pieces — the
         // plans hold `RefCell` memos and stay on this thread; their
-        // responses are already computed.
+        // factors are already in hand.
         let mut start = 0;
         for (r, (fleet, probes)) in requests.iter().enumerate() {
             let n = probes.len();
@@ -576,11 +577,17 @@ impl FleetEvaluator {
     /// `biases[b]` (each bias clamped to the supply ceiling): the
     /// one-fleet case of the batch that a panel schedule's fleets share
     /// (see [`crate::panels::PanelScheduler::run_with_caches`]). Each plan's
-    /// distinct cells are evaluated in one cascade call (per-axis solves
-    /// deduplicated across the whole probe list), and each response's
-    /// link-independent probe factors ([`ResponseFactors`]: its Jones
-    /// products, mean efficiency and default-tuning shadow) are computed
-    /// once per `(plan, cell)`. Per-bias device projections then fan out
+    /// distinct applied cells go through
+    /// [`StackEvaluator::cell_factors_into`]: over a
+    /// [`SharedPlanCache`](metasurface::SharedPlanCache) its cell memo
+    /// answers the cells an earlier batch over that store evaluated, and
+    /// the rest (every cell, on the private store of
+    /// [`FleetEvaluator::new`]) go to one cascade call, per-axis solves
+    /// deduplicated across them. So each response's link-independent
+    /// probe factors ([`ResponseFactors`]: its Jones products, mean
+    /// efficiency and default-tuning shadow) are computed once per
+    /// `(plan, cell)` in a call, and once per `(store, cell)` over a
+    /// shared store, for every evaluator and job drawing from it. Per-bias device projections then fan out
     /// across the caller's [`rfmath::par::budget`] once the matrix
     /// reaches [`FAN_OUT_MIN_PROBES`], each device applying only its own
     /// link's terms (and its own shadow `powf` if its tuning is not the
@@ -1137,17 +1144,18 @@ impl TdSearch {
 /// Advances `searches` in lockstep, search `i` probing through
 /// `evaluators[i]`: each round, every live search's grid goes into one
 /// [`FleetEvaluator`] batch, so searches whose fleets draw plans from
-/// one [`PlanCache`] share each plan's cascade call and each distinct
-/// cell's factors. A search's outcome depends only on its own rows, so
-/// each ends exactly as it would alone. Returns the cells sent to the
-/// cascade kernel.
-pub(crate) fn drive(searches: &mut [Search], evaluators: &[&FleetEvaluator]) -> u64 {
+/// one [`PlanCache`] share each plan's cell lookup, cascade call and
+/// each distinct cell's factors. A search's outcome depends only on its
+/// own rows, so each ends exactly as it would alone. Returns how the
+/// batches' cells were obtained: sent to the cascade kernel or found in
+/// a plan store's cell memo.
+pub(crate) fn drive(searches: &mut [Search], evaluators: &[&FleetEvaluator]) -> CellCounts {
     assert_eq!(searches.len(), evaluators.len(), "one evaluator per search");
     let Some(first) = evaluators.first() else {
-        return 0;
+        return CellCounts::default();
     };
     let mut buffers = first.buffers.borrow_mut();
-    let before = buffers.cascade_cells;
+    let before = buffers.cells;
     loop {
         let (live, requests): (Vec<usize>, Vec<(&FleetEvaluator, &[Probe])>) = searches
             .iter()
@@ -1164,7 +1172,10 @@ pub(crate) fn drive(searches: &mut [Search], evaluators: &[&FleetEvaluator]) -> 
             searches[i].take(rows);
         }
     }
-    buffers.cascade_cells - before
+    CellCounts {
+        cascade: buffers.cells.cascade - before.cascade,
+        hits: buffers.cells.hits - before.hits,
+    }
 }
 
 #[cfg(test)]

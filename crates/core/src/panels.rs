@@ -760,8 +760,10 @@ impl PanelScheduler {
     /// every live panel's grid in one batch, so panels that share a
     /// design (and with it each carrier's compiled plan) evaluate a
     /// cell that several panels probe once, with one set of response
-    /// factors. A live recorder gets the cells sent to the cascade
-    /// kernel as the `fleet.cascade_cells` counter.
+    /// factors, and a cell any job over the same store has evaluated
+    /// comes from the plan store's cell memo. A live recorder gets the
+    /// cells sent to the cascade kernel as the `fleet.cascade_cells`
+    /// counter and the memo hits as `fleet.factor_hits`.
     pub fn run_with_caches(
         &self,
         fleet: &Fleet,
@@ -805,7 +807,7 @@ impl PanelScheduler {
                 Some((scheduler.search(subfleet, evaluator), evaluator))
             })
             .unzip();
-        let cascade_cells = drive(&mut searches, &live);
+        let cells = drive(&mut searches, &live);
 
         let mut searches = searches.into_iter();
         let mut per_panel = Vec::with_capacity(array.len());
@@ -843,7 +845,8 @@ impl PanelScheduler {
             });
         }
         if traced {
-            self.recorder.add("fleet.cascade_cells", cascade_cells);
+            self.recorder.add("fleet.cascade_cells", cells.cascade);
+            self.recorder.add("fleet.factor_hits", cells.hits);
         }
 
         let per_device: Vec<DeviceService> = services
@@ -1392,6 +1395,7 @@ pub fn serve_panel_fleets(
 mod tests {
     use super::*;
     use crate::fleet::FleetDevice;
+    use metasurface::SharedPlanCache;
 
     fn quad_fleet() -> Fleet {
         let mut fleet = Fleet::new(metasurface::designs::fr4_optimized());
@@ -1522,31 +1526,43 @@ mod tests {
         assert!(p0.iter().zip(&p2).any(|(a, b)| (a - b).abs() > 1e-9));
     }
 
+    /// The cascade cells and cell-memo hits a recorded panel schedule
+    /// counted, with its outcome.
+    fn counted_cells(
+        scheduler: PanelScheduler,
+        fleet: &Fleet,
+        array: &PanelArray,
+        caches: &[(&'static str, PlanCache)],
+    ) -> (u64, u64, PanelOutcome) {
+        use crate::telemetry::RingRecorder;
+        use std::sync::Arc;
+
+        let ring = Arc::new(RingRecorder::new(64));
+        let outcome = scheduler
+            .with_recorder(RecorderHandle::new(ring.clone()))
+            .run_with_caches(fleet, array, caches);
+        (
+            ring.counter("fleet.cascade_cells"),
+            ring.counter("fleet.factor_hits"),
+            outcome,
+        )
+    }
+
     #[test]
     fn each_round_sends_every_plan_one_batch_for_all_panels() {
         // 16 devices on 4 panels, max-min. Every panel's first round
         // probes the same full-range 5×5 lattice, so each carrier's plan
-        // evaluates it once, not once per panel; the second round's
-        // windows differ per panel, and each plan evaluates their
-        // distinct cells in one call. A per-panel loop would send
-        // 25 cells per (panel, carrier) in round 1 alone.
-        use crate::telemetry::RingRecorder;
-        use std::sync::Arc;
-
+        // takes it once, not once per panel; the second round's windows
+        // differ per panel, and each plan takes their distinct cells in
+        // one call. A per-panel loop would send 25 cells per (panel,
+        // carrier) in round 1 alone.
         let fleet = Fleet::mixed_wifi_ble(16, 2021);
         let array = PanelArray::uniform(fleet.design.clone(), 4);
-        let cascade_cells = |scheduler: PanelScheduler| {
-            let ring = Arc::new(RingRecorder::new(64));
-            let outcome = scheduler
-                .with_recorder(RecorderHandle::new(ring.clone()))
-                .run(&fleet, &array);
-            (ring.counter("fleet.cascade_cells"), outcome)
-        };
         let mut round_one = PanelScheduler::max_min();
         round_one.base.sweep.iterations = 1;
-        let (cells, outcome) = cascade_cells(round_one);
+        let (cells, hits, outcome) = counted_cells(round_one, &fleet, &array, &array.plan_caches());
         let plans = 2; // Wi-Fi and BLE
-        assert_eq!(cells, plans * 25);
+        assert_eq!((cells, hits), (plans * 25, 0));
         let panel_plans: usize = outcome
             .per_panel
             .iter()
@@ -1561,10 +1577,70 @@ mod tests {
             .sum();
         assert!(panel_plans as u64 > plans, "{panel_plans} panel plans");
         // The full schedule: 50 cells in round 1, then the plans' 90
-        // distinct round-2 cells, for 200 probes.
-        let (cells, outcome) = cascade_cells(PanelScheduler::max_min());
-        assert_eq!(outcome.probes, 4 * 50);
-        assert_eq!(cells, 140);
+        // distinct round-2 cells, for 200 probes. The array's own
+        // private stores keep no cell memo and send all 140 to the
+        // kernel. Round 2's windows are centred on round 1's winners
+        // and share lattice points with round 1, so a fresh shared
+        // store answers 22 of those 90 cells from its cell memo.
+        let (cells, hits, private) = counted_cells(
+            PanelScheduler::max_min(),
+            &fleet,
+            &array,
+            &array.plan_caches(),
+        );
+        assert_eq!(private.probes, 4 * 50);
+        assert_eq!((cells, hits), (140, 0));
+        let shared = std::sync::Arc::new(SharedPlanCache::new(&fleet.design.stack));
+        let (cells, hits, outcome) = counted_cells(
+            PanelScheduler::max_min(),
+            &fleet,
+            &array,
+            &[(fleet.design.name, shared.handle())],
+        );
+        assert_eq!(cells + hits, 140);
+        assert_eq!((cells, hits), (118, 22));
+        assert_eq!(outcome.score.to_bits(), private.score.to_bits());
+    }
+
+    #[test]
+    fn a_warm_store_serves_a_repeat_schedule_from_the_cell_memo() {
+        // The same 4-panel schedule twice over one shared store: the
+        // second run finds all 140 of its cells in the memo, sends none
+        // to the cascade kernel, and ends bitwise where the first did.
+        let fleet = Fleet::mixed_wifi_ble(16, 2021);
+        let array = PanelArray::uniform(fleet.design.clone(), 4);
+        let shared = std::sync::Arc::new(SharedPlanCache::new(&fleet.design.stack));
+        let run = || {
+            let caches = [(fleet.design.name, shared.handle())];
+            counted_cells(PanelScheduler::max_min(), &fleet, &array, &caches)
+        };
+        let (cold_cells, cold_hits, cold) = run();
+        assert_eq!(cold_cells + cold_hits, 140);
+        assert_eq!(shared.cells_evaluated(), cold_cells);
+        let (cells, hits, warm) = run();
+        assert_eq!((cells, hits), (0, 140));
+        assert_eq!(shared.cells_evaluated(), cold_cells);
+        assert_eq!(warm.assignment, cold.assignment);
+        assert_eq!(warm.probes, cold.probes);
+        assert_eq!(warm.score.to_bits(), cold.score.to_bits());
+        for (a, b) in warm.per_device.iter().zip(&cold.per_device) {
+            assert_eq!(a.bias, b.bias);
+            assert_eq!(a.power_dbm.to_bits(), b.power_dbm.to_bits());
+            assert_eq!(
+                a.throughput_bits_hz.to_bits(),
+                b.throughput_bits_hz.to_bits()
+            );
+        }
+        for (a, b) in warm.per_panel.iter().zip(&cold.per_panel) {
+            assert_eq!(a.outcome.history.len(), b.outcome.history.len());
+            for ((bias_a, row_a), (bias_b, row_b)) in
+                a.outcome.history.iter().zip(&b.outcome.history)
+            {
+                assert_eq!(bias_a, bias_b);
+                let bits = |row: &[f64]| row.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(row_a), bits(row_b));
+            }
+        }
     }
 
     #[test]

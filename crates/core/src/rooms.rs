@@ -11,14 +11,14 @@
 //!
 //! Three rooms ship today:
 //!
-//! * [`office-floor`](office_floor) — an 8 m × 6 m open office: a
+//! * `office-floor` — an 8 m × 6 m open office: a
 //!   wall AP, a desk grid of Wi-Fi IoT stations with BLE wearables
 //!   among them, two wall panels, a worker walking a corridor loop and
 //!   a colleague crossing the desk rows.
-//! * [`warehouse-aisle`](warehouse_aisle) — a 12 m rack aisle: sensors
+//! * `warehouse-aisle` — a 12 m rack aisle: sensors
 //!   down both racks, two overhead panels, a picker walking the aisle
 //!   and a forklift driving through (a wide, lossy crossing body).
-//! * [`conference-room`](conference_room) — a 5 m × 4 m meeting room:
+//! * `conference-room` — a 5 m × 4 m meeting room:
 //!   BLE wearables around the table, swiveling participants, and
 //!   latecomers walking around the table mid-meeting.
 

@@ -10,6 +10,10 @@
 //!   for fleets mixing shadow tunings and reflective devices, after an
 //!   `update_device` retunes one, and for NaN, infinite and
 //!   out-of-range biases;
+//! * a healthy and a faulted evaluator over one shared plan store,
+//!   their batches interleaved, each return bitwise the matrices of
+//!   their own private store: the store's cell memo is keyed by the
+//!   bias the panel applies, not the one the search commands;
 //! * the `MaxMin` scheduler's score is ≥ the worst link of *every*
 //!   probed shared bias (it is the arg-max of the min — no probed
 //!   compromise can beat it).
@@ -18,12 +22,13 @@ mod common;
 
 use llama_core::faults::{BiasFault, CellFaultKind};
 use llama_core::fleet::{Fleet, FleetDevice, FleetEvaluator, Scheduler, FAN_OUT_MIN_PROBES};
-use metasurface::evaluator::StackEvaluator;
+use metasurface::evaluator::{SharedPlanCache, StackEvaluator};
 use metasurface::response::SurfaceResponse;
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
 use propagation::link::PreparedLink;
 use proptest::prelude::*;
 use rfmath::units::{Degrees, Volts};
+use std::sync::Arc;
 
 /// A random heterogeneous fleet: 1..max devices of mixed radio classes
 /// (reflective USRPs among them), orientations, distances and channel
@@ -288,6 +293,43 @@ proptest! {
             let single = evaluator.powers_dbm(bias);
             for (got, want) in single.iter().zip(want) {
                 prop_assert!(got.to_bits() == want.to_bits(), "powers_dbm {bias:?}: {got} vs {want}");
+            }
+        }
+    }
+
+    /// A healthy and a faulted evaluator of one fleet draw plans from
+    /// one shared store and probe interleaved bias lists: every matrix
+    /// is bitwise the one the same evaluator returns over a private
+    /// store. A memo keyed by the commanded bias would hand the faulted
+    /// fleet the healthy panel's factors (or the reverse).
+    #[test]
+    fn healthy_and_faulted_fleets_share_one_cell_memo(
+        f in fleet(6),
+        lists in prop::collection::vec(bias_lists(), 2..4),
+        x in axis_fault(),
+        y in axis_fault(),
+        faulted_first in 0usize..2,
+    ) {
+        let fault = BiasFault { x, y };
+        let shared = Arc::new(SharedPlanCache::new(&f.design.stack));
+        let pair = |shared: Option<&Arc<SharedPlanCache>>| {
+            let evaluator = || match shared {
+                Some(store) => FleetEvaluator::with_plan_cache(&f, &store.handle()),
+                None => FleetEvaluator::new(&f),
+            };
+            let healthy = evaluator();
+            let mut faulted = evaluator();
+            faulted.set_bias_fault(Some(fault));
+            [healthy, faulted]
+        };
+        let on_shared = pair(Some(&shared));
+        let on_private = pair(None);
+        for list in &lists {
+            for arm in [faulted_first, 1 - faulted_first] {
+                let got = on_shared[arm].powers_matrix(list);
+                let want = on_private[arm].powers_matrix(list);
+                prop_assert_eq!(got.len(), list.len());
+                assert_rows_bitwise(&got, &want, &format!("arm {arm}"))?;
             }
         }
     }

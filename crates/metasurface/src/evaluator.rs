@@ -19,7 +19,7 @@
 //! across the caller's thread budget ([`rfmath::par`] — no external
 //! dependencies).
 //!
-//! Two layers sit on top of the per-point plan:
+//! Three layers sit on top of the per-point plan:
 //!
 //! * **Structure-of-arrays batches.** [`StackEvaluator::eval_batch`]
 //!   and [`StackEvaluator::eval_grid_map`] lower axis-aligned plans
@@ -42,6 +42,18 @@
 //!   lock, and a branch is solved only when the store lacks it. Worker
 //!   threads serving disjoint fleets therefore share compilations and
 //!   branch solves without contending on a hot-path lock.
+//! * **The cell memo.** Each core compiled by a
+//!   [`SharedPlanCache::new`] store also keeps the probe factors
+//!   ([`ResponseFactors`]) of every applied bias cell any handle has
+//!   evaluated through [`StackEvaluator::cell_factors_into`], the
+//!   fleet-serving batch entry point: Algorithm 1 sweeps one
+//!   supply-range lattice and then ±step windows around its winners, so
+//!   jobs served through one store keep probing the same few hundred
+//!   cells, and a cell some job has evaluated costs every later job one
+//!   hashed lookup. Only the misses reach the kernel. A private store
+//!   ([`PlanCache::new`]) keeps no cell memo. The kernel entry points
+//!   above (`eval_batch`, `eval_batch_reference`, `eval_grid_map`,
+//!   `response`) never read or fill it.
 //!
 //! The per-point engine is *exactly* equivalent to the naive path:
 //! stages are built by the same code, and both sides fold transfers
@@ -61,14 +73,14 @@ use rfmath::complex::Complex;
 use rfmath::rng::MixState;
 use rfmath::units::{Hertz, Radians, Volts};
 
-use crate::response::SurfaceResponse;
+use crate::response::{ResponseFactors, SurfaceResponse};
 use crate::sheet::AnisotropicSheet;
 use crate::stack::{BiasState, SurfaceStack};
 
 /// Upper bound on memoized per-axis voltage entries, in a handle's local
-/// front and in the store alike; beyond this the evaluator computes
-/// without caching (protects pathological callers that probe millions
-/// of distinct voltages at one frequency).
+/// front and in the store alike, and on a store's memoized cells; beyond
+/// this the evaluator computes without caching (protects pathological
+/// callers that probe millions of distinct voltages at one frequency).
 const MEMO_CAP: usize = 4096;
 
 /// One step of the compiled cascade plan, in traversal order. Both
@@ -107,17 +119,26 @@ struct TunedMemo {
     axes: [RefCell<Vec<(u64, SParams)>>; 2],
 }
 
-/// The store-owned per-voltage branch S-parameters of one compiled
-/// core, shared by every handle over it. Each branch is a pure function
-/// of (plan, axis, voltage bits), so whichever handle solves it first,
-/// every handle reads the same bits.
+/// The store-owned memos of one compiled core, shared by every handle
+/// over it: per-voltage branch S-parameters and per-cell probe factors.
+/// Each entry is a pure function of (plan, key bits), so whichever
+/// handle computes it first, every handle reads the same bits.
 #[derive(Debug)]
-struct BranchStore {
+struct PlanStore {
     /// `[x, y]` memos per tuned panel, keyed by voltage bit pattern (a
     /// hashed lookup: a warm store holds up to [`MEMO_CAP`] entries).
     memos: Vec<[HashMap<u64, SParams, MixState>; 2]>,
     /// Branch solves run on this core, over every handle.
     solves: u64,
+    /// Applied bias cells, keyed by their `(vx, vy)` bit patterns, as
+    /// indices into `factors` (up to [`MEMO_CAP`] cells; empty unless
+    /// the core keeps a cell memo).
+    cells: HashMap<(u64, u64), usize, MixState>,
+    /// The probe factors of each memoized cell, in insertion order.
+    factors: Vec<ResponseFactors>,
+    /// Cells this core's kernel evaluated for the cell memo, over every
+    /// handle.
+    cells_evaluated: u64,
 }
 
 /// Assembles a tuned panel's stage transfer from cached per-axis
@@ -147,7 +168,7 @@ enum Lone {
 }
 
 /// The shareable part of a compiled plan: the immutable cascade plus
-/// the store of per-voltage branch solves. `Send + Sync`, so a
+/// the store of branch solves and cell factors. `Send + Sync`, so a
 /// [`SharedPlanCache`] can hand one compilation to every worker shard.
 #[derive(Debug)]
 struct PlanCore {
@@ -163,13 +184,18 @@ struct PlanCore {
     /// True when a bias-independent stage was numerically opaque
     /// (singular transmission): every response is `None`.
     opaque: bool,
-    branches: Mutex<BranchStore>,
+    /// True when the store keeps the cell memo (a core compiled by a
+    /// [`SharedPlanCache::new`] store); a private core evaluates every
+    /// cell it is asked for.
+    cell_memo: bool,
+    memos: Mutex<PlanStore>,
 }
 
 impl PlanCore {
     /// Compiles `stack` at `f`: converts every bias-independent stage to
-    /// wave-transfer form and pre-multiplies maximal static runs.
-    fn compile(stack: &SurfaceStack, f: Hertz) -> Self {
+    /// wave-transfer form and pre-multiplies maximal static runs. The
+    /// store keeps a cell memo when `cell_memo` is set.
+    fn compile(stack: &SurfaceStack, f: Hertz, cell_memo: bool) -> Self {
         let mut steps = Vec::new();
         let mut statics = Vec::new();
         let mut tuned = Vec::new();
@@ -196,10 +222,11 @@ impl PlanCore {
                 steps,
                 statics,
                 static_components: Vec::new(),
-                branches: BranchStore::new(tuned.len()),
+                memos: PlanStore::new(tuned.len()),
                 tuned,
                 lone: Some(lone),
                 opaque: false,
+                cell_memo,
             };
         }
 
@@ -251,24 +278,26 @@ impl PlanCore {
             steps,
             static_components: statics.iter().map(WaveTransfer::components).collect(),
             statics,
-            branches: BranchStore::new(tuned.len()),
+            memos: PlanStore::new(tuned.len()),
             tuned,
             lone: None,
             opaque,
+            cell_memo,
         }
     }
 
-    /// The branch store, locked. A caller holds the lock for one
-    /// lookup or one batch's lookups, plus the solves of voltages no
-    /// handle has seen — each ~0.5 µs, and rare once the store is warm.
-    fn store(&self) -> MutexGuard<'_, BranchStore> {
-        self.branches.lock().unwrap_or_else(|e| e.into_inner())
+    /// The store, locked. A caller holds the lock for one lookup or one
+    /// batch's lookups, plus the solves of voltages no handle has seen —
+    /// each ~0.5 µs, and rare once the store is warm — and never across
+    /// the cascade kernel.
+    fn store(&self) -> MutexGuard<'_, PlanStore> {
+        self.memos.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Tuned panel `k`'s `axis` branch S-parameters at `v`, from the
     /// locked `store` when any handle has solved it before, solved (and
     /// stored, up to [`MEMO_CAP`]) otherwise.
-    fn branch(&self, store: &mut BranchStore, k: usize, axis: Axis, v: f64) -> SParams {
+    fn branch(&self, store: &mut PlanStore, k: usize, axis: Axis, v: f64) -> SParams {
         let memo = &mut store.memos[k][axis as usize];
         let full = memo.len() >= MEMO_CAP;
         match memo.entry(v.to_bits()) {
@@ -290,12 +319,15 @@ impl PlanCore {
     }
 }
 
-impl BranchStore {
+impl PlanStore {
     /// An empty store for `panels` tuned panels, behind its lock.
     fn new(panels: usize) -> Mutex<Self> {
         Mutex::new(Self {
             memos: (0..panels).map(|_| Default::default()).collect(),
             solves: 0,
+            cells: HashMap::default(),
+            factors: Vec::new(),
+            cells_evaluated: 0,
         })
     }
 }
@@ -305,15 +337,31 @@ impl BranchStore {
 ///
 /// Build one per operating frequency and probe it with as many bias
 /// states as needed; see the module docs for the cost model. The
-/// compiled cascade and the store of per-voltage branch solves live in
-/// a shared core (so [`SharedPlanCache`] can hand one compilation, and
-/// every branch it has solved, to many threads). The instance holds
-/// only a lock-free local front over that store: the voltages it has
-/// already looked up.
+/// compiled cascade and the store of branch solves and cell factors
+/// live in a shared core (so [`SharedPlanCache`] can hand one
+/// compilation, and everything it has computed, to many threads). The
+/// instance holds only a lock-free local front over that store (the
+/// voltages it has already looked up) and the storage its cell-memo
+/// misses reuse from call to call.
 #[derive(Clone, Debug)]
 pub struct StackEvaluator {
     core: Arc<PlanCore>,
     memos: Vec<TunedMemo>,
+    misses: RefCell<CellMisses>,
+}
+
+/// The cells one [`StackEvaluator::cell_factors_into`] call found
+/// missing from the store, in storage the next call reuses: their
+/// positions in the caller's list and their per-axis voltage tables.
+#[derive(Clone, Debug, Default)]
+struct CellMisses {
+    at: Vec<usize>,
+    cells: BiasCells,
+}
+
+/// A cell-memo key: the applied bias's bit patterns.
+fn cell_key(bias: &BiasState) -> (u64, u64) {
+    (bias.vx.0.to_bits(), bias.vy.0.to_bits())
 }
 
 impl StackEvaluator {
@@ -321,13 +369,17 @@ impl StackEvaluator {
     /// bias-independent stage to wave-transfer form and pre-multiplies
     /// maximal static runs.
     pub fn new(stack: &SurfaceStack, f: Hertz) -> Self {
-        Self::from_core(Arc::new(PlanCore::compile(stack, f)))
+        Self::from_core(Arc::new(PlanCore::compile(stack, f, false)))
     }
 
     /// Wraps a shared compiled core with a fresh (empty) local front.
     fn from_core(core: Arc<PlanCore>) -> Self {
         let memos = core.tuned.iter().map(|_| TunedMemo::default()).collect();
-        Self { core, memos }
+        Self {
+            core,
+            memos,
+            misses: RefCell::default(),
+        }
     }
 
     /// The frequency this plan was compiled for.
@@ -342,7 +394,7 @@ impl StackEvaluator {
     /// so a batch takes the lock at most once.
     fn axis_s<'c>(
         &'c self,
-        store: &mut Option<MutexGuard<'c, BranchStore>>,
+        store: &mut Option<MutexGuard<'c, PlanStore>>,
         k: usize,
         axis: Axis,
         v: f64,
@@ -475,15 +527,99 @@ impl StackEvaluator {
         self.eval_list(biases, true)
     }
 
-    /// [`StackEvaluator::eval_batch`] over an already deduplicated bias
-    /// list, written into `out` (one slot per bias, in order). Plans
-    /// compiled from one stack at different carriers can share one
-    /// [`BiasCells`] and one output buffer.
+    /// Appends the [`ResponseFactors`] of each applied bias in `cells`
+    /// to `out`, in order — the fleet-serving batch entry point. Returns
+    /// how many cells went to the cascade kernel; the rest were read
+    /// from the store's cell memo.
     ///
-    /// # Panics
-    /// Panics when `out.len() != cells.len()`.
-    pub fn eval_cells_into(&self, cells: &BiasCells, out: &mut [Option<PolarizedS>]) {
-        self.eval_cells(&cells.vxs, &cells.vys, &cells.cells, true, out, |r| r);
+    /// On a plan from a [`SharedPlanCache::new`] store, every cell is
+    /// looked up in the memo under one lock of the store. The misses
+    /// (duplicates in `cells` included) then run, deduplicated per axis,
+    /// through the same dispatch as [`StackEvaluator::eval_batch`], with
+    /// no lock held, and their factors are stored (up to 4096 cells per
+    /// store) under a second lock. A plan of a private store
+    /// ([`PlanCache::new`], [`StackEvaluator::new`]) keeps no memo and
+    /// sends every cell to the kernel.
+    ///
+    /// A hit is bitwise the factors of
+    /// [`StackEvaluator::eval_batch_reference`]'s response (NaN
+    /// payloads aside, which the kernel and the fold need not share):
+    /// each cell is evaluated independently of its batch, and the kernel
+    /// and the per-cell fold agree bit for bit, so whichever handle
+    /// evaluates a cell first, every handle reads the same bits. Keys
+    /// are the bit patterns of the bias as given, so callers pass the
+    /// bias the hardware applies (after clamping and faults).
+    pub fn cell_factors_into(&self, cells: &[BiasState], out: &mut Vec<ResponseFactors>) -> usize {
+        let f = self.core.f;
+        let factors =
+            move |r: Option<PolarizedS>| ResponseFactors::new(&SurfaceResponse::new(f, r));
+        let base = out.len();
+        let mut misses = self.misses.borrow_mut();
+        let CellMisses { at, cells: table } = &mut *misses;
+        if !self.core.cell_memo {
+            table.refill(cells.iter().copied());
+            out.resize(base + cells.len(), factors(None));
+            self.eval_cells(
+                &table.vxs,
+                &table.vys,
+                &table.cells,
+                true,
+                &mut out[base..],
+                factors,
+            );
+            self.core.store().cells_evaluated += cells.len() as u64;
+            return cells.len();
+        }
+        at.clear();
+        let mut filler = None;
+        {
+            let store = self.core.store();
+            for (i, cell) in cells.iter().enumerate() {
+                out.push(match store.cells.get(&cell_key(cell)) {
+                    Some(&hit) => store.factors[hit],
+                    None => {
+                        at.push(i);
+                        *filler.get_or_insert_with(|| factors(None))
+                    }
+                });
+            }
+        }
+        let Some(filler) = filler else {
+            return 0;
+        };
+        // The misses are evaluated into slots past the list's own and
+        // moved into place.
+        table.refill(at.iter().map(|&i| cells[i]));
+        let end = out.len();
+        out.resize(end + at.len(), filler);
+        let (listed, evaluated) = out.split_at_mut(end);
+        self.eval_cells(
+            &table.vxs,
+            &table.vys,
+            &table.cells,
+            true,
+            evaluated,
+            factors,
+        );
+        let mut guard = self.core.store();
+        let store = &mut *guard;
+        // Grown once per call rather than insert by insert: a cold
+        // store fills in a few large batches.
+        let room = at.len().min(MEMO_CAP.saturating_sub(store.factors.len()));
+        store.cells.reserve(room);
+        store.factors.reserve(room);
+        for (&i, &computed) in at.iter().zip(evaluated.iter()) {
+            listed[base + i] = computed;
+            if store.factors.len() < MEMO_CAP {
+                if let Entry::Vacant(slot) = store.cells.entry(cell_key(&cells[i])) {
+                    slot.insert(store.factors.len());
+                    store.factors.push(computed);
+                }
+            }
+        }
+        store.cells_evaluated += at.len() as u64;
+        out.truncate(end);
+        at.len()
     }
 
     /// The per-cell reference batch path: folds a [`WaveTransfer`] per
@@ -666,7 +802,7 @@ impl BranchTable {
 /// indices into them, in list order. Every distinct voltage then costs
 /// one ABCD solve per tuned panel, however many biases share it.
 #[derive(Clone, Debug, Default)]
-pub struct BiasCells {
+struct BiasCells {
     vxs: Vec<f64>,
     vys: Vec<f64>,
     cells: Vec<(usize, usize)>,
@@ -674,14 +810,14 @@ pub struct BiasCells {
 
 impl BiasCells {
     /// Deduplicates `biases` per axis, keeping first-seen order.
-    pub fn new(biases: impl IntoIterator<Item = BiasState>) -> Self {
+    fn new(biases: impl IntoIterator<Item = BiasState>) -> Self {
         let mut cells = Self::default();
         cells.refill(biases);
         cells
     }
 
     /// Replaces the list with `biases`, reusing the tables' storage.
-    pub fn refill(&mut self, biases: impl IntoIterator<Item = BiasState>) {
+    fn refill(&mut self, biases: impl IntoIterator<Item = BiasState>) {
         let biases = biases.into_iter();
         let n = biases.size_hint().0;
         let Self { vxs, vys, cells } = self;
@@ -704,13 +840,8 @@ impl BiasCells {
     }
 
     /// Number of biases.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.cells.len()
-    }
-
-    /// True when the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 }
 
@@ -944,7 +1075,8 @@ fn soa_block<T>(
 
 /// The shared, thread-safe compilation store behind [`PlanCache`]
 /// handles: one mutex-guarded table of compiled cores per surface
-/// stack, each core owning the branch S-parameters solved on it.
+/// stack, each core owning the branch S-parameters solved on it and
+/// the probe factors of the cells evaluated on it.
 ///
 /// The table's mutex is cold by construction — a worker shard takes it
 /// only on a local-handle miss (first sighting of a frequency on that
@@ -955,19 +1087,39 @@ fn soa_block<T>(
 /// branch store is consulted only when a handle's local front misses a
 /// voltage, so a fresh handle over a warm store solves no branch at
 /// all: it pays one brief lock per batch that holds voltages it has
-/// not yet seen.
+/// not yet seen. Its cell memo answers a whole fleet batch under one
+/// lock ([`StackEvaluator::cell_factors_into`]). So a store never
+/// compiles a plan twice, and never solves again a branch or evaluates
+/// again a cell that it holds. Two handles that miss the same cell at
+/// the same time may each evaluate it (the same bits, each counted in
+/// [`SharedPlanCache::cells_evaluated`]), and branches and cells past a
+/// memo's 4096 entries are computed on every request.
+///
+/// Only a store made by [`SharedPlanCache::new`] keeps the cell memo.
+/// The private store of [`PlanCache::new`] (one room run, one
+/// schedule) shares its compilations and branch memos between its own
+/// plans but sends every cell to the kernel.
 #[derive(Debug)]
 pub struct SharedPlanCache {
     stack: SurfaceStack,
     master: Mutex<Vec<Arc<PlanCore>>>,
+    /// Whether the cores compiled here keep a cell memo.
+    cell_memo: bool,
 }
 
 impl SharedPlanCache {
-    /// An empty shared store for one surface stack.
+    /// An empty shared store for one surface stack, with a cell memo.
     pub fn new(stack: &SurfaceStack) -> Self {
+        Self::with_cell_memo(stack, true)
+    }
+
+    /// An empty store for one surface stack, keeping a cell memo when
+    /// `cell_memo` is set.
+    fn with_cell_memo(stack: &SurfaceStack, cell_memo: bool) -> Self {
         Self {
             stack: stack.clone(),
             master: Mutex::new(Vec::new()),
+            cell_memo,
         }
     }
 
@@ -987,7 +1139,7 @@ impl SharedPlanCache {
         if let Some(core) = master.iter().find(|c| c.f.0.to_bits() == f.0.to_bits()) {
             return Arc::clone(core);
         }
-        let core = Arc::new(PlanCore::compile(&self.stack, f));
+        let core = Arc::new(PlanCore::compile(&self.stack, f, self.cell_memo));
         master.push(Arc::clone(&core));
         core
     }
@@ -1001,8 +1153,21 @@ impl SharedPlanCache {
     /// voltage) run on this store's cores, over every handle. A handle
     /// that finds every voltage in the store adds none.
     pub fn branch_solves(&self) -> u64 {
+        self.sum_over_cores(|store| store.solves)
+    }
+
+    /// Cells the cascade kernel evaluated for
+    /// [`StackEvaluator::cell_factors_into`] on this store's plans (the
+    /// cell-memo misses), over every handle. A batch whose cells are all
+    /// in the memo adds none; on a private store every cell counts.
+    pub fn cells_evaluated(&self) -> u64 {
+        self.sum_over_cores(|store| store.cells_evaluated)
+    }
+
+    /// `count` of every compiled core's store, summed.
+    fn sum_over_cores(&self, count: impl Fn(&PlanStore) -> u64) -> u64 {
         let master = self.master.lock().unwrap_or_else(|e| e.into_inner());
-        master.iter().map(|core| core.store().solves).sum()
+        master.iter().map(|core| count(&core.store())).sum()
     }
 }
 
@@ -1022,11 +1187,16 @@ impl SharedPlanCache {
 /// threads — a local miss consults the shared store (one brief lock)
 /// and wraps the core with a thread-local memo front. The front misses
 /// only on a voltage this handle has not seen; the core's branch store
-/// then answers it, and solves it only if no handle has. So sharded
-/// fleet serving never compiles the same plan twice, re-solves a branch
-/// another job already solved, or contends on the probe path.
+/// then answers it, and solves it only if no handle has. A fleet batch
+/// reads every cell's probe factors from the core's cell memo, and only
+/// cells the memo lacks reach the kernel. So sharded fleet serving
+/// never compiles the same plan twice, never solves again a branch or
+/// evaluates again a cell the store holds, and does not contend on the
+/// probe path (handles that miss one cell at the same time may each
+/// evaluate it; see [`SharedPlanCache`]).
 /// `PlanCache::new` creates a private store, so a single-threaded
-/// caller shares nothing with anyone.
+/// caller shares nothing with anyone; a private store keeps no cell
+/// memo.
 #[derive(Clone, Debug)]
 pub struct PlanCache {
     shared: Arc<SharedPlanCache>,
@@ -1038,7 +1208,7 @@ impl PlanCache {
     /// [`SharedPlanCache::handle`] to share compilations across
     /// threads).
     pub fn new(stack: &SurfaceStack) -> Self {
-        Arc::new(SharedPlanCache::new(stack)).handle()
+        Arc::new(SharedPlanCache::with_cell_memo(stack, false)).handle()
     }
 
     /// The shared store behind this handle — clone it across threads

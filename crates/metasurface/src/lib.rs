@@ -60,6 +60,6 @@ pub mod tables;
 
 pub use bias::RotationMap;
 pub use designs::{fr4_naive, fr4_optimized, rogers_reference, Design};
-pub use evaluator::{BiasCells, PlanCache, SharedPlanCache, StackEvaluator};
-pub use response::{Metasurface, SurfaceResponse};
+pub use evaluator::{PlanCache, SharedPlanCache, StackEvaluator};
+pub use response::{Metasurface, ResponseFactors, SurfaceResponse};
 pub use stack::{BiasState, SurfaceStack};

@@ -90,6 +90,128 @@ impl SurfaceResponse {
             .map(|r| r.efficiency_y_db())
             .unwrap_or(Db(f64::NEG_INFINITY))
     }
+
+    /// The transmissive shadow's mean through-efficiency,
+    /// `0.5 · (eff_x_db + eff_y_db)`, dB.
+    fn mean_efficiency_db(&self) -> f64 {
+        0.5 * (self.efficiency_x_db().0 + self.efficiency_y_db().0)
+    }
+}
+
+/// What a `t = 0` probe reads from a surface response, independent of
+/// the link it is projected onto: the Jones blocks the surface legs
+/// apply and the transmissive shadow. A [`SurfaceResponse`] derives each
+/// on demand, so a single probe computes only what its mount reads;
+/// [`ResponseFactors`] holds them precomputed, so a batch projecting one
+/// response onto many links pays for them once. Both give the same bits
+/// and feed the same probe body.
+pub trait ResponseSide {
+    /// The frequency the response was evaluated at.
+    fn frequency(&self) -> Hertz;
+    /// A transmissive mount's legs: the transmission block `trans`, and
+    /// `trans · refl` for the antenna↔surface bounce.
+    fn transmissive_blocks(&self) -> (JonesMatrix, JonesMatrix);
+    /// A reflective mount's fold: the surface's S11 block expressed in
+    /// the incident frame, `mirror_x · refl` (mirror conjugation: the
+    /// reflected wave's frame flips handedness, which is the §5.2
+    /// rotation-cancellation mechanism as seen by the receiver).
+    fn reflective_block(&self) -> JonesMatrix;
+    /// The transmissive shadow's amplitude factor on a link whose
+    /// shadow is darkened by a further `shadow_extra_db`.
+    fn shadow(&self, shadow_extra_db: f64) -> f64;
+}
+
+impl ResponseSide for SurfaceResponse {
+    fn frequency(&self) -> Hertz {
+        SurfaceResponse::frequency(self)
+    }
+
+    fn transmissive_blocks(&self) -> (JonesMatrix, JonesMatrix) {
+        let trans = self.transmission();
+        (trans, trans * self.reflection())
+    }
+
+    fn reflective_block(&self) -> JonesMatrix {
+        JonesMatrix::mirror_x() * self.reflection()
+    }
+
+    fn shadow(&self, shadow_extra_db: f64) -> f64 {
+        shadow_amplitude(self.mean_efficiency_db(), shadow_extra_db)
+    }
+}
+
+/// The default extra shadow attenuation of a link tuning, dB: none.
+/// [`ResponseFactors`] resolves the shadow for it up front.
+pub const DEFAULT_SHADOW_EXTRA_DB: f64 = 0.0;
+
+/// The transmissive shadow's amplitude factor: the panel's mean
+/// through-efficiency, floored at −30 dB, darkened by `shadow_extra_db`.
+fn shadow_amplitude(mean_efficiency_db: f64, shadow_extra_db: f64) -> f64 {
+    let eff_db = mean_efficiency_db - shadow_extra_db;
+    10f64.powf(eff_db.max(-30.0 - shadow_extra_db) / 20.0)
+}
+
+/// Every link-independent factor of a `t = 0` probe under one surface
+/// response, computed once: the transmission Jones block, `trans ·
+/// refl`, `mirror_x · refl`, the mean efficiency and the transmissive
+/// shadow at [`DEFAULT_SHADOW_EXTRA_DB`]. A batch that projects one
+/// response onto many links builds this once per response instead of
+/// once per link, and a shared plan store keeps it per bias cell
+/// ([`StackEvaluator::cell_factors_into`]). A link at the default
+/// tuning reads the shadow factor, any other runs its own shadow
+/// `powf`; either way every factor ([`ResponseSide`]) is bitwise what
+/// the [`SurfaceResponse`] gives.
+#[derive(Clone, Copy, Debug)]
+pub struct ResponseFactors {
+    f: Hertz,
+    trans: JonesMatrix,
+    bounce: JonesMatrix,
+    fold: JonesMatrix,
+    mean_efficiency_db: f64,
+    /// The shadow amplitude factor at [`DEFAULT_SHADOW_EXTRA_DB`].
+    default_shadow: f64,
+}
+
+impl ResponseFactors {
+    /// Precomputes the factors of `surface` (an opaque response yields
+    /// zero blocks and a `−∞ dB` mean efficiency, as its accessors do).
+    pub fn new(surface: &SurfaceResponse) -> Self {
+        let trans = surface.transmission();
+        let refl = surface.reflection();
+        let mean_efficiency_db = surface.mean_efficiency_db();
+        Self {
+            f: surface.frequency(),
+            trans,
+            bounce: trans * refl,
+            fold: JonesMatrix::mirror_x() * refl,
+            mean_efficiency_db,
+            default_shadow: shadow_amplitude(mean_efficiency_db, DEFAULT_SHADOW_EXTRA_DB),
+        }
+    }
+}
+
+impl ResponseSide for ResponseFactors {
+    fn frequency(&self) -> Hertz {
+        self.f
+    }
+
+    fn transmissive_blocks(&self) -> (JonesMatrix, JonesMatrix) {
+        (self.trans, self.bounce)
+    }
+
+    fn reflective_block(&self) -> JonesMatrix {
+        self.fold
+    }
+
+    /// Read from the precomputed factor at [`DEFAULT_SHADOW_EXTRA_DB`]
+    /// (by bit pattern), recomputed at any other tuning.
+    fn shadow(&self, shadow_extra_db: f64) -> f64 {
+        if shadow_extra_db.to_bits() == DEFAULT_SHADOW_EXTRA_DB.to_bits() {
+            self.default_shadow
+        } else {
+            shadow_amplitude(self.mean_efficiency_db, shadow_extra_db)
+        }
+    }
 }
 
 /// A deployed surface: design + current bias state.

@@ -5,18 +5,23 @@
 //! `eval_batch` and `eval_grid` — must match the per-cell reference fold
 //! bit for bit. Plan handles over one `SharedPlanCache` on different
 //! threads, which share the store's branch solves, must answer bit for
-//! bit like a private `StackEvaluator::new`. Every consumer of the
-//! engine — heatmaps, rotation maps, the optimizer's probe loop, the
-//! fleet server's jobs — leans on this property.
+//! bit like a private `StackEvaluator::new`. The store's cell memo
+//! (`cell_factors_into`) must hand out, cold, warm or from another
+//! thread's handle, exactly the probe factors of the reference fold's
+//! response, and evaluate only what it does not hold. Every consumer of
+//! the engine — heatmaps, rotation maps, the optimizer's probe loop,
+//! the fleet server's jobs — leans on this property.
 
 use metasurface::designs::{fr4_naive, fr4_optimized, rfid_900mhz, rogers_reference};
-use metasurface::evaluator::{SharedPlanCache, StackEvaluator};
+use metasurface::evaluator::{PlanCache, SharedPlanCache, StackEvaluator};
+use metasurface::response::{ResponseFactors, ResponseSide, SurfaceResponse};
 use metasurface::sheet::{AnisotropicSheet, SheetBranch};
 use metasurface::stack::{BiasState, Panel, SurfaceStack};
 use microwave::polarized::PolarizedS;
 use microwave::substrate::{Material, Slab};
 use microwave::varactor::Varactor;
 use proptest::prelude::*;
+use rfmath::jones::JonesMatrix;
 use rfmath::units::{Farads, Henries, Hertz, Meters, Ohms, Radians};
 use std::sync::Arc;
 
@@ -393,5 +398,194 @@ proptest! {
         let again = run(&biases);
         prop_assert_eq!(&again, &served[0]);
         prop_assert_eq!(shared.branch_solves(), solved);
+    }
+}
+
+/// Every observable of a set of probe factors as bit patterns, NaNs
+/// canonical as in [`bits`]: the frequency, the three Jones blocks, and
+/// the shadow at the default tuning (both zero signs) and at another.
+fn factor_bits(factors: &[ResponseFactors]) -> Vec<Vec<u64>> {
+    let canonical = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+    let jones = |m: JonesMatrix| {
+        [m.0.a, m.0.b, m.0.c, m.0.d]
+            .into_iter()
+            .flat_map(|c| [c.re, c.im])
+    };
+    factors
+        .iter()
+        .map(|f| {
+            let (trans, bounce) = f.transmissive_blocks();
+            [f.frequency().0]
+                .into_iter()
+                .chain(jones(trans))
+                .chain(jones(bounce))
+                .chain(jones(f.reflective_block()))
+                .chain([f.shadow(0.0), f.shadow(-0.0), f.shadow(6.5)])
+                .map(canonical)
+                .collect()
+        })
+        .collect()
+}
+
+/// The oracle: the reference fold's response of each cell, factored.
+fn reference_factors(stack: &SurfaceStack, f: Hertz, cells: &[BiasState]) -> Vec<Vec<u64>> {
+    let factors: Vec<ResponseFactors> = StackEvaluator::new(stack, f)
+        .eval_batch_reference(cells)
+        .into_iter()
+        .map(|r| ResponseFactors::new(&SurfaceResponse::new(f, r)))
+        .collect();
+    factor_bits(&factors)
+}
+
+/// `plan`'s memoized factors of `cells` and the cells it evaluated.
+fn memo_factors(plan: &StackEvaluator, cells: &[BiasState]) -> (Vec<Vec<u64>>, usize) {
+    let mut out = Vec::new();
+    let evaluated = plan.cell_factors_into(cells, &mut out);
+    assert_eq!(out.len(), cells.len(), "one set of factors per cell");
+    (factor_bits(&out), evaluated)
+}
+
+/// A cell-memo key voltage: in range, negative, above the supply
+/// ceiling, NaN with a random payload and sign, ±∞, or a signed zero
+/// (`+0.0` and `−0.0` are distinct keys).
+fn memo_voltage() -> BoxedStrategy<f64> {
+    prop_oneof![
+        0.0f64..30.0,
+        -20.0f64..0.0,
+        30.0f64..60.0,
+        (1u64..1 << 51, 0u64..2).prop_map(|(payload, sign)| f64::from_bits(
+            sign << 63 | 0x7FF8_0000_0000_0000 | payload
+        )),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(0.0),
+        Just(-0.0),
+    ]
+    .boxed()
+}
+
+/// Bias lists of memo key voltages with exact duplicates mixed in.
+fn memo_bias_lists() -> BoxedStrategy<Vec<BiasState>> {
+    (
+        prop::collection::vec((memo_voltage(), memo_voltage()), 1..20),
+        prop::collection::vec(0usize..64, 0..12),
+    )
+        .prop_map(|(fresh, repeats)| {
+            let mut list: Vec<BiasState> = fresh
+                .into_iter()
+                .map(|(vx, vy)| BiasState::new(vx, vy))
+                .collect();
+            for r in repeats {
+                list.push(list[r % list.len()]);
+            }
+            list
+        })
+        .boxed()
+}
+
+/// A grid-shaped stack (axis-aligned, rotated or lone) or the empty
+/// stack, every one of whose cells is opaque.
+fn memo_stack() -> BoxedStrategy<SurfaceStack> {
+    (grid_stack(), 0usize..8)
+        .prop_map(|(stack, shape)| {
+            if shape == 0 {
+                SurfaceStack::new(vec![], vec![])
+            } else {
+                stack
+            }
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The cell memo against the reference fold, bit for bit: on a cold
+    /// store (every distinct cell evaluated), warm (nothing evaluated),
+    /// through a second handle on another thread, which finds the first
+    /// handle's cells in the store and evaluates only its own new ones,
+    /// and on a private store, which keeps no memo. Covers axis-aligned, rotated, lone and opaque plans, NaN
+    /// payloads, infinities, signed zeros, out-of-range voltages and
+    /// duplicates.
+    #[test]
+    fn cell_memo_is_bitwise_the_reference_factors(
+        stack in memo_stack(),
+        f_ghz in 1.8f64..3.0,
+        first in memo_bias_lists(),
+        second in memo_bias_lists(),
+    ) {
+        let f = Hertz::from_ghz(f_ghz);
+        let key = |b: &BiasState| (b.vx.0.to_bits(), b.vy.0.to_bits());
+        let distinct = |cells: &[BiasState]| {
+            cells.iter().map(key).collect::<std::collections::HashSet<_>>()
+        };
+        let shared = Arc::new(SharedPlanCache::new(&stack));
+        let plan = shared.handle().plan(f);
+
+        let (cold, evaluated) = memo_factors(&plan, &first);
+        prop_assert_eq!(&cold, &reference_factors(&stack, f, &first));
+        // Duplicates of a missing cell are evaluated with it.
+        prop_assert_eq!(evaluated, first.len());
+        prop_assert_eq!(shared.cells_evaluated(), first.len() as u64);
+
+        let (warm, evaluated) = memo_factors(&plan, &first);
+        prop_assert_eq!(&warm, &cold);
+        prop_assert_eq!(evaluated, 0);
+
+        let known = distinct(&first);
+        let new_cells = second.iter().filter(|b| !known.contains(&key(b))).count();
+        let (other, evaluated) = std::thread::scope(|scope| {
+            scope
+                .spawn(|| memo_factors(&shared.handle().plan(f), &second))
+                .join()
+                .expect("second handle")
+        });
+        prop_assert_eq!(&other, &reference_factors(&stack, f, &second));
+        prop_assert_eq!(evaluated, new_cells);
+        prop_assert_eq!(shared.cells_evaluated(), (first.len() + new_cells) as u64);
+
+        // A private store keeps no memo: the same bits, every cell
+        // evaluated on every call.
+        let private = PlanCache::new(&stack);
+        let plan = private.plan(f);
+        for _ in 0..2 {
+            let (bits, evaluated) = memo_factors(&plan, &first);
+            prop_assert_eq!(&bits, &cold);
+            prop_assert_eq!(evaluated, first.len());
+        }
+        prop_assert_eq!(private.shared().cells_evaluated(), 2 * first.len() as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A list longer than the store's memo cap (4096 cells): every cell
+    /// is evaluated and bitwise the reference; the store keeps the first
+    /// 4096, so a second pass evaluates only the overflow, again bitwise.
+    #[test]
+    fn cell_memo_past_its_cap_stays_bitwise(
+        stack in grid_stack(),
+        f_ghz in 1.8f64..3.0,
+        offset in 0.0f64..0.4,
+        overflow in 1usize..64,
+    ) {
+        const CAP: usize = 4096;
+        let f = Hertz::from_ghz(f_ghz);
+        let axis: Vec<f64> = (0..65).map(|i| offset + 0.45 * i as f64).collect();
+        let cells: Vec<BiasState> = grid_cells(&axis, &axis)
+            .into_iter()
+            .take(CAP + overflow)
+            .collect();
+        let shared = Arc::new(SharedPlanCache::new(&stack));
+        let plan = shared.handle().plan(f);
+        let reference = reference_factors(&stack, f, &cells);
+        let (cold, evaluated) = memo_factors(&plan, &cells);
+        prop_assert!(cold == reference, "cold pass differs from the reference");
+        prop_assert_eq!(evaluated, cells.len());
+        let (again, evaluated) = memo_factors(&plan, &cells);
+        prop_assert!(again == reference, "second pass differs from the reference");
+        prop_assert_eq!(evaluated, overflow);
+        prop_assert_eq!(shared.cells_evaluated(), (cells.len() + overflow) as u64);
     }
 }

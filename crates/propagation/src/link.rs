@@ -11,7 +11,7 @@
 //! a_rx = √(Ptx·Gtx·Grx) · Σ_paths  t_path · ⟨rx_pol | J_path | tx_pol⟩
 //! ```
 
-use metasurface::response::{Metasurface, SurfaceResponse};
+use metasurface::response::{Metasurface, ResponseSide, SurfaceResponse, DEFAULT_SHADOW_EXTRA_DB};
 use rfmath::complex::Complex;
 use rfmath::jones::{JonesMatrix, JonesVector};
 use rfmath::units::{Dbm, Hertz, Seconds, Watts};
@@ -19,6 +19,11 @@ use rfmath::units::{Dbm, Hertz, Seconds, Watts};
 use crate::antenna::OrientedAntenna;
 use crate::environment::{Environment, ScatterDraw};
 use crate::rays::{direct_path, engineered_paths, Deployment, Path, SurfaceLegs, SurfaceMount};
+
+/// The link-independent probe factors of one surface response, computed
+/// once per response by the surface layer; a link projects them through
+/// [`PreparedLink::received_dbm_factored`].
+pub use metasurface::response::ResponseFactors;
 
 /// Calibration knobs of the link model — the parameters the Figure 20
 /// fidelity sweep (`expts --calibrate-fig20`) explores. Defaults
@@ -38,10 +43,6 @@ pub struct LinkTuning {
     /// transmissive panel, dB (on top of the panel's mean through-loss).
     pub shadow_extra_db: f64,
 }
-
-/// The default [`LinkTuning::shadow_extra_db`]: no extra shadow
-/// attenuation. [`ResponseFactors`] resolves the shadow for it up front.
-const DEFAULT_SHADOW_EXTRA_DB: f64 = 0.0;
 
 impl Default for LinkTuning {
     fn default() -> Self {
@@ -330,122 +331,6 @@ impl Link {
     /// Polarization mismatch between the mounts, degrees.
     pub fn mismatch_deg(&self) -> f64 {
         self.tx.misalignment_with(&self.rx).0
-    }
-}
-
-/// The transmissive shadow's amplitude factor: the panel's mean
-/// through-efficiency, floored at −30 dB, darkened by `shadow_extra_db`.
-fn shadow_amplitude(mean_efficiency_db: f64, shadow_extra_db: f64) -> f64 {
-    let eff_db = mean_efficiency_db - shadow_extra_db;
-    10f64.powf(eff_db.max(-30.0 - shadow_extra_db) / 20.0)
-}
-
-/// What a `t = 0` probe reads from a surface response, independent of
-/// the link it is projected onto: the Jones blocks the surface legs
-/// apply and the transmissive shadow. A [`SurfaceResponse`] derives each
-/// on demand, so a single probe computes only what its mount reads;
-/// [`ResponseFactors`] holds them precomputed, so a batch projecting one
-/// response onto many links pays for them once. Both feed the same probe
-/// body.
-pub(crate) trait ResponseSide {
-    /// The frequency the response was evaluated at.
-    fn frequency(&self) -> Hertz;
-    /// A transmissive mount's legs: the transmission block `trans`, and
-    /// `trans · refl` for the antenna↔surface bounce.
-    fn transmissive_blocks(&self) -> (JonesMatrix, JonesMatrix);
-    /// A reflective mount's fold: the surface's S11 block expressed in
-    /// the incident frame, `mirror_x · refl` (mirror conjugation: the
-    /// reflected wave's frame flips handedness, which is the §5.2
-    /// rotation-cancellation mechanism as seen by the receiver).
-    fn reflective_block(&self) -> JonesMatrix;
-    /// The transmissive shadow's amplitude factor on a link tuned to
-    /// `shadow_extra_db`.
-    fn shadow(&self, shadow_extra_db: f64) -> f64;
-}
-
-impl ResponseSide for SurfaceResponse {
-    fn frequency(&self) -> Hertz {
-        SurfaceResponse::frequency(self)
-    }
-
-    fn transmissive_blocks(&self) -> (JonesMatrix, JonesMatrix) {
-        let trans = self.transmission();
-        (trans, trans * self.reflection())
-    }
-
-    fn reflective_block(&self) -> JonesMatrix {
-        JonesMatrix::mirror_x() * self.reflection()
-    }
-
-    fn shadow(&self, shadow_extra_db: f64) -> f64 {
-        shadow_amplitude(mean_efficiency_db(self), shadow_extra_db)
-    }
-}
-
-/// The transmissive shadow's mean through-efficiency,
-/// `0.5 · (eff_x_db + eff_y_db)`.
-fn mean_efficiency_db(surface: &SurfaceResponse) -> f64 {
-    0.5 * (surface.efficiency_x_db().0 + surface.efficiency_y_db().0)
-}
-
-/// Every link-independent factor of a `t = 0` probe under one surface
-/// response, computed once: the transmission Jones block, `trans ·
-/// refl`, `mirror_x · refl`, the mean efficiency
-/// `0.5 · (eff_x_db + eff_y_db)` and the transmissive shadow at the
-/// default `shadow_extra_db`. A batch that projects one response onto
-/// many devices ([`PreparedLink::received_dbm_factored`]) builds this
-/// once per response instead of once per device: a transmissive link at
-/// the default tuning reads the shadow factor, any other runs its own
-/// shadow `powf`. Either way the probe is bit-identical to
-/// [`PreparedLink::received_dbm_with`] on the same response.
-#[derive(Clone, Copy, Debug)]
-pub struct ResponseFactors {
-    f: Hertz,
-    trans: JonesMatrix,
-    bounce: JonesMatrix,
-    fold: JonesMatrix,
-    mean_efficiency_db: f64,
-    /// The shadow amplitude factor at [`DEFAULT_SHADOW_EXTRA_DB`].
-    default_shadow: f64,
-}
-
-impl ResponseFactors {
-    /// Precomputes the factors of `surface` (an opaque response yields
-    /// zero blocks and a `−∞ dB` mean efficiency, as its accessors do).
-    pub fn new(surface: &SurfaceResponse) -> Self {
-        let trans = surface.transmission();
-        let refl = surface.reflection();
-        let mean_efficiency_db = mean_efficiency_db(surface);
-        Self {
-            f: surface.frequency(),
-            trans,
-            bounce: trans * refl,
-            fold: JonesMatrix::mirror_x() * refl,
-            mean_efficiency_db,
-            default_shadow: shadow_amplitude(mean_efficiency_db, DEFAULT_SHADOW_EXTRA_DB),
-        }
-    }
-}
-
-impl ResponseSide for ResponseFactors {
-    fn frequency(&self) -> Hertz {
-        self.f
-    }
-
-    fn transmissive_blocks(&self) -> (JonesMatrix, JonesMatrix) {
-        (self.trans, self.bounce)
-    }
-
-    fn reflective_block(&self) -> JonesMatrix {
-        self.fold
-    }
-
-    fn shadow(&self, shadow_extra_db: f64) -> f64 {
-        if shadow_extra_db.to_bits() == DEFAULT_SHADOW_EXTRA_DB.to_bits() {
-            self.default_shadow
-        } else {
-            shadow_amplitude(self.mean_efficiency_db, shadow_extra_db)
-        }
     }
 }
 

@@ -36,14 +36,13 @@
 //! endpoint separation — and every equivalence proptest meaningful
 //! across the refactor.
 
-use metasurface::response::SurfaceResponse;
+use metasurface::response::{ResponseSide, SurfaceResponse};
 use rfmath::complex::Complex;
 use rfmath::jones::JonesMatrix;
 use rfmath::units::{Degrees, Hertz, Meters};
 use rfmath::vec2::Point2;
 
 use crate::friis::field_transfer;
-use crate::link::ResponseSide;
 
 /// Where (and how) the surface hangs in the room.
 #[derive(Clone, Copy, Debug, PartialEq)]
