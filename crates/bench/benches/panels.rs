@@ -1,12 +1,15 @@
 //! Panel-array benches: the 4-panel, 32-device probe grids on shared
 //! plan caches, the end-to-end panel scheduler against single-panel
-//! `MaxMin`, and the many-fleet server against serial execution.
+//! `MaxMin`, one served job over a warm shared plan store, and the
+//! many-fleet server against serial execution.
 
 use control::server::FleetServer;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use llama_core::fleet::{Fleet, Scheduler};
 use llama_core::panels::{serve_fleets, Assignment, PanelArray, PanelScheduler};
 use metasurface::stack::BiasState;
+use metasurface::SharedPlanCache;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn probe_grid() -> Vec<BiasState> {
@@ -55,6 +58,36 @@ fn panel_4x32_scheduler(c: &mut Criterion) {
     g.bench_function("single_panel_max_min", |b| {
         b.iter(|| Scheduler::max_min().run(&fleet))
     });
+    g.finish();
+}
+
+/// One served job, as lamabench's fleet-serve handler runs it: a
+/// 16-device fleet on a 4-panel `fr4_optimized` array, scheduled by
+/// `PanelScheduler::run_with_caches` over a fresh handle on a shared plan
+/// store that an earlier run of the same job has warmed (every plan
+/// compiled, every branch solved, every cell's probe factors in the
+/// memo). So the timed region is the served job's own cost: the split,
+/// the evaluators, the link probes and the searches. Timed at a budget
+/// of 1.
+fn panel_served_job(c: &mut Criterion) {
+    let fleet = Fleet::mixed_wifi_ble(16, 2021);
+    let array = PanelArray::uniform(fleet.design.clone(), 4);
+    let shared = Arc::new(SharedPlanCache::new(&fleet.design.stack));
+    let mut g = c.benchmark_group("panel_served_job");
+    g.warm_up_time(Duration::from_millis(500));
+    g.measurement_time(Duration::from_secs(3));
+    g.sample_size(1000);
+    for (name, scheduler) in [
+        ("maxmin", PanelScheduler::max_min()),
+        ("timedivision", PanelScheduler::time_division()),
+    ] {
+        let job = || {
+            let caches = [(fleet.design.name, shared.handle())];
+            rfmath::par::with_budget(1, || scheduler.run_with_caches(&fleet, &array, &caches))
+        };
+        job();
+        g.bench_function(name, |b| b.iter(job));
+    }
     g.finish();
 }
 
@@ -112,6 +145,7 @@ criterion_group!(
     benches,
     panel_4x32_probe_grid,
     panel_4x32_scheduler,
+    panel_served_job,
     server_8_fleets
 );
 criterion_main!(benches);

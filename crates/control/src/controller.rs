@@ -7,7 +7,7 @@
 //! the supply's 50 Hz switching budget.
 
 use rfmath::telemetry::{RecorderHandle, TelemetryEvent};
-use rfmath::units::Seconds;
+use rfmath::units::{Dbm, Seconds};
 
 use crate::psu::PowerSupply;
 use crate::sweep::{GridSearch, Probe, SweepConfig};
@@ -100,6 +100,38 @@ impl Objective {
                     .map(|(_, &p)| p)
                     .fold(f64::NEG_INFINITY, f64::max);
                 Some(powers_dbm[*favored] - others)
+            }
+        }
+    }
+
+    /// [`Objective::score`] of the same powers given in linear
+    /// milliwatts, bit for bit: a reading is usable when its level is
+    /// finite (`0 < mw < ∞`), and the fold runs in linear power and
+    /// converts only its result. [`Dbm::from_mw`] never decreases
+    /// (property-tested), so `WorstLink` converts the weakest power once
+    /// and `Isolation` converts two: the favored device's and the
+    /// strongest of the others.
+    pub fn score_mw(&self, powers_mw: &[f64]) -> Option<f64> {
+        if powers_mw.is_empty() || powers_mw.iter().any(|&p| !(p > 0.0 && p < f64::INFINITY)) {
+            return None;
+        }
+        let dbm = |mw: f64| Dbm::from_mw(mw).0;
+        match self {
+            Objective::SingleLink => Some(dbm(powers_mw[0])),
+            Objective::WorstLink => {
+                Some(dbm(powers_mw.iter().copied().fold(f64::INFINITY, f64::min)))
+            }
+            Objective::Isolation { favored } => {
+                if *favored >= powers_mw.len() || powers_mw.len() < 2 {
+                    return None;
+                }
+                let others = powers_mw
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i != favored)
+                    .map(|(_, &p)| p)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                Some(dbm(powers_mw[*favored]) - dbm(others))
             }
         }
     }
@@ -794,6 +826,30 @@ mod tests {
         );
         assert_eq!(Objective::WorstLink.score(&[-40.0, -52.0]), Some(-52.0));
         assert_eq!(Objective::SingleLink.score(&[-33.0, -99.0]), Some(-33.0));
+    }
+
+    #[test]
+    fn linear_scores_are_the_scores_of_the_converted_powers() {
+        let rows: [&[f64]; 6] = [
+            &[],
+            &[1e-4, 0.0],
+            &[1e-4, f64::NAN],
+            &[1e-4, f64::INFINITY],
+            &[1e-4, 6.3e-6],
+            &[2.5e-7, 1e-4, 1e-4],
+        ];
+        for objective in [
+            Objective::SingleLink,
+            Objective::WorstLink,
+            Objective::Isolation { favored: 0 },
+            Objective::Isolation { favored: 2 },
+        ] {
+            for mw in rows {
+                let dbm: Vec<f64> = mw.iter().map(|&p| Dbm::from_mw(p).0).collect();
+                let want = objective.score(&dbm).map(f64::to_bits);
+                assert_eq!(objective.score_mw(mw).map(f64::to_bits), want, "{mw:?}");
+            }
+        }
     }
 
     #[test]

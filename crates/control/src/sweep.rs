@@ -115,19 +115,25 @@ pub struct SweepOutcome {
 
 /// Outcome of a completed vector-objective sweep: the winning probe,
 /// the scalar score it won on, and the full per-device metric vectors.
+/// The metric rows are in whatever unit `measure` returned them: dBm
+/// for the single-link sweep and the joint panel descent, linear
+/// milliwatts for the fleet schedulers, which score a row in linear
+/// power and convert only the score.
 #[derive(Clone, Debug)]
 pub struct MultiSweepOutcome {
     /// The winning bias combination.
     pub best: Probe,
     /// Scalar score of the winner (output of the scoring function).
     pub best_score: f64,
-    /// Per-device metrics measured at the winner, in measurement order.
+    /// Per-device metrics measured at the winner, in measurement order,
+    /// in the unit of the measured rows.
     pub best_metrics: Vec<f64>,
     /// Total probes spent.
     pub probes: usize,
     /// Wall-clock cost at the configured switching period.
     pub duration: Seconds,
-    /// Every probe and its metric vector, in visit order.
+    /// Every probe and its metric vector, in visit order, in the unit
+    /// of the measured rows.
     pub history: Vec<(Probe, Vec<f64>)>,
 }
 
@@ -286,7 +292,10 @@ impl GridSearch {
     /// Takes the current grid's metric rows, in grid order, scores them
     /// — a probe takes the lead only on a strictly better score — and
     /// narrows the window around the running winner for the next
-    /// iteration.
+    /// iteration. The search never reads a row itself, only its score,
+    /// so rows may be in any unit; a caller whose rows are linear power
+    /// must score them in the unit it compares (a fleet scores linear
+    /// rows in dBm, so rows that round to one dBm score tie).
     ///
     /// # Panics
     /// Panics when the search is done or `rows` holds other than one

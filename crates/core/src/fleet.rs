@@ -337,7 +337,9 @@ impl BatchBuffers {
     /// The probe matrices of many fleets in one batch: request `r` is a
     /// fleet and its probe list, and `sink(r, rows)` receives its matrix
     /// (`rows[b][d]` is device `d`'s power under the `b`-th probe, after
-    /// that fleet's clamp and fault).
+    /// that fleet's clamp and fault, in linear milliwatts: the probe
+    /// stops at `norm_sqr`, and whoever reduces a row converts only what
+    /// it keeps).
     ///
     /// Applied biases are deduplicated across the whole batch. Each
     /// distinct compiled plan (fleets drawing from one [`PlanCache`]
@@ -458,8 +460,8 @@ impl BatchBuffers {
                     .iter()
                     .zip(device_rows)
                     .map(|(link, &row)| {
-                        link.received_dbm_factored(&factors[factor_of[row + cell]])
-                            .0
+                        link.received_power_factored(&factors[factor_of[row + cell]])
+                            .mw()
                     })
                     .collect()
             });
@@ -565,16 +567,16 @@ impl FleetEvaluator {
     }
 
     /// Every device's received power under one shared bias state
-    /// (clamped to the supply ceiling, like `Metasurface::set_bias`):
-    /// the one-row case of [`FleetEvaluator::powers_matrix`].
+    /// (clamped to the supply ceiling, like `Metasurface::set_bias`), in
+    /// dBm: the one-row case of [`FleetEvaluator::powers_matrix`].
     pub fn powers_dbm(&self, bias: BiasState) -> Vec<f64> {
-        self.powers_of(&[bias])
+        self.powers_matrix(&[bias])
             .pop()
             .expect("one bias yields one row")
     }
 
-    /// The full probe matrix: `result[b][d]` is device `d`'s power under
-    /// `biases[b]` (each bias clamped to the supply ceiling): the
+    /// The full probe matrix in dBm: `result[b][d]` is device `d`'s power
+    /// under `biases[b]` (each bias clamped to the supply ceiling): the
     /// one-fleet case of the batch that a panel schedule's fleets share
     /// (see [`crate::panels::PanelScheduler::run_with_caches`]). Each plan's
     /// distinct applied cells go through
@@ -587,25 +589,28 @@ impl FleetEvaluator {
     /// probe factors ([`ResponseFactors`]: its Jones products, mean
     /// efficiency and default-tuning shadow) are computed once per
     /// `(plan, cell)` in a call, and once per `(store, cell)` over a
-    /// shared store, for every evaluator and job drawing from it. Per-bias device projections then fan out
-    /// across the caller's [`rfmath::par::budget`] once the matrix
-    /// reaches [`FAN_OUT_MIN_PROBES`], each device applying only its own
-    /// link's terms (and its own shadow `powf` if its tuning is not the
-    /// default). Every row is bitwise the powers a one-bias call returns
-    /// (property-tested), whatever the budget.
+    /// shared store, for every evaluator and job drawing from it.
+    /// Per-bias device projections then fan out across the caller's
+    /// [`rfmath::par::budget`] once the matrix reaches
+    /// [`FAN_OUT_MIN_PROBES`], each device applying only its own link's
+    /// terms (and its own shadow `powf` if its tuning is not the
+    /// default). The batch fills its rows in linear milliwatts, as the
+    /// schedulers read them, and this method converts every entry on the
+    /// way out ([`Dbm::from_mw`]). Every row is bitwise the powers a
+    /// one-bias call returns (property-tested), whatever the budget.
     pub fn powers_matrix(&self, biases: &[BiasState]) -> Vec<Vec<f64>> {
-        self.powers_of(biases)
+        to_dbm_rows(self.powers_mw(biases))
     }
 
     /// An Algorithm 1 measurement over this fleet: each sweep iteration's
-    /// probe grid is one [`FleetEvaluator::powers_matrix`] call.
+    /// probe grid is one batch, its rows in linear milliwatts.
     pub(crate) fn measure_grid(&self) -> impl FnMut(&[Probe]) -> Vec<Vec<f64>> + '_ {
-        |probes| self.powers_of(probes)
+        |probes| self.powers_mw(probes)
     }
 
-    /// [`FleetEvaluator::powers_matrix`] over a probe list, in this
+    /// The probe matrix over a probe list in linear milliwatts, in this
     /// evaluator's own buffers.
-    fn powers_of<B: AsBias>(&self, probes: &[B]) -> Vec<Vec<f64>> {
+    fn powers_mw<B: AsBias>(&self, probes: &[B]) -> Vec<Vec<f64>> {
         let mut rows = Vec::new();
         self.buffers
             .borrow_mut()
@@ -616,8 +621,8 @@ impl FleetEvaluator {
     /// Several fleets' probe matrices in one batch, in the buffers of
     /// the first fleet: element `r` is `requests[r].0`'s
     /// [`FleetEvaluator::powers_matrix`] over `requests[r].1`, bit for
-    /// bit. Fleets that draw plans from one [`PlanCache`] share each
-    /// compiled plan's cascade call and every distinct cell's
+    /// bit (in dBm). Fleets that draw plans from one [`PlanCache`] share
+    /// each compiled plan's cascade call and every distinct cell's
     /// [`ResponseFactors`] — a panel array probes each carrier's cells
     /// once, not once per panel.
     pub(crate) fn powers_batch(requests: &[(&FleetEvaluator, &[BiasState])]) -> Vec<Vec<Vec<f64>>> {
@@ -628,8 +633,50 @@ impl FleetEvaluator {
         first
             .buffers
             .borrow_mut()
-            .powers(requests, |r, rows| out[r] = rows);
+            .powers(requests, |r, rows| out[r] = to_dbm_rows(rows));
         out
+    }
+}
+
+/// Converts a probe matrix from linear milliwatts to dBm in place.
+fn to_dbm_rows(mut rows: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+    for p in rows.iter_mut().flatten() {
+        *p = Dbm::from_mw(*p).0;
+    }
+    rows
+}
+
+/// One probe's per-device received powers, in linear milliwatts — the
+/// unit the fleet batch computes them in and the schedulers reduce them
+/// in. [`PowerRow::dbm`] converts each entry ([`Dbm::from_mw`]) when
+/// read.
+#[derive(Clone, Debug)]
+pub struct PowerRow(Vec<f64>);
+
+impl PowerRow {
+    /// A row of per-device powers in linear milliwatts, in fleet order.
+    pub fn from_mw(mw: Vec<f64>) -> Self {
+        Self(mw)
+    }
+
+    /// The powers in linear milliwatts, in fleet order.
+    pub fn mw(&self) -> &[f64] {
+        &self.0
+    }
+
+    /// The powers in dBm, in fleet order, each converted as it is read.
+    pub fn dbm(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.0.iter().map(|&p| Dbm::from_mw(p).0)
+    }
+
+    /// Number of devices in the row.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True for a row of no device.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 }
 
@@ -684,8 +731,10 @@ pub struct FleetOutcome {
     pub probes: usize,
     /// Optimization wall-clock at the PSU switching budget.
     pub elapsed: Seconds,
-    /// Every probed shared bias and the per-device powers it produced.
-    pub history: Vec<(BiasState, Vec<f64>)>,
+    /// Every probed bias and the per-device powers it produced, in visit
+    /// order. Each row holds linear milliwatts, as the search reduced
+    /// it; [`PowerRow::dbm`] reads it in dBm.
+    pub history: Vec<(BiasState, PowerRow)>,
 }
 
 impl FleetOutcome {
@@ -874,7 +923,7 @@ impl Scheduler {
             return self.run_with_evaluator(fleet, evaluator);
         };
         let null = RecorderHandle::null();
-        let score = |powers: &[f64]| objective.score(powers).unwrap_or(f64::NEG_INFINITY);
+        let score = |powers: &[f64]| objective.score_mw(powers).unwrap_or(f64::NEG_INFINITY);
         let mut outcome = GridSearch::warm(
             &self.sweep,
             warm,
@@ -914,12 +963,13 @@ impl Scheduler {
             vx: outcome.best.vx,
             vy: outcome.best.vy,
         };
+        // The winner's row, in linear milliwatts, converts to dBm here.
         // If every probe scored -inf the sweep never captured a metric
         // vector (the objective asserts above make this unreachable for
         // the built-in policies, but keep the allocation well-formed for
         // custom arity mishaps): measure the winner directly.
         let best_metrics = if outcome.best_metrics.len() == fleet.len() {
-            outcome.best_metrics
+            PowerRow(outcome.best_metrics).dbm().collect()
         } else {
             evaluator.powers_dbm(bias)
         };
@@ -946,7 +996,7 @@ impl Scheduler {
             history: outcome
                 .history
                 .into_iter()
-                .map(|(p, m)| (BiasState { vx: p.vx, vy: p.vy }, m))
+                .map(|(p, m)| (BiasState { vx: p.vx, vy: p.vy }, PowerRow(m)))
                 .collect(),
         }
     }
@@ -957,7 +1007,7 @@ impl Scheduler {
     fn time_division_outcome(
         &self,
         fleet: &Fleet,
-        history: Vec<(BiasState, Vec<f64>)>,
+        history: Vec<(BiasState, PowerRow)>,
     ) -> FleetOutcome {
         let n_dev = fleet.len();
         // Frame model: every device gets one slot per frame; each slot
@@ -1002,14 +1052,56 @@ impl Scheduler {
     }
 }
 
+/// A fraction of a positive linear maximum `m`: a power at or below
+/// `m · NEAR_MAX` converts 4.3 µdB or more below `m`, far past any
+/// rounding of `log10`, so [`winner_of`] converts only the powers above
+/// it (once it has checked that `m · NEAR_MAX` itself converts lower).
+const NEAR_MAX: f64 = 0.999_999;
+
 /// The bias at which device `d` saw its best power in `history`, and
-/// that power (the last of equal maxima).
-fn winner_of(history: &[(BiasState, Vec<f64>)], d: usize) -> (BiasState, f64) {
+/// that power in dBm: bitwise what `max_by(total_cmp)` over device `d`'s
+/// column, converted entry by entry, returns (the last of equal maxima).
+///
+/// It reads the linear column. [`Dbm::from_mw`] never decreases
+/// (property-tested), so the greatest level is the conversion of the
+/// greatest linear power, unless a NaN power converts above it (NaNs are
+/// converted as found). Several powers can round to that level, so the
+/// winner is the last row whose power converts to it: a row holding the
+/// maximum itself does, a row below a point just under the maximum that
+/// converts lower does not, and only the rows between are converted.
+///
+/// # Panics
+/// Panics on an empty history.
+pub fn winner_of(history: &[(BiasState, PowerRow)], d: usize) -> (BiasState, f64) {
+    let dbm = |p: f64| Dbm::from_mw(p).0;
+    let column = || history.iter().map(|(_, row)| row.0[d]);
+    let top = column().filter(|p| !p.is_nan()).reduce(f64::max);
+    let level = top.map(dbm);
+    let best = column()
+        .filter(|p| p.is_nan())
+        .map(dbm)
+        .chain(level)
+        .max_by(f64::total_cmp)
+        .expect("non-empty history");
+    let top_is_best = level.map(f64::to_bits) == Some(best.to_bits());
+    // Powers below `floor` convert strictly below `best`.
+    let floor = top
+        .map(|m| m * NEAR_MAX)
+        .filter(|&q| dbm(q) < best)
+        .unwrap_or(f64::NEG_INFINITY);
+    let converts_to_best = |p: f64| {
+        if Some(p) == top {
+            top_is_best
+        } else {
+            (p.is_nan() || p >= floor) && dbm(p).to_bits() == best.to_bits()
+        }
+    };
     history
         .iter()
-        .max_by(|a, b| a.1[d].total_cmp(&b.1[d]))
-        .map(|(b, m)| (*b, m[d]))
-        .expect("non-empty history")
+        .rev()
+        .find(|(_, row)| converts_to_best(row.0[d]))
+        .map(|(bias, _)| (*bias, best))
+        .expect("the best level converts from some row")
 }
 
 /// One fleet's schedule as a round-driven search: it yields a probe grid
@@ -1035,13 +1127,13 @@ impl Search {
         }
     }
 
-    /// Takes the current grid's rows, in grid order.
+    /// Takes the current grid's rows (linear milliwatts), in grid order.
     fn take(&mut self, rows: Vec<Vec<f64>>) {
         match self {
             Search::Shared { search, objective } => {
                 let objective = *objective;
                 search.take(rows, &|powers: &[f64]| {
-                    objective.score(powers).unwrap_or(f64::NEG_INFINITY)
+                    objective.score_mw(powers).unwrap_or(f64::NEG_INFINITY)
                 })
             }
             Search::TimeDivision(search) => search.take(rows),
@@ -1066,7 +1158,7 @@ pub(crate) struct TdSearch {
     step: f64,
     /// Rounds whose rows have been taken.
     round: usize,
-    history: Vec<(BiasState, Vec<f64>)>,
+    history: Vec<(BiasState, PowerRow)>,
     /// Bit patterns of every bias in `history` or `grid`.
     seen: HashSet<(u64, u64), MixState>,
     /// The grid awaiting its rows; empty once the search is done.
@@ -1119,7 +1211,7 @@ impl TdSearch {
             self.grid
                 .drain(..)
                 .map(|p| BiasState { vx: p.vx, vy: p.vy })
-                .zip(rows),
+                .zip(rows.into_iter().map(PowerRow)),
         );
         if self.round > 0 {
             self.step = 2.0 * self.step / (self.t - 1) as f64;
@@ -1232,7 +1324,7 @@ mod tests {
         let hist_best = outcome
             .history
             .iter()
-            .map(|(_, m)| m.iter().copied().fold(f64::INFINITY, f64::min))
+            .map(|(_, m)| m.dbm().fold(f64::INFINITY, f64::min))
             .fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(outcome.score, hist_best);
     }

@@ -83,7 +83,8 @@ use rfmath::units::{Dbm, Degrees, Hertz, Seconds, Watts};
 use rfmath::vec2::Point2;
 
 use crate::fleet::{
-    drive, DeviceService, Fleet, FleetEvaluator, FleetOutcome, Policy, Scheduler, Search,
+    drive, DeviceService, Fleet, FleetDevice, FleetEvaluator, FleetOutcome, Policy, Scheduler,
+    Search,
 };
 use crate::scenario::Scenario;
 
@@ -152,10 +153,21 @@ impl Panel {
 
     /// The scenario a device sees when served by this panel: its own
     /// geometry and radio, this panel's design and mounting position.
+    /// Built field by field, so the one `Design` it clones is the
+    /// panel's.
     pub(crate) fn scenario_for(&self, base: &Scenario) -> Scenario {
-        let mut scenario = base.clone().with_design(self.design.clone());
-        scenario.deployment = self.deployment_for(scenario.deployment);
-        scenario
+        Scenario {
+            endpoints: base.endpoints.clone(),
+            tx: base.tx.clone(),
+            rx: base.rx.clone(),
+            frequency: base.frequency,
+            tx_power: base.tx_power,
+            deployment: self.deployment_for(base.deployment),
+            environment: base.environment.clone(),
+            design: self.design.clone(),
+            seed: base.seed,
+            tuning: base.tuning,
+        }
     }
 
     /// The deployment a device's link takes under this panel.
@@ -433,9 +445,11 @@ impl PanelArray {
             .map(|p| (Fleet::new(p.design.clone()), Vec::new()))
             .collect();
         for (d, (&panel_idx, device)) in assignment.iter().zip(fleet.devices()).enumerate() {
-            let panel = &self.panels[panel_idx];
-            let mut member = device.clone();
-            member.scenario = panel.scenario_for(&device.scenario);
+            let member = FleetDevice {
+                label: device.label.clone(),
+                profile: device.profile.clone(),
+                scenario: self.panels[panel_idx].scenario_for(&device.scenario),
+            };
             out[panel_idx].0.push(member);
             out[panel_idx].1.push(d);
         }
@@ -1637,7 +1651,8 @@ mod tests {
                 a.outcome.history.iter().zip(&b.outcome.history)
             {
                 assert_eq!(bias_a, bias_b);
-                let bits = |row: &[f64]| row.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                let bits =
+                    |row: &crate::fleet::PowerRow| row.dbm().map(f64::to_bits).collect::<Vec<_>>();
                 assert_eq!(bits(row_a), bits(row_b));
             }
         }

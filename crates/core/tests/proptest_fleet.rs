@@ -16,18 +16,29 @@
 //!   bias the panel applies, not the one the search commands;
 //! * the `MaxMin` scheduler's score is ≥ the worst link of *every*
 //!   probed shared bias (it is the arg-max of the min — no probed
-//!   compromise can beat it).
+//!   compromise can beat it);
+//! * the schedulers' reductions of linear rows are bitwise the dBm path
+//!   (convert every entry, then score or take `max_by(total_cmp)`) on
+//!   quantized landscapes whose adjacent-float powers round to one dBm
+//!   value, mixed with zero, negative, NaN and infinite powers: the
+//!   Algorithm 1 leader, score and winning row under `MaxMin` and
+//!   `Favor`, and every device's time-division winner.
 
 mod common;
 
+use control::controller::Objective;
+use control::sweep::{GridSearch, MultiSweepOutcome, SweepConfig};
 use llama_core::faults::{BiasFault, CellFaultKind};
-use llama_core::fleet::{Fleet, FleetDevice, FleetEvaluator, Scheduler, FAN_OUT_MIN_PROBES};
+use llama_core::fleet::{
+    winner_of, Fleet, FleetDevice, FleetEvaluator, PowerRow, Scheduler, FAN_OUT_MIN_PROBES,
+};
 use metasurface::evaluator::{SharedPlanCache, StackEvaluator};
 use metasurface::response::SurfaceResponse;
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
 use propagation::link::PreparedLink;
 use proptest::prelude::*;
-use rfmath::units::{Degrees, Volts};
+use rfmath::telemetry::RecorderHandle;
+use rfmath::units::{Dbm, Degrees, Volts};
 use std::sync::Arc;
 
 /// A random heterogeneous fleet: 1..max devices of mixed radio classes
@@ -360,7 +371,7 @@ proptest! {
     fn max_min_dominates_every_probed_bias(f in fleet(5), _pad in 0u8..2) {
         let outcome = Scheduler::max_min().run(&f);
         for (bias, powers) in &outcome.history {
-            let worst = powers.iter().copied().fold(f64::INFINITY, f64::min);
+            let worst = powers.dbm().fold(f64::INFINITY, f64::min);
             prop_assert!(
                 outcome.score >= worst - 1e-12,
                 "probed bias {bias:?} has worst link {worst:.3} dBm above the \
@@ -375,5 +386,125 @@ proptest! {
             .map(|d| d.power_dbm)
             .fold(f64::INFINITY, f64::min);
         prop_assert!((outcome.score - worst_reported).abs() < 1e-12);
+    }
+}
+
+/// A linear power (mW) on a quantized landscape around `base`: mostly
+/// one of four adjacent floats at or above it (most of which convert to
+/// one dBm value), sometimes four adjacent floats just under
+/// `base·(1 − 10⁻⁶)` or a power twice or half as strong, and sometimes
+/// an edge: ±0, a negative power, a NaN (either sign, two payloads) or
+/// ±∞.
+fn quantized_power(base: f64, kind: u8, k: u64) -> f64 {
+    let adjacent = |x: f64| f64::from_bits(x.to_bits() + k);
+    match kind {
+        0..=21 => adjacent(base),
+        22..=24 => adjacent(base * (1.0 - 1e-6)),
+        25 => base * [0.5, 2.0, 0.25, 4.0][k as usize],
+        26 => [0.0, -0.0, 0.0, -0.0][k as usize],
+        27 => -adjacent(base),
+        28 => [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_0003),
+        ][k as usize],
+        _ => [f64::INFINITY, f64::NEG_INFINITY][k as usize % 2],
+    }
+}
+
+/// `rows` probe rows of 2–4 devices on one quantized landscape, in
+/// linear milliwatts; the base power spans −150 to +30 dBm.
+fn quantized_rows(rows: std::ops::Range<usize>) -> BoxedStrategy<Vec<Vec<f64>>> {
+    (
+        -15.0f64..3.0,
+        2usize..5,
+        prop::collection::vec(prop::collection::vec((0u8..30, 0u64..4), 4..5), rows),
+    )
+        .prop_map(|(exponent, devices, picks)| {
+            let base = 10f64.powf(exponent);
+            picks
+                .into_iter()
+                .map(|row| {
+                    row[..devices]
+                        .iter()
+                        .map(|&(kind, k)| quantized_power(base, kind, k))
+                        .collect()
+                })
+                .collect()
+        })
+        .boxed()
+}
+
+/// Algorithm 1 (the paper's N = 2, T = 5) over `rows` handed out in
+/// visit order, each probe scored by `score`.
+fn search_over(rows: &[Vec<f64>], score: impl Fn(&[f64]) -> f64) -> MultiSweepOutcome {
+    let mut next = rows.iter().cycle().cloned();
+    GridSearch::cold(&SweepConfig::paper_default()).run(
+        &RecorderHandle::null(),
+        0,
+        |grid| {
+            grid.iter()
+                .map(|_| next.next().expect("cycled rows"))
+                .collect()
+        },
+        score,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `MaxMin` and `Favor` score linear rows bitwise as the dBm path
+    /// scores their converted rows, so Algorithm 1 picks the same
+    /// leader (strict `>` on the converted score) with the same score,
+    /// and the winning row converts to the dBm path's winning row.
+    #[test]
+    fn linear_scores_and_leaders_match_the_dbm_path(rows in quantized_rows(1..60)) {
+        let devices = rows[0].len();
+        let objectives = [Objective::WorstLink]
+            .into_iter()
+            .chain((0..devices).map(|favored| Objective::Isolation { favored }));
+        for objective in objectives {
+            for row in &rows {
+                let got = objective.score_mw(row).map(f64::to_bits);
+                let want = common::dbm_path_score(&objective, row).map(f64::to_bits);
+                prop_assert!(got == want, "{objective:?} on {row:?}: {got:?} vs {want:?}");
+            }
+            let linear = search_over(&rows, |m| objective.score_mw(m).unwrap_or(f64::NEG_INFINITY));
+            let dbm = search_over(&rows, |m| {
+                common::dbm_path_score(&objective, m).unwrap_or(f64::NEG_INFINITY)
+            });
+            prop_assert_eq!(linear.best, dbm.best);
+            prop_assert_eq!(linear.best_score.to_bits(), dbm.best_score.to_bits());
+            let converted: Vec<u64> = PowerRow::from_mw(linear.best_metrics)
+                .dbm()
+                .map(f64::to_bits)
+                .collect();
+            let want: Vec<u64> = dbm
+                .best_metrics
+                .iter()
+                .map(|&p| Dbm::from_mw(p).0.to_bits())
+                .collect();
+            prop_assert_eq!(converted, want);
+        }
+    }
+
+    /// Every device's time-division winner read from linear rows is the
+    /// dBm path's `max_by(total_cmp)` winner: the same (last) row among
+    /// powers that convert to one level, and the same dBm power.
+    #[test]
+    fn linear_time_division_winners_match_the_dbm_path(rows in quantized_rows(1..40)) {
+        let history: Vec<(BiasState, PowerRow)> = rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, row)| (BiasState::new(i as f64, 0.0), PowerRow::from_mw(row)))
+            .collect();
+        for d in 0..history[0].1.len() {
+            let (bias, power) = winner_of(&history, d);
+            let (want_bias, want_power) = common::dbm_path_winner(&history, d);
+            prop_assert_eq!(bias, want_bias);
+            prop_assert_eq!(power.to_bits(), want_power.to_bits());
+        }
     }
 }

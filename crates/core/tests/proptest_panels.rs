@@ -159,7 +159,7 @@ fn outcome_bits(o: &FleetOutcome) -> Vec<u64> {
     }
     for (b, row) in &o.history {
         out.extend([b.vx.0.to_bits(), b.vy.0.to_bits(), row.len() as u64]);
-        out.extend(row.iter().map(|p| p.to_bits()));
+        out.extend(row.dbm().map(f64::to_bits));
     }
     out
 }

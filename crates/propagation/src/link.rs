@@ -22,7 +22,7 @@ use crate::rays::{direct_path, engineered_paths, Deployment, Path, SurfaceLegs, 
 
 /// The link-independent probe factors of one surface response, computed
 /// once per response by the surface layer; a link projects them through
-/// [`PreparedLink::received_dbm_factored`].
+/// [`PreparedLink::received_power_factored`].
 pub use metasurface::response::ResponseFactors;
 
 /// Calibration knobs of the link model — the parameters the Figure 20
@@ -621,7 +621,7 @@ impl PreparedLink {
     }
 
     /// The one probe body behind [`PreparedLink::received_amplitude`] and
-    /// [`PreparedLink::received_dbm_factored`]: the same contributions
+    /// [`PreparedLink::received_power_factored`]: the same contributions
     /// in the same order, whether the response's factors are derived on
     /// demand or were precomputed.
     fn amplitude<R: ResponseSide>(&self, surface: Option<&R>) -> Complex {
@@ -679,13 +679,15 @@ impl PreparedLink {
         Watts(self.received_amplitude(surface).norm_sqr()).to_dbm()
     }
 
-    /// [`PreparedLink::received_dbm_with`] against a response's
-    /// precomputed [`ResponseFactors`] — the batch probe: one set of
-    /// factors serves every device a bias is projected onto. Bit-identical
-    /// to `received_dbm_with(Some(response))` on the response the factors
-    /// came from.
-    pub fn received_dbm_factored(&self, factors: &ResponseFactors) -> Dbm {
-        Watts(self.amplitude(Some(factors)).norm_sqr()).to_dbm()
+    /// The received power against a response's precomputed
+    /// [`ResponseFactors`], in linear watts — the batch probe: one set of
+    /// factors serves every device a bias is projected onto, and the
+    /// probe stops at `norm_sqr`, so a caller that reduces many powers
+    /// converts only the result to dBm. Its [`Watts::to_dbm`] is
+    /// bit-identical to `received_dbm_with(Some(response))` on the
+    /// response the factors came from.
+    pub fn received_power_factored(&self, factors: &ResponseFactors) -> Watts {
+        Watts(self.amplitude(Some(factors)).norm_sqr())
     }
 }
 

@@ -318,7 +318,8 @@ proptest! {
             tuning,
         };
         let got = PreparedLink::new(link.clone())
-            .received_dbm_factored(&ResponseFactors::new(&response))
+            .received_power_factored(&ResponseFactors::new(&response))
+            .to_dbm()
             .0;
         let want = link.received_dbm_with(Some(&response)).0;
         prop_assert!(
@@ -381,7 +382,10 @@ proptest! {
                     ..LinkTuning::default()
                 },
             };
-            let got = PreparedLink::new(link.clone()).received_dbm_factored(&factors).0;
+            let got = PreparedLink::new(link.clone())
+                .received_power_factored(&factors)
+                .to_dbm()
+                .0;
             let want = link.received_dbm_with(Some(&response)).0;
             prop_assert!(
                 got.to_bits() == want.to_bits(),

@@ -336,18 +336,28 @@ impl Watts {
         self.0 * 1e3
     }
 
-    /// Converts to absolute dBm. Non-positive power maps to −∞ dBm.
+    /// Converts to absolute dBm: [`Dbm::from_mw`] of the power in
+    /// milliwatts. Non-positive power maps to −∞ dBm.
     #[inline]
     pub fn to_dbm(self) -> Dbm {
-        if self.0 <= 0.0 {
-            Dbm(f64::NEG_INFINITY)
-        } else {
-            Dbm(10.0 * self.mw().log10())
-        }
+        Dbm::from_mw(self.mw())
     }
 }
 
 impl Dbm {
+    /// The level of a power in linear milliwatts: `10·log10(mw)`, −∞ for
+    /// `mw ≤ 0`, NaN for NaN and +∞ for +∞. Monotone non-decreasing
+    /// (property-tested), so the level of a minimum or maximum of powers
+    /// is the minimum or maximum of their levels, bit for bit.
+    #[inline]
+    pub fn from_mw(mw: f64) -> Dbm {
+        if mw <= 0.0 {
+            Dbm(f64::NEG_INFINITY)
+        } else {
+            Dbm(10.0 * mw.log10())
+        }
+    }
+
     /// Converts to linear watts.
     #[inline]
     pub fn to_watts(self) -> Watts {
