@@ -56,11 +56,11 @@ use metasurface::designs::Design;
 use metasurface::evaluator::{PlanCache, StackEvaluator};
 use metasurface::stack::{BiasState, SUPPLY_CEILING};
 use propagation::capacity::{capacity_bits, duty_cycled_throughput};
-use propagation::link::{PreparedLink, ResponseFactors};
+use propagation::link::{Link, PreparedLink, ResponseFactors};
 use propagation::rays::Deployment;
 use rfmath::rng::{MixState, SeedSplitter};
 use rfmath::telemetry::RecorderHandle;
-use rfmath::units::{Dbm, Degrees, Meters, Seconds, Volts};
+use rfmath::units::{Dbm, Degrees, Hertz, Meters, Seconds, Volts};
 
 use crate::scenario::Scenario;
 
@@ -269,7 +269,20 @@ pub struct FleetEvaluator {
     fault: Option<crate::faults::BiasFault>,
     /// Buffers every batch reuses, so a steady stream of sweep grids
     /// allocates little beyond its output rows.
-    buffers: RefCell<BatchBuffers>,
+    buffers: RefCell<DriveBuffers>,
+}
+
+/// The reusable buffers of [`drive`]: the probe batch's, each round's
+/// live searches and their matrices. A caller that drives round after
+/// round, tick after tick, keeps one and allocates little beyond the
+/// rows its searches keep.
+#[derive(Default)]
+pub(crate) struct DriveBuffers {
+    batch: BatchBuffers,
+    /// This round's searches with a grid to probe, by index.
+    live: Vec<usize>,
+    /// This round's matrices, one per live search.
+    matrices: Vec<Vec<Vec<f64>>>,
 }
 
 /// The reusable buffers of one probe batch ([`BatchBuffers::powers`]):
@@ -334,8 +347,9 @@ impl AsBias for Probe {
 }
 
 impl BatchBuffers {
-    /// The probe matrices of many fleets in one batch: request `r` is a
-    /// fleet and its probe list, and `sink(r, rows)` receives its matrix
+    /// The probe matrices of many fleets in one batch: request `r` of
+    /// `count` is a fleet and its probe list, `request(r)`, and
+    /// `sink(r, rows)` receives its matrix
     /// (`rows[b][d]` is device `d`'s power under the `b`-th probe, after
     /// that fleet's clamp and fault, in linear milliwatts: the probe
     /// stops at `norm_sqr`, and whoever reduces a row converts only what
@@ -352,9 +366,10 @@ impl BatchBuffers {
     /// response is independent of what else is in its batch (the SoA
     /// kernel and the per-cell fold agree bit for bit), so each matrix
     /// is bitwise the one that fleet's own call would return.
-    fn powers<B: AsBias>(
+    fn powers<'a, B: AsBias + 'a>(
         &mut self,
-        requests: &[(&FleetEvaluator, &[B])],
+        count: usize,
+        request: impl Fn(usize) -> (&'a FleetEvaluator, &'a [B]),
         mut sink: impl FnMut(usize, Vec<Vec<f64>>),
     ) {
         let Self {
@@ -373,7 +388,8 @@ impl BatchBuffers {
         keys.clear();
         distinct.clear();
         slots.clear();
-        for (fleet, probes) in requests {
+        let requests = || (0..count).map(&request);
+        for (fleet, probes) in requests() {
             for probe in probes.iter() {
                 let applied = fleet.faulted(probe.bias().clamped(fleet.v_max));
                 let key = (applied.vx.0.to_bits(), applied.vy.0.to_bits());
@@ -388,12 +404,12 @@ impl BatchBuffers {
         plans.clear();
         plan_ids.clear();
         plan_starts.clear();
-        for (r, (fleet, _)) in requests.iter().enumerate() {
+        for (r, (fleet, _)) in requests().enumerate() {
             plan_starts.push(plan_ids.len());
             for (k, plan) in fleet.plans.iter().enumerate() {
                 let g = plans
                     .iter()
-                    .position(|&(r0, k0)| Rc::ptr_eq(&requests[r0].0.plans[k0], plan))
+                    .position(|&(r0, k0)| Rc::ptr_eq(&request(r0).0.plans[k0], plan))
                     .unwrap_or_else(|| {
                         plans.push((r, k));
                         plans.len() - 1
@@ -412,7 +428,7 @@ impl BatchBuffers {
             let map = &mut factor_of[g * nd..(g + 1) * nd];
             plan_cells.clear();
             let mut start = 0;
-            for (r, (fleet, probes)) in requests.iter().enumerate() {
+            for (r, (fleet, probes)) in requests().enumerate() {
                 let own = &slots[start..start + probes.len()];
                 start += probes.len();
                 let ids = &plan_ids[plan_starts[r]..plan_starts[r] + fleet.plans.len()];
@@ -426,7 +442,7 @@ impl BatchBuffers {
                     }
                 }
             }
-            let evaluated = requests[r0].0.plans[k0].cell_factors_into(plan_cells, factors);
+            let evaluated = request(r0).0.plans[k0].cell_factors_into(plan_cells, factors);
             cells.cascade += evaluated as u64;
             cells.hits += (plan_cells.len() - evaluated) as u64;
         }
@@ -438,7 +454,7 @@ impl BatchBuffers {
         // plans hold `RefCell` memos and stay on this thread; their
         // factors are already in hand.
         let mut start = 0;
-        for (r, (fleet, probes)) in requests.iter().enumerate() {
+        for (r, (fleet, probes)) in requests().enumerate() {
             let n = probes.len();
             let own = &slots[start..start + n];
             start += n;
@@ -484,12 +500,31 @@ impl FleetEvaluator {
     /// from the same stack as `fleet.design` (the panel scheduler keys
     /// caches by design name).
     pub fn with_plan_cache(fleet: &Fleet, cache: &PlanCache) -> Self {
-        assert!(!fleet.is_empty(), "cannot evaluate an empty fleet");
+        Self::from_links(
+            cache,
+            fleet
+                .devices()
+                .iter()
+                .map(|device| (device.scenario.frequency, device.scenario.link())),
+        )
+    }
+
+    /// An evaluator over one `(carrier, link)` pair per device, in
+    /// order, its plans drawn from `cache` (see
+    /// [`FleetEvaluator::with_plan_cache`]): a panel binds its members'
+    /// links straight from the parent fleet, re-mounted on the panel.
+    ///
+    /// # Panics
+    /// Panics on no device.
+    pub(crate) fn from_links(
+        cache: &PlanCache,
+        devices: impl ExactSizeIterator<Item = (Hertz, Link)>,
+    ) -> Self {
+        assert!(devices.len() > 0, "cannot evaluate an empty fleet");
         let mut plans: Vec<Rc<StackEvaluator>> = Vec::new();
-        let mut plan_of = Vec::with_capacity(fleet.len());
-        let mut links = Vec::with_capacity(fleet.len());
-        for device in fleet.devices() {
-            let f = device.scenario.frequency;
+        let mut plan_of = Vec::with_capacity(devices.len());
+        let mut links = Vec::with_capacity(devices.len());
+        for (f, link) in devices {
             let idx = plans
                 .iter()
                 .position(|p| p.frequency().0.to_bits() == f.0.to_bits())
@@ -498,7 +533,7 @@ impl FleetEvaluator {
                     plans.len() - 1
                 });
             plan_of.push(idx);
-            links.push(PreparedLink::new(device.scenario.link()));
+            links.push(PreparedLink::new(link));
         }
         Self {
             links,
@@ -602,19 +637,14 @@ impl FleetEvaluator {
         to_dbm_rows(self.powers_mw(biases))
     }
 
-    /// An Algorithm 1 measurement over this fleet: each sweep iteration's
-    /// probe grid is one batch, its rows in linear milliwatts.
-    pub(crate) fn measure_grid(&self) -> impl FnMut(&[Probe]) -> Vec<Vec<f64>> + '_ {
-        |probes| self.powers_mw(probes)
-    }
-
     /// The probe matrix over a probe list in linear milliwatts, in this
     /// evaluator's own buffers.
     fn powers_mw<B: AsBias>(&self, probes: &[B]) -> Vec<Vec<f64>> {
         let mut rows = Vec::new();
         self.buffers
             .borrow_mut()
-            .powers(&[(self, probes)], |_, r| rows = r);
+            .batch
+            .powers(1, |_| (self, probes), |_, r| rows = r);
         rows
     }
 
@@ -630,10 +660,11 @@ impl FleetEvaluator {
             return Vec::new();
         };
         let mut out = vec![Vec::new(); requests.len()];
-        first
-            .buffers
-            .borrow_mut()
-            .powers(requests, |r, rows| out[r] = to_dbm_rows(rows));
+        first.buffers.borrow_mut().batch.powers(
+            requests.len(),
+            |r| requests[r],
+            |r, rows| out[r] = to_dbm_rows(rows),
+        );
         out
     }
 }
@@ -827,50 +858,92 @@ impl Scheduler {
         self.run_with_evaluator(fleet, &FleetEvaluator::new(fleet))
     }
 
-    /// [`Scheduler::run`] against an externally compiled evaluator (the
-    /// mobility simulator keeps one per panel across ticks). The
+    /// [`Scheduler::run`] against an externally compiled evaluator. The
     /// evaluator must have been compiled from this exact fleet. This is
-    /// the one-fleet case of the lockstep driver that the panel
-    /// scheduler runs over all its panels at once.
+    /// the one-fleet case of the lockstep search that the panel
+    /// scheduler and the mobility simulator run over all their panels at
+    /// once.
     pub fn run_with_evaluator(&self, fleet: &Fleet, evaluator: &FleetEvaluator) -> FleetOutcome {
         if fleet.is_empty() {
             return FleetOutcome::empty(self.policy);
         }
-        let mut searches = [self.search(fleet, evaluator)];
-        drive(&mut searches, &[evaluator]);
-        let [search] = searches;
-        self.outcome(fleet, evaluator, search)
+        self.run_search(fleet, evaluator, self.search(fleet.len(), evaluator))
     }
 
-    /// Opens the policy's search over a non-empty fleet.
-    pub(crate) fn search(&self, fleet: &Fleet, evaluator: &FleetEvaluator) -> Search {
-        match self.objective(fleet, evaluator) {
+    /// Drives one search over `evaluator`'s own buffers to its outcome.
+    fn run_search(
+        &self,
+        fleet: &Fleet,
+        evaluator: &FleetEvaluator,
+        search: Search,
+    ) -> FleetOutcome {
+        let mut searches = [search];
+        drive(&mut evaluator.buffers.borrow_mut(), &mut searches, |_| {
+            evaluator
+        });
+        let [search] = searches;
+        self.outcome(fleet.devices(), evaluator, search)
+    }
+
+    /// Opens the policy's cold search over `devices` devices (at least
+    /// one), probed through `evaluator`.
+    pub(crate) fn search(&self, devices: usize, evaluator: &FleetEvaluator) -> Search {
+        match self.objective(devices, evaluator) {
             Some(objective) => Search::Shared {
                 search: GridSearch::cold(&self.sweep),
                 objective,
             },
-            None => Search::TimeDivision(TdSearch::new(&self.sweep, fleet.len())),
+            None => Search::TimeDivision(TdSearch::new(&self.sweep, devices)),
+        }
+    }
+
+    /// Opens a warm re-optimization from `prev` over `devices` devices
+    /// (at least one): [`Search::Warm`] for a shared-bias policy and a
+    /// previous outcome with a shared bias, otherwise
+    /// [`Scheduler::search`].
+    pub(crate) fn warm_search(
+        &self,
+        devices: usize,
+        evaluator: &FleetEvaluator,
+        prev: &FleetOutcome,
+        warm: &WarmConfig,
+    ) -> Search {
+        let (Some(objective), Some(prev_bias)) =
+            (self.objective(devices, evaluator), prev.shared_bias)
+        else {
+            return self.search(devices, evaluator);
+        };
+        let center = Probe {
+            vx: prev_bias.vx,
+            vy: prev_bias.vy,
+        };
+        Search::Warm {
+            search: GridSearch::warm(&self.sweep, warm, center),
+            objective,
+            floor: prev.score - warm.regression_db,
+            sweep: self.sweep,
+            cold: None,
         }
     }
 
     /// The objective a shared-bias policy scores each probe by (`None`
     /// for time division), after checking the evaluator and the policy
-    /// against the non-empty `fleet`.
-    fn objective(&self, fleet: &Fleet, evaluator: &FleetEvaluator) -> Option<Objective> {
+    /// against a fleet of `devices` devices (at least one).
+    fn objective(&self, devices: usize, evaluator: &FleetEvaluator) -> Option<Objective> {
         assert_eq!(
             evaluator.device_count(),
-            fleet.len(),
+            devices,
             "evaluator compiled for a different fleet"
         );
         match self.policy {
             Policy::MaxMin => Some(Objective::WorstLink),
             Policy::Favor { favored } => {
-                assert!(favored < fleet.len(), "favored index out of range");
+                assert!(favored < devices, "favored index out of range");
                 // Isolation is a margin over the *other* devices; with no
                 // other device every probe would score -inf and the
                 // "allocation" would be meaningless.
                 assert!(
-                    fleet.len() >= 2,
+                    devices >= 2,
                     "Favor needs at least two devices to isolate between"
                 );
                 Some(Objective::Isolation { favored })
@@ -879,18 +952,42 @@ impl Scheduler {
         }
     }
 
-    /// The allocation a finished [`Scheduler::search`] arrived at.
-    pub(crate) fn outcome(
+    /// The allocation a finished search arrived at, serving `devices`
+    /// (the search's fleet, in order; their labels and profiles are all
+    /// it reads).
+    pub(crate) fn outcome<'a>(
         &self,
-        fleet: &Fleet,
+        devices: impl IntoIterator<Item = &'a FleetDevice>,
         evaluator: &FleetEvaluator,
         search: Search,
     ) -> FleetOutcome {
+        let null = RecorderHandle::null();
         match search {
             Search::Shared { search, .. } => {
-                self.shared_outcome(fleet, evaluator, search.finish(&RecorderHandle::null(), 0))
+                self.shared_outcome(devices, evaluator, search.finish(&null, 0))
             }
-            Search::TimeDivision(search) => self.time_division_outcome(fleet, search.history),
+            Search::Warm { search, cold, .. } => {
+                let mut outcome = search.finish(&null, 0);
+                if let Some(cold) = cold {
+                    // Widened: the warm probes were spent on the air, so
+                    // they stay on the bill, and the better winner is
+                    // kept — the cold grid need not revisit the warm
+                    // window.
+                    let cold = cold.finish(&null, 0);
+                    if cold.best_score >= outcome.best_score {
+                        outcome.best = cold.best;
+                        outcome.best_score = cold.best_score;
+                        outcome.best_metrics = cold.best_metrics;
+                    }
+                    outcome.probes += cold.probes;
+                    outcome.duration = Seconds(outcome.duration.0 + cold.duration.0);
+                    outcome.history.extend(cold.history);
+                }
+                self.shared_outcome(devices, evaluator, outcome)
+            }
+            Search::TimeDivision(search) => {
+                self.time_division_outcome(devices, evaluator.device_count(), search.history)
+            }
         }
     }
 
@@ -903,6 +1000,8 @@ impl Scheduler {
     /// drifted within it. All probes spent (warm, plus cold when
     /// widened) stay on the airtime bill, which is what makes the
     /// simulator's per-tick throughput honest about reconfiguration.
+    /// This is the lockstep search over one fleet, warm-started: the
+    /// search each moved panel of the mobility simulator runs.
     ///
     /// `TimeDivision` schedules (and previous outcomes without a shared
     /// bias, e.g. [`FleetOutcome::empty`]) have nothing to warm from and
@@ -917,45 +1016,15 @@ impl Scheduler {
         if fleet.is_empty() {
             return FleetOutcome::empty(self.policy);
         }
-        let (Some(objective), Some(prev_bias)) =
-            (self.objective(fleet, evaluator), prev.shared_bias)
-        else {
-            return self.run_with_evaluator(fleet, evaluator);
-        };
-        let null = RecorderHandle::null();
-        let score = |powers: &[f64]| objective.score_mw(powers).unwrap_or(f64::NEG_INFINITY);
-        let mut outcome = GridSearch::warm(
-            &self.sweep,
-            warm,
-            Probe {
-                vx: prev_bias.vx,
-                vy: prev_bias.vy,
-            },
-        )
-        .run(&null, 0, evaluator.measure_grid(), score);
-        if outcome.best_score < prev.score - warm.regression_db {
-            // Widen: full cold search, merged with the warm probes (they
-            // were spent on the air) and keeping the better winner — the
-            // cold grid need not revisit the warm window.
-            let cold = GridSearch::cold(&self.sweep).run(&null, 0, evaluator.measure_grid(), score);
-            if cold.best_score >= outcome.best_score {
-                outcome.best = cold.best;
-                outcome.best_score = cold.best_score;
-                outcome.best_metrics = cold.best_metrics;
-            }
-            outcome.probes += cold.probes;
-            outcome.duration = Seconds(outcome.duration.0 + cold.duration.0);
-            outcome.history.extend(cold.history);
-        }
-        self.shared_outcome(fleet, evaluator, outcome)
+        let search = self.warm_search(fleet.len(), evaluator, prev, warm);
+        self.run_search(fleet, evaluator, search)
     }
 
     /// Assembles a [`FleetOutcome`] from a completed shared-bias sweep —
-    /// the common tail of the cold ([`Scheduler::outcome`]) and warm
-    /// ([`Scheduler::run_warm`]) paths.
-    fn shared_outcome(
+    /// the common tail of the cold and warm searches.
+    fn shared_outcome<'a>(
         &self,
-        fleet: &Fleet,
+        devices: impl IntoIterator<Item = &'a FleetDevice>,
         evaluator: &FleetEvaluator,
         outcome: MultiSweepOutcome,
     ) -> FleetOutcome {
@@ -968,14 +1037,13 @@ impl Scheduler {
         // vector (the objective asserts above make this unreachable for
         // the built-in policies, but keep the allocation well-formed for
         // custom arity mishaps): measure the winner directly.
-        let best_metrics = if outcome.best_metrics.len() == fleet.len() {
+        let best_metrics = if outcome.best_metrics.len() == evaluator.device_count() {
             PowerRow(outcome.best_metrics).dbm().collect()
         } else {
             evaluator.powers_dbm(bias)
         };
-        let per_device = fleet
-            .devices()
-            .iter()
+        let per_device = devices
+            .into_iter()
             .zip(&best_metrics)
             .map(|(device, &power)| DeviceService {
                 label: device.label.clone(),
@@ -1004,12 +1072,12 @@ impl Scheduler {
     /// Time division's allocation from its probe history: every device
     /// keeps the best bias *it* saw anywhere in the history (see
     /// [`TdSearch`]) for one slot per frame.
-    fn time_division_outcome(
+    fn time_division_outcome<'a>(
         &self,
-        fleet: &Fleet,
+        devices: impl IntoIterator<Item = &'a FleetDevice>,
+        n_dev: usize,
         history: Vec<(BiasState, PowerRow)>,
     ) -> FleetOutcome {
-        let n_dev = fleet.len();
         // Frame model: every device gets one slot per frame; each slot
         // boundary burns one PSU switch of the slot's airtime.
         let duty = if n_dev == 0 {
@@ -1018,9 +1086,8 @@ impl Scheduler {
             ((self.slot.0 - self.sweep.switch_period.0).max(0.0) / (self.slot.0 * n_dev as f64))
                 .clamp(0.0, 1.0)
         };
-        let per_device: Vec<DeviceService> = fleet
-            .devices()
-            .iter()
+        let per_device: Vec<DeviceService> = devices
+            .into_iter()
             .enumerate()
             .map(|(d, device)| {
                 let (bias, power) = winner_of(&history, d);
@@ -1114,6 +1181,20 @@ pub(crate) enum Search {
         search: GridSearch,
         objective: Objective,
     },
+    /// `MaxMin` / `Favor` re-optimized from a previous allocation
+    /// ([`Scheduler::warm_search`]): a warm [`GridSearch`] that, if its
+    /// winner ends below `floor`, opens a cold one over `sweep` and
+    /// keeps going. [`Scheduler::outcome`] merges the two.
+    Warm {
+        search: GridSearch,
+        objective: Objective,
+        /// The previous score less [`WarmConfig::regression_db`].
+        floor: f64,
+        sweep: SweepConfig,
+        /// The widened cold search, once opened (boxed: most warm
+        /// searches never widen).
+        cold: Option<Box<GridSearch>>,
+    },
     /// `TimeDivision`'s coarse grid and per-device refinement rounds.
     TimeDivision(TdSearch),
 }
@@ -1122,19 +1203,40 @@ impl Search {
     /// The grid to probe next; `None` once the search is done.
     fn grid(&self) -> Option<&[Probe]> {
         match self {
-            Search::Shared { search, .. } => search.grid(),
+            Search::Shared { search, .. }
+            | Search::Warm {
+                search, cold: None, ..
+            } => search.grid(),
+            Search::Warm {
+                cold: Some(cold), ..
+            } => cold.grid(),
             Search::TimeDivision(search) => search.grid(),
         }
     }
 
     /// Takes the current grid's rows (linear milliwatts), in grid order.
     fn take(&mut self, rows: Vec<Vec<f64>>) {
+        let score = |objective: Objective| {
+            move |powers: &[f64]| objective.score_mw(powers).unwrap_or(f64::NEG_INFINITY)
+        };
         match self {
-            Search::Shared { search, objective } => {
-                let objective = *objective;
-                search.take(rows, &|powers: &[f64]| {
-                    objective.score_mw(powers).unwrap_or(f64::NEG_INFINITY)
-                })
+            Search::Shared { search, objective } => search.take(rows, &score(*objective)),
+            Search::Warm {
+                cold: Some(cold),
+                objective,
+                ..
+            } => cold.take(rows, &score(*objective)),
+            Search::Warm {
+                search,
+                objective,
+                floor,
+                sweep,
+                cold,
+            } => {
+                search.take(rows, &score(*objective));
+                if search.grid().is_none() && search.leader().1 < *floor {
+                    *cold = Some(Box::new(GridSearch::cold(sweep)));
+                }
             }
             Search::TimeDivision(search) => search.take(rows),
         }
@@ -1234,39 +1336,52 @@ impl TdSearch {
 }
 
 /// Advances `searches` in lockstep, search `i` probing through
-/// `evaluators[i]`: each round, every live search's grid goes into one
+/// `evaluator(i)`: each round, every live search's grid goes into one
 /// [`FleetEvaluator`] batch, so searches whose fleets draw plans from
 /// one [`PlanCache`] share each plan's cell lookup, cascade call and
 /// each distinct cell's factors. A search's outcome depends only on its
-/// own rows, so each ends exactly as it would alone. Returns how the
+/// own rows, so each ends exactly as it would alone. `buffers` hold the
+/// batch and the round's bookkeeping; a caller that keeps them across
+/// calls allocates only the rows its searches keep. Returns how the
 /// batches' cells were obtained: sent to the cascade kernel or found in
 /// a plan store's cell memo.
-pub(crate) fn drive(searches: &mut [Search], evaluators: &[&FleetEvaluator]) -> CellCounts {
-    assert_eq!(searches.len(), evaluators.len(), "one evaluator per search");
-    let Some(first) = evaluators.first() else {
-        return CellCounts::default();
-    };
-    let mut buffers = first.buffers.borrow_mut();
-    let before = buffers.cells;
+pub(crate) fn drive<'e>(
+    buffers: &mut DriveBuffers,
+    searches: &mut [Search],
+    evaluator: impl Fn(usize) -> &'e FleetEvaluator,
+) -> CellCounts {
+    let DriveBuffers {
+        batch,
+        live,
+        matrices,
+    } = buffers;
+    let before = batch.cells;
     loop {
-        let (live, requests): (Vec<usize>, Vec<(&FleetEvaluator, &[Probe])>) = searches
-            .iter()
-            .zip(evaluators)
-            .enumerate()
-            .filter_map(|(i, (search, &evaluator))| Some((i, (evaluator, search.grid()?))))
-            .unzip();
+        live.clear();
+        live.extend((0..searches.len()).filter(|&i| searches[i].grid().is_some()));
         if live.is_empty() {
             break;
         }
-        let mut matrices = vec![Vec::new(); live.len()];
-        buffers.powers(&requests, |r, rows| matrices[r] = rows);
-        for (i, rows) in live.into_iter().zip(matrices) {
-            searches[i].take(rows);
+        matrices.resize_with(live.len(), Vec::new);
+        let (open, live): (&[Search], &[usize]) = (searches, live);
+        batch.powers(
+            live.len(),
+            |r| {
+                let i = live[r];
+                (
+                    evaluator(i),
+                    open[i].grid().expect("a live search has a grid"),
+                )
+            },
+            |r, rows| matrices[r] = rows,
+        );
+        for (&i, rows) in live.iter().zip(matrices.iter_mut()) {
+            searches[i].take(std::mem::take(rows));
         }
     }
     CellCounts {
-        cascade: buffers.cells.cascade - before.cascade,
-        hits: buffers.cells.hits - before.hits,
+        cascade: batch.cells.cascade - before.cascade,
+        hits: batch.cells.hits - before.hits,
     }
 }
 

@@ -83,8 +83,8 @@ use rfmath::units::{Dbm, Degrees, Hertz, Seconds, Watts};
 use rfmath::vec2::Point2;
 
 use crate::fleet::{
-    drive, DeviceService, Fleet, FleetDevice, FleetEvaluator, FleetOutcome, Policy, Scheduler,
-    Search,
+    drive, DeviceService, DriveBuffers, Fleet, FleetDevice, FleetEvaluator, FleetOutcome, Policy,
+    Scheduler, Search,
 };
 use crate::scenario::Scenario;
 
@@ -438,40 +438,59 @@ impl PanelArray {
     /// design and mounting applied to each member's scenario) and the
     /// members' fleet-order indices.
     pub fn subfleets(&self, fleet: &Fleet, assignment: &[usize]) -> Vec<(Fleet, Vec<usize>)> {
+        self.members(fleet, assignment)
+            .into_iter()
+            .zip(&self.panels)
+            .map(|(members, panel)| {
+                let mut subfleet = Fleet::new(panel.design.clone());
+                for &d in &members {
+                    let device = &fleet.devices()[d];
+                    subfleet.push(FleetDevice {
+                        label: device.label.clone(),
+                        profile: device.profile.clone(),
+                        scenario: panel.scenario_for(&device.scenario),
+                    });
+                }
+                (subfleet, members)
+            })
+            .collect()
+    }
+
+    /// Each panel's members under a precomputed assignment: element `k`
+    /// holds, in fleet order, the indices of the devices panel `k`
+    /// serves.
+    fn members(&self, fleet: &Fleet, assignment: &[usize]) -> Vec<Vec<usize>> {
         assert_eq!(assignment.len(), fleet.len(), "one panel per device");
-        let mut out: Vec<(Fleet, Vec<usize>)> = self
-            .panels
-            .iter()
-            .map(|p| (Fleet::new(p.design.clone()), Vec::new()))
-            .collect();
-        for (d, (&panel_idx, device)) in assignment.iter().zip(fleet.devices()).enumerate() {
-            let member = FleetDevice {
-                label: device.label.clone(),
-                profile: device.profile.clone(),
-                scenario: self.panels[panel_idx].scenario_for(&device.scenario),
-            };
-            out[panel_idx].0.push(member);
-            out[panel_idx].1.push(d);
+        let mut out = vec![Vec::new(); self.panels.len()];
+        for (d, &k) in assignment.iter().enumerate() {
+            out[k].push(d);
         }
         out
     }
 
-    /// One evaluator per populated panel of `subfleets`, its plans drawn
-    /// from the cache of the panel's design; `None` for an empty panel.
+    /// One evaluator per populated panel, binding each member's link
+    /// straight from `fleet` with the panel's mounting applied (no
+    /// member device is cloned), its plans drawn from the cache of the
+    /// panel's design; `None` for an empty panel. Bitwise the evaluator
+    /// over the panel's [`PanelArray::subfleets`] member.
     fn panel_evaluators(
         &self,
-        subfleets: &[(Fleet, Vec<usize>)],
+        fleet: &Fleet,
+        members: &[Vec<usize>],
         caches: &[(&'static str, PlanCache)],
     ) -> Vec<Option<FleetEvaluator>> {
-        subfleets
+        members
             .iter()
             .zip(&self.panels)
-            .map(|((subfleet, _), panel)| {
-                (!subfleet.is_empty()).then(|| {
-                    FleetEvaluator::with_plan_cache(
-                        subfleet,
-                        Self::cache_for(caches, &panel.design),
-                    )
+            .map(|(members, panel)| {
+                (!members.is_empty()).then(|| {
+                    let links = members.iter().map(|&d| {
+                        let scenario = &fleet.devices()[d].scenario;
+                        let mut link = scenario.link();
+                        link.deployment = panel.deployment_for(scenario.deployment);
+                        (scenario.frequency, link)
+                    });
+                    FleetEvaluator::from_links(Self::cache_for(caches, &panel.design), links)
                 })
             })
             .collect()
@@ -490,7 +509,7 @@ impl PanelArray {
         biases: &[BiasState],
     ) -> Vec<Vec<Vec<f64>>> {
         let evaluators =
-            self.panel_evaluators(&self.subfleets(fleet, assignment), &self.plan_caches());
+            self.panel_evaluators(fleet, &self.members(fleet, assignment), &self.plan_caches());
         let requests: Vec<(&FleetEvaluator, &[BiasState])> =
             evaluators.iter().flatten().map(|e| (e, biases)).collect();
         let mut matrices = FleetEvaluator::powers_batch(&requests).into_iter();
@@ -806,35 +825,34 @@ impl PanelScheduler {
         // Asked before the schedule: a recorder that stamps its calls
         // then charges the whole lockstep search to the sweep events.
         let traced = self.recorder.enabled();
-        let subfleets = array.subfleets(fleet, &assignment);
-        let schedulers: Vec<Scheduler> = subfleets
+        let members = array.members(fleet, &assignment);
+        let schedulers: Vec<Scheduler> = members
             .iter()
-            .map(|(_, members)| self.panel_scheduler(members))
+            .map(|members| self.panel_scheduler(members))
             .collect();
-        let evaluators = array.panel_evaluators(&subfleets, caches);
+        let evaluators = array.panel_evaluators(fleet, &members, caches);
         let (mut searches, live): (Vec<Search>, Vec<&FleetEvaluator>) = evaluators
             .iter()
-            .zip(&subfleets)
+            .zip(&members)
             .zip(&schedulers)
-            .filter_map(|((evaluator, (subfleet, _)), scheduler)| {
+            .filter_map(|((evaluator, members), scheduler)| {
                 let evaluator = evaluator.as_ref()?;
-                Some((scheduler.search(subfleet, evaluator), evaluator))
+                Some((scheduler.search(members.len(), evaluator), evaluator))
             })
             .unzip();
-        let cells = drive(&mut searches, &live);
+        let cells = drive(&mut DriveBuffers::default(), &mut searches, |i| live[i]);
 
         let mut searches = searches.into_iter();
         let mut per_panel = Vec::with_capacity(array.len());
         let mut services: Vec<Option<DeviceService>> = vec![None; fleet.len()];
         let mut probes = 0usize;
         let mut elapsed = 0.0f64;
-        for (k, ((subfleet, members), scheduler)) in
-            subfleets.into_iter().zip(schedulers).enumerate()
-        {
+        for (k, (members, scheduler)) in members.into_iter().zip(schedulers).enumerate() {
             let outcome = match &evaluators[k] {
                 Some(evaluator) => {
                     let search = searches.next().expect("one search per populated panel");
-                    scheduler.outcome(&subfleet, evaluator, search)
+                    let devices = members.iter().map(|&d| &fleet.devices()[d]);
+                    scheduler.outcome(devices, evaluator, search)
                 }
                 None => FleetOutcome::empty(scheduler.policy),
             };
@@ -997,13 +1015,14 @@ impl PanelScheduler {
 
         let powers = coupled.powers_dbm(&biases);
         let cross_energy = coupled.cross_energy_fraction(&biases);
-        let subfleets = array.subfleets(fleet, &independent.assignment);
+        let members = array.members(fleet, &independent.assignment);
         let mut services: Vec<Option<DeviceService>> = vec![None; fleet.len()];
         let mut per_panel = Vec::with_capacity(kp);
-        for (k, (subfleet, members)) in subfleets.into_iter().enumerate() {
+        for (k, members) in members.into_iter().enumerate() {
             let bias = biases[k].clamped(SUPPLY_CEILING);
             let mut panel_services = Vec::with_capacity(members.len());
-            for (device, &d) in subfleet.devices().iter().zip(&members) {
+            for &d in &members {
+                let device = &fleet.devices()[d];
                 let power = powers[d];
                 let service = DeviceService {
                     label: device.label.clone(),

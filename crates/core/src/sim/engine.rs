@@ -14,10 +14,15 @@
 //!   ticks; only the dirty set's links are re-prepared
 //!   ([`crate::fleet::FleetEvaluator::update_device`]); panels whose
 //!   devices did not move *reuse* the previous allocation outright (zero
-//!   probes), and panels that did move re-optimize through
-//!   [`crate::fleet::Scheduler::run_warm`] — a handful of probes seeded
-//!   from the previous bias, widening to the cold search only on a
-//!   genuine score regression.
+//!   probes), and panels that did move re-optimize with the warm search
+//!   of [`crate::fleet::Scheduler::run_warm`] — a handful of probes
+//!   seeded from the previous bias, widening to the cold search only on
+//!   a genuine score regression. Every searching panel's search (cold
+//!   for a new or rebuilt panel, warm for a moved one) advances in
+//!   lockstep with the others, one probe batch per round, so panels of
+//!   one design send each carrier's shared cells to the cascade kernel
+//!   once; a live recorder gets the counts as `fleet.cascade_cells` and
+//!   `fleet.factor_hits`.
 //!
 //! On top of scheduling, each tick settles two pieces of physical
 //! accounting the static schedulers never had to face:
@@ -59,7 +64,7 @@ use propagation::link::PreparedLink;
 use rfmath::units::{Dbm, Seconds};
 
 use crate::faults::FaultPlan;
-use crate::fleet::{Fleet, FleetEvaluator, FleetOutcome, Policy};
+use crate::fleet::{drive, DriveBuffers, Fleet, FleetEvaluator, FleetOutcome, Policy, Search};
 use crate::panels::{
     PanelAllocation, PanelArray, PanelOutcome, PanelScheduler, RevivalPolicy, REFERENCE_BIAS,
 };
@@ -560,7 +565,8 @@ impl MobilitySim {
 
     /// The incremental engine: persistent caches, evaluators and
     /// reference links; dirty-set link updates; hysteresis handoff;
-    /// reuse/warm/cold scheduling per panel.
+    /// reuse/warm/cold scheduling per panel, the searching panels driven
+    /// in lockstep ([`crate::fleet::drive`]).
     fn run_warm_mode(
         &self,
         fleet: &mut DynamicFleet,
@@ -588,6 +594,9 @@ impl MobilitySim {
         let mut outaged = vec![false; array.len()];
         let mut is_dirty = vec![false; fleet.len()];
         let mut kinds: Vec<SearchKind> = Vec::with_capacity(array.len());
+        let mut searches: Vec<Search> = Vec::with_capacity(array.len());
+        let mut searching: Vec<usize> = Vec::with_capacity(array.len());
+        let mut lockstep = DriveBuffers::default();
         let mut airtimes: Vec<f64> = Vec::with_capacity(array.len());
         let recorder = &self.recorder;
         let traced = recorder.enabled();
@@ -938,12 +947,11 @@ impl MobilitySim {
                         .expect("assignment and membership agree");
                     state.subfleet.device_mut(sub).scenario =
                         array.panels()[k].scenario_for(&fleet.fleet().devices()[d].scenario);
-                    let member = state.subfleet.devices()[sub].clone();
                     let cheap = state
                         .evaluator
                         .as_mut()
                         .expect("populated panel has an evaluator")
-                        .update_device(sub, &member);
+                        .update_device(sub, &state.subfleet.devices()[sub]);
                     if cheap {
                         rebound += 1;
                     } else {
@@ -953,27 +961,58 @@ impl MobilitySim {
                 }
             }
 
-            // Per-panel scheduling: reuse, warm-refine, or cold.
+            // Per-panel scheduling: reuse, warm-refine, or cold. Every
+            // panel that searches opens its search here, and all of them
+            // advance in lockstep through one batch per round, so panels
+            // of one design share each carrier's cells.
             kinds.clear();
+            searching.clear();
+            for (k, state) in states.iter().enumerate() {
+                let scheduler = self.scheduler.panel_scheduler(&state.members);
+                let devices = state.subfleet.len();
+                let kind = match (&state.evaluator, &state.prev) {
+                    (Some(evaluator), Some(prev)) if state.moved => {
+                        searches.push(scheduler.warm_search(devices, evaluator, prev, warm));
+                        SearchKind::Warm
+                    }
+                    (Some(evaluator), None) => {
+                        searches.push(scheduler.search(devices, evaluator));
+                        SearchKind::Cold
+                    }
+                    _ => SearchKind::Reused,
+                };
+                if kind != SearchKind::Reused {
+                    searching.push(k);
+                }
+                kinds.push(kind);
+            }
+            let cells = drive(&mut lockstep, &mut searches, |i| {
+                states[searching[i]]
+                    .evaluator
+                    .as_ref()
+                    .expect("a searching panel has an evaluator")
+            });
+
+            // Then each panel, in index order: its outcome, fault draws
+            // and held allocations.
             airtimes.clear();
             let mut panel_outcomes: Vec<FleetOutcome> = Vec::with_capacity(array.len());
             let mut probes = 0usize;
             let mut reports_lost = 0usize;
             let mut reports_exhausted = 0usize;
             let mut psu_glitches = 0usize;
+            let mut finished = searches.drain(..);
             for (k, state) in states.iter_mut().enumerate() {
                 let scheduler = self.scheduler.panel_scheduler(&state.members);
-                let (mut outcome, mut kind) = match (&state.evaluator, &state.prev) {
-                    (None, _) => (FleetOutcome::empty(scheduler.policy), SearchKind::Reused),
-                    (Some(_), Some(prev)) if !state.moved => (prev.clone(), SearchKind::Reused),
-                    (Some(evaluator), Some(prev)) => (
-                        scheduler.run_warm(&state.subfleet, evaluator, prev, warm),
-                        SearchKind::Warm,
+                let mut kind = kinds[k];
+                let mut outcome = match (&state.evaluator, &state.prev) {
+                    (Some(evaluator), _) if kind != SearchKind::Reused => scheduler.outcome(
+                        state.subfleet.devices(),
+                        evaluator,
+                        finished.next().expect("one search per searching panel"),
                     ),
-                    (Some(evaluator), None) => (
-                        scheduler.run_with_evaluator(&state.subfleet, evaluator),
-                        SearchKind::Cold,
-                    ),
+                    (Some(_), Some(prev)) => prev.clone(),
+                    _ => FleetOutcome::empty(scheduler.policy),
                 };
                 let mut airtime = if kind == SearchKind::Reused {
                     0.0
@@ -1036,12 +1075,17 @@ impl MobilitySim {
                 }
                 state.moved = false;
                 state.membership_changed = false;
-                kinds.push(kind);
+                kinds[k] = kind;
                 airtimes.push(airtime);
                 panel_outcomes.push(outcome);
             }
             drop(reopt_span);
             if traced {
+                // Counted after the panel walk: a recorder that stamps
+                // its calls then charges the lockstep search to the
+                // sweep events, not to these counters.
+                recorder.add("fleet.cascade_cells", cells.cascade);
+                recorder.add("fleet.factor_hits", cells.hits);
                 recorder.emit(TelemetryEvent::TickPhase {
                     phase: "reopt",
                     items: kinds.iter().filter(|k| **k != SearchKind::Reused).count(),
@@ -1133,10 +1177,11 @@ impl MobilitySim {
         panels: &[usize],
         faults: &FaultPlan,
     ) -> usize {
-        let subfleets = array.subfleets(fleet, assignment);
         let mut reprepared = 0usize;
-        for &k in panels {
-            let (subfleet, members) = subfleets[k].clone();
+        for (k, (subfleet, members)) in array.subfleets(fleet, assignment).into_iter().enumerate() {
+            if !panels.contains(&k) {
+                continue;
+            }
             reprepared += subfleet.len();
             states[k].evaluator = if subfleet.is_empty() {
                 None

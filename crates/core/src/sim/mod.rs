@@ -501,4 +501,41 @@ mod tests {
             clean.mean_served_min_power_dbm()
         );
     }
+
+    /// The lockstep tick's cascade counts on one room, exactly.
+    /// conference-room (seed 7) serves 8 BLE wearables from two panels
+    /// of one design, so every probe goes through one carrier plan, on
+    /// the room's private store (no cell memo: every cell of a batch is
+    /// sent to the kernel, and `fleet.factor_hits` stays 0).
+    ///
+    /// * First tick, both panels cold: 50 cells. Round one is the 25-cell
+    ///   coarse lattice, probed once for both panels; both pick the same
+    ///   coarse winner, so round two is one 25-cell window between them.
+    ///   Run one panel at a time, the tick sent 2 × (25 + 25) = 100.
+    /// * The whole 12-tick run: 229 = 50 + 3 × 17 + 8 × 16. Both panels
+    ///   warm-refine on each of ticks 1–11, 10 probes each (the centre
+    ///   plus a 3 × 3 window). On ticks 1–3 their windows share the
+    ///   3 cells of the `vx = 0` column (20 − 3); from tick 4 on they
+    ///   share 4, panel 0's centre included (20 − 4). One panel at a
+    ///   time, the run sent 100 + 11 × 20 = 320.
+    #[test]
+    fn lockstep_ticks_send_each_shared_cell_to_the_kernel_once() {
+        use crate::telemetry::RingRecorder;
+        use std::sync::Arc;
+        let counts = |ticks: usize| {
+            let mut room = crate::rooms::build("conference-room", 7).expect("catalog room");
+            room.ticks = ticks;
+            let ring = Arc::new(RingRecorder::default());
+            room.run_traced(
+                FaultPlan::none(),
+                crate::telemetry::RecorderHandle::new(ring.clone()),
+            );
+            (
+                ring.counter("fleet.cascade_cells"),
+                ring.counter("fleet.factor_hits"),
+            )
+        };
+        assert_eq!(counts(1), (50, 0));
+        assert_eq!(counts(12), (50 + 3 * 17 + 8 * 16, 0));
+    }
 }
